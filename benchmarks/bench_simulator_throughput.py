@@ -40,15 +40,6 @@ MXM_CCDP_COVERAGE_FLOOR = 0.95
 CELL_COVERAGE_FLOOR = 0.95
 CELL_SPEEDUP_FLOOR = 5.0
 
-#: Cells whose measured headroom is far above the base floor carry
-#: tighter per-cell gates: tomcatv/swim CCDP measure 80-150x warm (the
-#: plane replays whole epochs), so 12x still leaves a wide noise margin
-#: while catching any real collapse of the epoch-replay path.
-CELL_SPEEDUP_FLOOR_OVERRIDES = {
-    "tomcatv_ccdp": 12.0,
-    "swim_ccdp": 12.0,
-}
-
 
 def _quick() -> bool:
     """CI perf-smoke mode: the throughput matrix narrows to the flagship
@@ -200,11 +191,9 @@ def test_per_cell_floors(built_programs, capsys):
                 failures.append(
                     f"{cell}: coverage {res.batched_coverage:.4f} "
                     f"< {CELL_COVERAGE_FLOOR}")
-            floor = CELL_SPEEDUP_FLOOR_OVERRIDES.get(
-                cell, CELL_SPEEDUP_FLOOR)
-            if speedup < floor:
+            if speedup < CELL_SPEEDUP_FLOOR:
                 failures.append(
-                    f"{cell}: speedup {speedup:.2f}x < {floor}x")
+                    f"{cell}: speedup {speedup:.2f}x < {CELL_SPEEDUP_FLOOR}x")
             if res.batch_fallbacks != 0:
                 failures.append(
                     f"{cell}: {res.batch_fallbacks} run-time fallbacks "
@@ -230,9 +219,7 @@ def test_tracing_overhead(built_programs, capsys):
     counts-only mode folds whole chunks into per-kind counters without
     materialising tuples.  Gate: a counts-only ``Tracer(sample=0)`` run
     stays within budget of the tracer-disabled run on the flagship MXM
-    CCDP case, on the per-PE batched path (``plane_epochs=False`` — the
-    path where chunk-level count folding lives; plane replay folds one
-    precomputed delta per epoch and cannot regress independently)."""
+    CCDP case."""
     import time
 
     from repro.obs import Tracer
@@ -243,7 +230,7 @@ def test_tracing_overhead(built_programs, capsys):
     def once(tracer):
         start = time.perf_counter()
         run_program(program, params, Version.CCDP, backend=Backend.BATCHED,
-                    plane_epochs=False, tracer=tracer)
+                    tracer=tracer)
         return time.perf_counter() - start
 
     once(None)

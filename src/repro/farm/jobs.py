@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 #: Journal/result-store schema version.  Mixed into every content key a
 #: farm client derives, so a schema change can never resurrect stale
 #: results from an old farm directory.
-SCHEMA = 1
+SCHEMA = 2
 
 #: Why an attempt failed (journal ``fail``/``quarantine`` records and
 #: ``farm_retry``/``farm_quarantine`` event ``reason`` fields).

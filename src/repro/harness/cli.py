@@ -785,7 +785,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"  batch_fallbacks    {record.batch_fallbacks}")
             print(f"  fault_fallbacks    {record.fault_fallbacks}")
             print(f"  batched_coverage   {record.batched_coverage:.3f}")
-            print(f"  plane_coverage     {record.plane_coverage:.3f}")
             for reason, count in sorted(record.fallback_reasons.items()):
                 print(f"    {reason:16s} {count}")
         if record.fault_stats is not None:

@@ -50,8 +50,6 @@ class RunRecord:
     batch_fallbacks: int = 0     #: chunks that bound but fell back at run time
     fault_fallbacks: int = 0     #: chunks routed to the reference path by faults
     batched_coverage: float = 0.0  #: fraction of refs served by batched plans
-    plane_chunks: int = 0        #: DOALL epochs replayed through the plane
-    plane_coverage: float = 0.0  #: fraction of refs served by plane replays
     fallback_reasons: Dict[str, int] = field(default_factory=dict)
     """Per-reason fallback/skip taxonomy (see BatchedInterpreter._fall)."""
 
@@ -174,8 +172,6 @@ class ExperimentRunner:
             batch_fallbacks=result.batch_fallbacks,
             fault_fallbacks=result.fault_fallbacks,
             batched_coverage=result.batched_coverage,
-            plane_chunks=result.plane_chunks,
-            plane_coverage=result.plane_coverage,
             fallback_reasons=dict(result.fallback_reasons))
 
     def sweep(self, pe_counts: Sequence[int] = PAPER_PE_COUNTS,

@@ -81,50 +81,6 @@ def classify_events(line_addrs: np.ndarray,
     no-allocate); INVALIDATEs empty the set iff the named line is resident.
     """
     line_addrs = np.asarray(line_addrs, dtype=np.int64)
-    sets = line_addrs % n_lines  # already int64 from the asarray above
-    if initial_tags is None:
-        init = np.full(n_lines, -1, dtype=np.int64)
-    else:
-        init = np.asarray(initial_tags, dtype=np.int64)
-    return _classify_on_sets(line_addrs, kinds, sets, init, n_lines)
-
-
-def classify_events_multi(line_addrs: np.ndarray,
-                          kinds: Optional[np.ndarray],
-                          pe_of: np.ndarray,
-                          n_lines: int,
-                          initial_tags: np.ndarray) -> EventClassification:
-    """Replay one concatenated multi-PE event trace against a *stack* of
-    per-PE direct-mapped caches in a single pass.
-
-    ``pe_of[i]`` names the PE whose cache event *i* touches;
-    ``initial_tags`` has shape ``(n_pes, n_lines)`` (row = one PE's resident
-    line per set, -1 empty).  Internally every (pe, set) pair becomes one
-    plane set ``pe * n_lines + set``, so the per-set shifted-comparison
-    classify runs once over the whole plane — per-PE event order is
-    preserved (the sort is stable and each plane set belongs to one PE),
-    making the outcome bit-exact against ``n_pes`` separate
-    :func:`classify_events` calls.  ``changed_sets`` come back in plane
-    coordinates: decompose with ``divmod(changed_sets, n_lines)``.
-    """
-    line_addrs = np.asarray(line_addrs, dtype=np.int64)
-    pe_of = np.asarray(pe_of, dtype=np.int64)
-    init = np.ascontiguousarray(initial_tags, dtype=np.int64).reshape(-1)
-    n_sets = init.shape[0]
-    sets = pe_of * n_lines + line_addrs % n_lines
-    return _classify_on_sets(line_addrs, kinds, sets, init, n_sets)
-
-
-def _classify_on_sets(line_addrs: np.ndarray,
-                      kinds: Optional[np.ndarray],
-                      sets: np.ndarray,
-                      init: np.ndarray,
-                      n_sets: int) -> EventClassification:
-    """Shared core: classify events whose cache set was precomputed.
-
-    ``sets[i]`` indexes ``init`` (length ``n_sets``) directly, which lets
-    the multi-PE plane reuse the single-cache machinery by giving every
-    (pe, set) pair its own plane set."""
     n = line_addrs.shape[0]
     all_reads = kinds is None
     if all_reads:
@@ -137,7 +93,12 @@ def _classify_on_sets(line_addrs: np.ndarray,
     empty = np.empty(0, dtype=np.int64)
     if n == 0:
         return EventClassification(outcomes, present, empty, empty.copy())
-    if n_sets <= 0x7FFF:
+    sets = line_addrs % n_lines  # already int64 from the asarray above
+    if initial_tags is None:
+        init = np.full(n_lines, -1, dtype=np.int64)
+    else:
+        init = np.asarray(initial_tags, dtype=np.int64)
+    if n_lines <= 0x7FFF:
         # Radix-sorting narrow keys is markedly cheaper; set indices
         # always fit in int16 for realistic cache geometries.
         order = np.argsort(sets.astype(np.int16), kind="stable")
@@ -635,7 +596,7 @@ __all__ = [
     "STALL_VECTOR", "STALL_LATE",
     "REC_NONE", "REC_HIT", "REC_EXTRACT", "REC_MISS", "REC_DROP_BYPASS",
     "REC_PF_ISSUE", "REC_PF_COALESCE", "REC_PF_DROP", "REC_KILL_FLAG",
-    "EventClassification", "classify_events", "classify_events_multi",
+    "EventClassification", "classify_events",
     "ReplayOutcome", "replay_chunk",
     "read_latency_table", "write_latency_table", "uncached_read_latency_table",
     "bulk_fill_lines", "bulk_update_words", "stale_lines", "stale_words",

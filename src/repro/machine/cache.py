@@ -137,7 +137,7 @@ class DirectMappedCache:
         return classify_events(line_addrs, kinds, self.n_lines,
                                initial_tags=self.tags)
 
-    # -- cross-PE plane support ------------------------------------------------
+    # -- machine-stacked storage ------------------------------------------------
     def rebase(self, tags: np.ndarray, data: np.ndarray,
                vers: np.ndarray) -> None:
         """Re-back this cache's state onto caller-owned arrays (one row
@@ -147,22 +147,6 @@ class DirectMappedCache:
         self.tags = tags
         self.data = data
         self.vers = vers
-
-    def plane_state(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Copies of (tags, data, vers): this cache's row of the stacked
-        multi-PE plane state (see :class:`~repro.machine.machine.MachinePlane`
-        and the batched backend's plane-epoch recorder)."""
-        return self.tags.copy(), self.data.copy(), self.vers.copy()
-
-    def resident_vers_bytes(self) -> bytes:
-        """Version words of *resident* lines only, as signature bytes.
-
-        Dead sets (tag ``-1``) keep whatever data/version garbage their
-        last occupant froze there; that garbage provably cannot influence
-        future behaviour (a dead set is either never touched again —
-        both paths leave it as-is — or re-installed, which overwrites
-        it), so plane signatures exclude it to avoid spurious misses."""
-        return self.vers[self.tags >= 0].tobytes()
 
     # -- introspection -----------------------------------------------------------------
     def occupancy(self) -> int:

@@ -54,7 +54,7 @@ class Machine:
         self.torus = torus_for(params.n_pes)
         self.pes: List[PE] = [PE(i, params) for i in range(params.n_pes)]
         # Stacked clock plane: every PE's clock is one slot of this
-        # (n_pes,) array, so barrier/elapsed/replay touch all clocks in
+        # (n_pes,) array, so barrier/elapsed/reset touch all clocks in
         # single NumPy operations while pe.clock stays a plain float
         # property for per-PE code.
         self.clocks = np.zeros(params.n_pes, dtype=np.float64)
@@ -63,9 +63,9 @@ class Machine:
         # Stacked cache planes: every PE's direct-mapped cache state lives
         # as one row of these (n_pes, ...) arrays, and each cache holds
         # row views into them.  Per-PE code is unchanged (all cache
-        # mutations are in-place), while cross-PE consumers — the plane
-        # replay's scatters, the stacked classifier — address the whole
-        # machine in single NumPy operations.
+        # mutations are in-place), while whole-machine consumers — the
+        # plan-cache reset, the tracer's epoch snapshot — touch every
+        # cache in single NumPy operations.
         self.cache_tags = np.full((params.n_pes, params.n_lines), -1,
                                   dtype=np.int64)
         self.cache_data = np.zeros(
@@ -78,14 +78,6 @@ class Machine:
             pe.cache.rebase(self.cache_tags[pe.pe_id],
                             self.cache_data[pe.pe_id],
                             self.cache_vers[pe.pe_id])
-        # Flat aliases over the same storage, for the plane replay's
-        # scatters: 1D fancy-index assignment is markedly cheaper than
-        # 2D index-pair assignment at the same element count.
-        self.cache_tags_flat = self.cache_tags.reshape(-1)
-        self.cache_data_rows = self.cache_data.reshape(
-            -1, params.line_words)
-        self.cache_vers_rows = self.cache_vers.reshape(
-            -1, params.line_words)
         self.stats = MachineStats(per_pe=[pe.stats for pe in self.pes])
         self.on_stale = on_stale
         self._lw = params.line_words
@@ -742,80 +734,5 @@ class Machine:
     def coherent(self) -> bool:
         return self.stats.stale_reads == 0
 
-    def plane_view(self) -> "MachinePlane":
-        """A cross-PE plane view over this machine's per-PE state."""
-        return MachinePlane(self)
 
-
-class MachinePlane:
-    """Cross-PE plane view: per-PE state stacked along a leading PE axis.
-
-    The batched backend's plane epochs and the multi-PE trace classifier
-    (:func:`~repro.machine.batchops.classify_events_multi`) consume
-    whole-machine state as ``(n_pes, ...)`` arrays.  This view *gathers*
-    stacked copies in PE order and *writes back* per-PE rows, so the
-    oracle, tracer synthesis and fault hooks — which all observe plain
-    per-PE objects — see ordinary per-PE effects regardless of how the
-    stacked computation was organised."""
-
-    def __init__(self, machine: Machine) -> None:
-        self.machine = machine
-
-    # -- stacked gathers ------------------------------------------------
-    def tags(self) -> np.ndarray:
-        """(n_pes, n_lines) stacked cache tag copies."""
-        return self.machine.cache_tags.copy()
-
-    def data(self) -> np.ndarray:
-        """(n_pes, n_lines, line_words) stacked cache data copies."""
-        return self.machine.cache_data.copy()
-
-    def vers(self) -> np.ndarray:
-        """(n_pes, n_lines, line_words) stacked cache version copies."""
-        return self.machine.cache_vers.copy()
-
-    def clocks(self) -> np.ndarray:
-        """(n_pes,) PE clock copies."""
-        return self.machine.clocks.copy()
-
-    def stat(self, field: str) -> np.ndarray:
-        """(n_pes,) one PEStats counter across the machine."""
-        return np.array([getattr(pe.stats, field)
-                         for pe in self.machine.pes])
-
-    def sig(self) -> tuple:
-        """Stacked per-PE plane signatures (see :meth:`PE.plane_sig`)."""
-        return tuple(pe.plane_sig() for pe in self.machine.pes)
-
-    def snapshot(self) -> list:
-        """Stacked per-PE deep snapshots (see :meth:`PE.plane_snapshot`)."""
-        return [pe.plane_snapshot() for pe in self.machine.pes]
-
-    # -- multi-PE classification ---------------------------------------
-    def classify(self, line_addrs: np.ndarray, kinds,
-                 pe_of: np.ndarray):
-        """Classify a cross-PE event trace against the stacked caches —
-        one :func:`classify_events_multi` call instead of one
-        ``classify_trace`` per PE.  ``pe_of[k]`` is the PE that issues
-        event ``k``; the trace is chronological per PE (cross-PE
-        interleaving is immaterial because per-PE caches are disjoint)."""
-        from .batchops import classify_events_multi
-        return classify_events_multi(line_addrs, kinds, pe_of,
-                                     self.machine.params.n_lines,
-                                     self.tags())
-
-    # -- per-PE writeback -----------------------------------------------
-    def writeback_tags(self, tags: np.ndarray) -> None:
-        for pe, row in zip(self.machine.pes, tags):
-            pe.cache.tags[:] = row
-
-    def writeback_clocks(self, clocks: np.ndarray) -> None:
-        for pe, clock in zip(self.machine.pes, clocks):
-            pe.clock = float(clock)
-
-    def writeback_stat(self, field: str, values: np.ndarray) -> None:
-        for pe, value in zip(self.machine.pes, values):
-            setattr(pe.stats, field, type(getattr(pe.stats, field))(value))
-
-
-__all__ = ["Machine", "MachinePlane", "StaleReadError"]
+__all__ = ["Machine", "StaleReadError"]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
 from typing import Optional
 
 import numpy as np
@@ -11,9 +10,6 @@ from .cache import DirectMappedCache
 from .params import MachineParams
 from .prefetchq import PrefetchQueue, VectorUnit
 from .stats import PEStats
-
-#: All PEStats counter names, in declaration order (plane snapshots).
-STAT_FIELDS = tuple(f.name for f in fields(PEStats))
 
 
 class PE:
@@ -56,8 +52,8 @@ class PE:
     def rebase_clock(self, clocks: np.ndarray, slot: int) -> None:
         """Move this PE's clock into row ``slot`` of a machine-stacked
         plane (carrying the current value along), so cross-PE consumers
-        — barrier, elapsed, plane replay — address every clock in one
-        NumPy operation."""
+        — barrier, elapsed, the plan-cache reset — address every clock in
+        one NumPy operation."""
         clocks[slot] = self._clocks[self._clock_slot]
         self._clocks = clocks
         self._clock_slot = slot
@@ -88,52 +84,8 @@ class PE:
         return (s.reads, s.cache_hits, s.cache_misses, s.prefetch_issued,
                 s.pf_dropped, s.idle_cycles)
 
-    # -- cross-PE plane support -------------------------------------------
-    def plane_sig(self) -> tuple:
-        """Hashable signature of this PE's timing-relevant state.
-
-        Two machine states whose per-PE signatures (plus the shared-memory
-        version part, owned by the caller) are equal evolve identically
-        over an epoch with fixed address streams: the clock and float
-        cycle counters are pinned as absolutes (so recorded absolutes can
-        be restored exactly), the full tag array fixes every cache
-        classification, resident-line versions fix the stale-overlap
-        guards, and the queue/vector/drop state fixes prefetch replay."""
-        s = self.stats
-        cache = self.cache
-        return (self.clock, s.busy_cycles, s.idle_cycles,
-                s.vector_stall_cycles, s.prefetch_late_cycles,
-                cache.tags.tobytes(), cache.resident_vers_bytes(),
-                tuple(self.queue.snapshot()),
-                tuple(sorted(self.dropped_lines)),
-                tuple(self.vectors.snapshot()), self.last_prefetch_pe)
-
-    def plane_snapshot(self) -> tuple:
-        """Deep capture of every per-PE field a DOALL epoch can mutate,
-        for diffing after a plane-epoch recording run."""
-        s = self.stats
-        tags, data, vers = self.cache.plane_state()
-        return (self.clock, {f: getattr(s, f) for f in STAT_FIELDS},
-                tags, data, vers,
-                tuple(self.queue.snapshot()), self.queue.issued,
-                self.queue.dropped,
-                tuple(self.vectors.snapshot()), self.vectors.issued,
-                self.last_prefetch_pe, set(self.dropped_lines))
-
-    @staticmethod
-    def plane_sig_from_snapshot(snap: tuple) -> tuple:
-        """:meth:`plane_sig` recomputed from a :meth:`plane_snapshot` —
-        the recorder keys its entry on the *pre*-epoch state it captured,
-        and the two must produce structurally identical tuples."""
-        (clock, stats, tags, _data, vers, q, _qi, _qd, tv, _vi, lp,
-         dl) = snap
-        return (clock, stats["busy_cycles"], stats["idle_cycles"],
-                stats["vector_stall_cycles"], stats["prefetch_late_cycles"],
-                tags.tobytes(), vers[tags >= 0].tobytes(), q,
-                tuple(sorted(dl)), tv, lp)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<PE {self.pe_id} @ {self.clock:.0f} cycles>"
 
 
-__all__ = ["PE", "STAT_FIELDS"]
+__all__ = ["PE"]

@@ -113,17 +113,6 @@ class PrefetchQueue:
         caller, which tracked them during its scan."""
         self.entries = list(entries)
 
-    def restore_snapshot(
-            self, snap: Iterable[Tuple[int, float, float, int, str]]) -> None:
-        """Rebuild the entry list from :meth:`snapshot` tuples — the
-        inverse used by batched chunk commits and plane-epoch replays.
-        Counters (``issued``/``dropped``/``high_water``) are the caller's
-        responsibility, exactly as in :meth:`replace_entries`."""
-        self.entries = [
-            PrefetchEntry(line_addr=line, array=array, arrival=arrival,
-                          issued_at=issued_at, home_pe=home)
-            for (line, arrival, issued_at, home, array) in snap]
-
 
 @dataclass
 class VectorTransfer:
@@ -174,22 +163,6 @@ class VectorUnit:
                 if best is None or transfer.completion < best.completion:
                     best = transfer
         return best
-
-    def snapshot(self) -> List[Tuple[str, int, int, float]]:
-        """Transfer state as plain tuples (array, line_lo, line_hi,
-        completion) for state signatures and plane-epoch replay."""
-        return [(t.array, t.line_lo, t.line_hi, t.completion)
-                for t in self.transfers]
-
-    def restore_snapshot(
-            self, snap: Iterable[Tuple[str, int, int, float]]) -> None:
-        """Rebuild the transfer list from :meth:`snapshot` tuples.
-        ``issued`` is adjusted separately by the caller (``words_moved``
-        is only ever touched by the vector-prefetch call site)."""
-        self.transfers = [
-            VectorTransfer(array=array, line_lo=line_lo, line_hi=line_hi,
-                           completion=completion)
-            for (array, line_lo, line_hi, completion) in snap]
 
 
 __all__ = ["PrefetchEntry", "PrefetchQueue", "VectorTransfer", "VectorUnit"]

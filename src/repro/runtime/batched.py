@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import keyword
 import math
-from bisect import bisect_right
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -70,91 +69,29 @@ from ..analysis.affine import AffineForm, affine_ref
 from ..ir.expr import (ArrayRef, BinOp, Expr, FloatConst, IntConst,
                        IntrinsicCall, RefMode, SymConst, UnaryOp, VarRef)
 from ..ir.stmt import (Assign, InvalidateLines, Loop, LoopKind, PrefetchLine,
-                       PrefetchVector, ScheduleKind, Stmt)
+                       PrefetchVector, Stmt)
 from ..machine.batchops import (OUT_HIT, RE_COST, RE_PF, RE_READ, RE_WRITE,
                                 REC_EXTRACT, REC_HIT, REC_KILL_FLAG, REC_MISS,
                                 REC_NONE, REC_PF_COALESCE, REC_PF_ISSUE,
                                 STALL_VECTOR, bulk_fill_lines,
-                                classify_events_multi, read_latency_table,
-                                replay_chunk, stale_lines,
+                                read_latency_table, replay_chunk, stale_lines,
                                 uncached_read_latency_table,
                                 write_latency_table)
-from ..machine.pe import PE, STAT_FIELDS
 from ..machine.prefetchq import PrefetchEntry, VectorTransfer
 from .interp import Interpreter
 
 #: Minimum chunk size (iterations x memory events) worth the bind overhead.
 MIN_BATCH_EVENTS = 16
 
-#: Upper bound on distinct chunk-memo entries per interpreter (each entry
-#: holds its flats plus a handful of outcome variants; the cap is a
-#: memory backstop, not a tuning knob — real workloads sit far below it).
+#: Upper bound on distinct chunk-memo entries per interpreter.  The memo
+#: serves any revisit of a (plan, pe, env, iterations) key: steady-state
+#: chunks of iterative kernels within one cold run, and every chunk of a
+#: warm rerun through the plan cache.  Each entry holds its flats plus a
+#: handful of outcome variants; the cap is a memory backstop, not a
+#: tuning knob — real workloads sit far below it.
 MEMO_CAP = 8192
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
-
-#: Upper bound on recorded machine-state variants per plane-epoch key
-#: (a memory backstop like MEMO_CAP; iterative solvers reuse 1-2).
-PLANE_VARIANT_CAP = 128
-
-#: Float-valued PEStats fields.  Plane replay restores them as recorded
-#: absolutes: the signature pins their pre-epoch values, so the recorded
-#: post-epoch values are exactly what the live float adds would produce.
-_PLANE_FLOAT = ("busy_cycles", "idle_cycles", "vector_stall_cycles",
-                "prefetch_late_cycles")
-
-#: Integer PEStats fields, replayed as add_bulk deltas.
-_PLANE_INT = tuple(f for f in STAT_FIELDS if f not in _PLANE_FLOAT)
-
-#: Sentinel for "field unchanged over the epoch" in per-PE replay
-#: records (None is a legal last_prefetch_pe value, so it cannot serve).
-_SAME = object()
-
-#: Every event kind a committed plane epoch can emit.  The plane engages
-#: under a tracer only when it keeps bare counts for all of them — full
-#: event tuples need per-event synthesis in reference order, which is
-#: inherently per-PE work.
-_PLANE_KINDS = ("read_hit", "read_miss", "bypass_fetch", "write",
-                "pf_issue", "pf_coalesce", "pf_drop", "pf_complete",
-                "invalidate", "vector_transfer")
-
-
-class _PlaneEntry:
-    """One recorded DOALL epoch: precomputed cross-PE scatters (shared
-    memory, stacked cache planes) plus small per-PE state records, to
-    re-apply whenever the pre-epoch signature recurs."""
-
-    __slots__ = ("mem_idx", "mem_vals", "mem_vers",
-                 "tag_flat", "tag_val",
-                 "row_flat", "row_data", "row_vers", "cache_full",
-                 "clk_idx", "clk_val",
-                 "per_pe", "chain", "refs", "chunks", "falls", "reasons",
-                 "stale_reads", "stale_examples", "counts")
-
-    def __init__(self, mem_idx, mem_vals, mem_vers, tag_flat, tag_val,
-                 row_flat, row_data, row_vers, cache_full, clk_idx,
-                 clk_val, per_pe, chain, refs, chunks, falls, reasons,
-                 stale_reads, stale_examples, counts) -> None:
-        self.mem_idx = mem_idx
-        self.mem_vals = mem_vals
-        self.mem_vers = mem_vers
-        self.tag_flat = tag_flat
-        self.tag_val = tag_val
-        self.row_flat = row_flat
-        self.row_data = row_data
-        self.row_vers = row_vers
-        self.cache_full = cache_full
-        self.clk_idx = clk_idx
-        self.clk_val = clk_val
-        self.per_pe = per_pe
-        self.chain = chain
-        self.refs = refs
-        self.chunks = chunks
-        self.falls = falls
-        self.reasons = reasons
-        self.stale_reads = stale_reads
-        self.stale_examples = stale_examples
-        self.counts = counts
 
 
 def _seq_div(a, b):
@@ -447,7 +384,6 @@ class BatchedInterpreter(Interpreter):
         self._serial_plans: Dict[int, tuple] = {}
         self._doall_plans: Dict[int, Optional[_Plan]] = {}
         self._fused_plans: Dict[int, Optional[tuple]] = {}
-        self._seg_plans: Dict[int, Optional[list]] = {}
         self._lat: Dict[tuple, np.ndarray] = {}
         #: chunks serviced in bulk / chunks that fell back at bind time
         self.batch_chunks = 0
@@ -472,63 +408,6 @@ class BatchedInterpreter(Interpreter):
         #: preamble memo: (loop uid, pe, env) -> variants (see _run_preamble)
         self._preamble_memo: Dict[tuple, dict] = {}
         self._preamble_info: Dict[int, Optional[tuple]] = {}
-        #: cross-PE plane: DOALL epochs recorded once, then replayed for
-        #: all PEs in one commit (see the plane section below)
-        self.plane_chunks = 0
-        self.plane_refs = 0
-        self._plane_on = bool(getattr(self.config, "plane_epochs", True))
-        #: plane memo: epoch key -> (shared words index, {sig: _PlaneEntry})
-        self._plane_memo: Dict[tuple, tuple] = {}
-        #: epoch keys proven not plane-expressible (reference iterations
-        #: ran, or effects escaped the recorded diff)
-        self._plane_veto: Set[tuple] = set()
-        self._plane_line_tab: Optional[tuple] = None
-        #: live op log while a recording is in flight (None otherwise)
-        self._plane_ops: Optional[list] = None
-        self._plane_iter_veto = False
-        #: reference iterations admitted by a logged "r" op (see
-        #: _plane_log_ref); any unadmitted reference iteration vetoes
-        self._plane_iter_allow = 0
-        #: refs the logged "r" ops account for in the recording run
-        self._plane_ref_refs = 0
-        #: recording forces tiny chunks through the batched path so the
-        #: whole epoch becomes expressible as committed chunk ops
-        self._force_batch = False
-        #: epoch chains: one full warm run's (key, entry) sequence, per
-        #: tracer mode.  A fresh run that starts from the canonical
-        #: reset state replays its mode's chain positionally without
-        #: recomputing signatures (the machine trajectory from the reset
-        #: state is deterministic).  Keyed by tracer mode because the
-        #: recorded entries embed tracer count deltas (or their absence)
-        #: — a traced run following an untraced chain would silently
-        #: drop every plane count.
-        self._plane_traces: dict = {}
-        self._plane_trace: Optional[list] = None
-        self._plane_build: Optional[list] = None
-        self._plane_follow = False
-        self._plane_run_tmode = 0
-        self._plane_pos = 0
-        #: True only between a canonical reset (construction or
-        #: plancache._reset) and the next run() — chain mode is sound
-        #: only from that state.
-        self._plane_fresh = True
-
-    def run(self):
-        fresh = self._plane_fresh
-        self._plane_fresh = False
-        self._plane_pos = 0
-        tmode = 0 if self.machine.tracer is None else 1
-        self._plane_run_tmode = tmode
-        trace = self._plane_traces.get(tmode)
-        self._plane_trace = trace
-        self._plane_follow = fresh and trace is not None
-        self._plane_build = ([] if fresh and self._plane_on
-                             and trace is None else None)
-        result = super().run()
-        if self._plane_build is not None:
-            self._plane_traces[tmode] = self._plane_build
-            self._plane_build = None
-        return result
 
     # ------------------------------------------------------------------
     # integration points
@@ -564,8 +443,6 @@ class BatchedInterpreter(Interpreter):
             step = int(step_fn(env, pe))
             values = range(lo, hi + (1 if step > 0 else -1), step)
             if not self._exec_chunk(plan, env, pe, values):
-                if self._plane_ops is not None:
-                    self._plane_log_ref(plan, env, pe, values)
                 ref_fn(env, pe)
 
         return run_batched_loop
@@ -586,111 +463,8 @@ class BatchedInterpreter(Interpreter):
             self._doall_plans[loop.uid] = plan
         if plan is not None and self._exec_chunk(plan, env_p, pe, values):
             return
-        seg = self._seg_entry(loop)
-        if seg is not None:
-            self._exec_segmented(loop, seg, env_p, pe, values)
-            return
-        if plan is not None and self._plane_ops is not None \
-                and self._plane_log_ref(plan, env_p, pe, values):
-            # The body compiled (every statement is plan-expressible), so
-            # the reference iterations below serve exactly the plan's
-            # reference stream: the logged op pins their words and the
-            # allowance admits them without a plane veto.
-            self._plane_iter_allow += len(values)
         for value in values:
             run_iteration(env_p, pe, value)
-
-    def _seg_entry(self, loop: Loop):
-        """Segmented-body entry for a DOALL whose body mixes nested serial
-        loops with one contiguous run of plain statements (VPENTA's
-        solve: forward loop, pivot assigns, backward loop).  The run is
-        compiled as its own chunk plan — minus the per-iteration loop
-        overhead, which the driver charges at the exact reference point —
-        so every reference is served through batched machinery and the
-        epoch stays plane-recordable.  None when the body doesn't fit.
-
-        One contiguous segment only: promoted register values may not
-        flow between segments, and a single segment starts exactly at the
-        iteration-level ``registers.clear()`` the reference path does."""
-        entry = self._seg_plans.get(loop.uid, False)
-        if entry is not False:
-            return entry
-        entry = None
-        items: list = []
-        ok = any(isinstance(s, Loop) for s in loop.body)
-        for stmt in loop.body:
-            if isinstance(stmt, Loop):
-                if stmt.kind != LoopKind.SERIAL:
-                    ok = False
-                    break
-                items.append(("fn", stmt))
-            elif isinstance(stmt, (PrefetchVector, InvalidateLines)):
-                # No memory references: the per-statement closure keeps
-                # coverage honest and the machine diff captures it.
-                items.append(("fn", stmt))
-            elif isinstance(stmt, (Assign, PrefetchLine)):
-                if items and items[-1][0] == "seg":
-                    items[-1][1].append(stmt)
-                else:
-                    items.append(("seg", [stmt]))
-            else:
-                ok = False
-                break
-        nseg = sum(1 for item in items if item[0] == "seg")
-        if ok and items and nseg <= 1:
-            plan = None
-            if nseg:
-                seg_stmts = next(p for k, p in items if k == "seg")
-                shadow = Loop(loop.var, loop.lower, loop.upper, loop.step,
-                              seg_stmts, LoopKind.DOALL, loop.schedule)
-                loop_vars = {loop.var} | set(self._region_vars)
-                plan = self._compile_plan(shadow, self._loop_ctx[loop.uid],
-                                          [], loop_vars, final_clear=False,
-                                          loop_overhead=False)
-            if nseg == 0 or plan is not None:
-                compiled = []
-                for kind, payload in items:
-                    if kind == "fn":
-                        compiled.append(
-                            ("fn", self._compile_stmt(payload), None))
-                    else:
-                        compiled.append(
-                            ("seg", plan,
-                             [self._compile_stmt(s) for s in payload]))
-                entry = compiled
-        self._seg_plans[loop.uid] = entry
-        return entry
-
-    def _exec_segmented(self, loop: Loop, items, env_p: dict, pe: int,
-                        values: Sequence[int]) -> None:
-        """Run one PE's chunk of a segmented-body DOALL, mirroring the
-        reference ``run_iteration`` exactly: bind the loop var, clear the
-        body-level registers, charge the loop overhead, then execute the
-        body segments in order — plain-statement segments as forced
-        one-iteration chunks (reference closures on guard fallback)."""
-        machine_pe = self.machine.pes[pe]
-        var = loop.var
-        overhead = self.params.loop_overhead
-        registers = self._loop_ctx[loop.uid].values
-        for value in values:
-            env_p[var] = value
-            registers.clear()
-            machine_pe.advance(overhead)
-            for kind, a, b in items:
-                if kind == "fn":
-                    a(env_p, pe)
-                    continue
-                prev = self._force_batch
-                self._force_batch = True
-                try:
-                    done = self._exec_chunk(a, env_p, pe, (value,))
-                finally:
-                    self._force_batch = prev
-                if not done:
-                    if self._plane_ops is not None:
-                        self._plane_log_ref(a, env_p, pe, (value,))
-                    for fn in b:
-                        fn(env_p, pe)
 
     def _fused_entry(self, loop: Loop):
         """Serial-plan tuple for a fusable doall body, else None (cached)."""
@@ -773,9 +547,7 @@ class BatchedInterpreter(Interpreter):
             row_marks.append((total_iters, pending))
             pending = 0.0
             total_iters += tj
-        if total_iters == 0 or (not self._force_batch
-                                and total_iters * plan.n_events
-                                < MIN_BATCH_EVENTS):
+        if total_iters == 0 or total_iters * plan.n_events < MIN_BATCH_EVENTS:
             return False
         flats = [np.concatenate(g) for g in flat_groups]
         if ((pe_obj.queue.entries or pe_obj.dropped_lines)
@@ -802,8 +574,6 @@ class BatchedInterpreter(Interpreter):
             sig = self._memo_sig(entry, pe_obj)
         self.batch_chunks += 1
         vecs = {plan.var: V, outer_var: O}
-        if self._plane_ops is not None:
-            self._plane_ops.append(("b", pe, plan, flats))
         self._vector_value_pass(plan, env, pe, flats, vecs)
         env[plan.var] = int(V[-1])
         # env[outer_var] already holds values[-1] from the binding sweep.
@@ -831,8 +601,6 @@ class BatchedInterpreter(Interpreter):
         V = entry.V
         vecs = {plan.var: V}
         vecs.update(entry.vecs_extra)
-        if self._plane_ops is not None:
-            self._plane_ops.append(("b", pe, plan, flats))
         self._vector_value_pass(plan, env, pe, flats, vecs)
         env[plan.var] = int(V[-1])
         if out is not None:
@@ -856,8 +624,7 @@ class BatchedInterpreter(Interpreter):
         tj = len(rng)
         n_outer = len(values)
         total_iters = n_outer * tj
-        if tj == 0 or (not self._force_batch
-                       and total_iters * plan.n_events < MIN_BATCH_EVENTS):
+        if tj == 0 or total_iters * plan.n_events < MIN_BATCH_EVENTS:
             return False
         entry = ekey = None
         if self._memo_on(plan):
@@ -907,8 +674,6 @@ class BatchedInterpreter(Interpreter):
             sig = self._memo_sig(entry, pe_obj)
         self.batch_chunks += 1
         vecs = {plan.var: V, outer_var: O}
-        if self._plane_ops is not None:
-            self._plane_ops.append(("b", pe, plan, flats))
         self._vector_value_pass(plan, env, pe, flats, vecs)
         env[plan.var] = int(V[-1])
         # env[outer_var] already holds values[-1] from the bounds sweep.
@@ -923,16 +688,15 @@ class BatchedInterpreter(Interpreter):
     # plan compilation
     # ------------------------------------------------------------------
     def _compile_plan(self, loop: Loop, ctx, outer_ctxs, loop_vars,
-                      final_clear: bool,
-                      loop_overhead: bool = True) -> Optional[_Plan]:
+                      final_clear: bool) -> Optional[_Plan]:
         try:
             return self._compile_plan_inner(loop, ctx, outer_ctxs, loop_vars,
-                                            final_clear, loop_overhead)
+                                            final_clear)
         except _Ineligible:
             return None
 
     def _compile_plan_inner(self, loop, ctx, outer_ctxs, loop_vars,
-                            final_clear, loop_overhead=True) -> _Plan:
+                            final_clear) -> _Plan:
         params = self.params
         cfg = self.config
         for bound in (loop.lower, loop.upper, loop.step):
@@ -948,10 +712,7 @@ class BatchedInterpreter(Interpreter):
         slots: List[_Slot] = []
         value_fns: list = []
         const_before: List[float] = []  # const cycles preceding each event
-        # Segmented-body plans exclude the per-iteration loop overhead:
-        # their driver charges it at the exact reference point (iteration
-        # start), before any sibling segment runs.
-        accbox = [float(params.loop_overhead) if loop_overhead else 0.0]
+        accbox = [float(params.loop_overhead)]  # running const accumulator
         live: Set[tuple] = set()  # register keys live within one iteration
         key_slot: Dict[tuple, int] = {}  # promoted key -> event slot index
         node_slot: Dict[int, int] = {}   # id(ArrayRef) -> address slot index
@@ -1718,662 +1479,6 @@ class BatchedInterpreter(Interpreter):
         return vmax, cls, anyvec
 
     # ------------------------------------------------------------------
-    # cross-PE plane epochs
-    # ------------------------------------------------------------------
-    # A statically scheduled DOALL epoch is planned once and replayed for
-    # all PEs.  The first time an epoch key (loop, bounds, scalar env,
-    # n_pes) runs, it executes live through the inherited per-PE path
-    # while a recorder (a) logs every chunk's (plan, address vectors) —
-    # batch-committed ("b") and reference-served ("r") alike — and
-    # (b) diffs a deep per-PE machine snapshot plus the shared-memory
-    # word versions afterwards.  When the key recurs on a machine state
-    # whose signature matches, the whole epoch commits as stacked
-    # (n_pes, ...) scatters: shared memory words, cache tag/row planes,
-    # then a small per-PE loop for clocks, stats, and prefetch hardware.
-    # No per-PE chunk servicing, no value recomputation.
-    #
-    # Exactness rests on three facts.  (1) The signature pins every input
-    # the epoch reads: clocks, float cycle counters, full tag arrays,
-    # resident-line versions, prefetch-queue / vector / dropped-line
-    # state, and the memory versions of every word any logged op touches.
-    # (2) Version equality implies value equality — versions increase
-    # monotonically from a deterministic start, so two states agreeing on
-    # a word's version agree on its value — hence the recorded memory and
-    # cache-row bytes reproduce the live run bit-for-bit, including reads
-    # served stale out of a resident line (its versions are pinned by the
-    # resident-vers signature part).  (3) Every reference-served ref must
-    # be covered by a logged "r" op whose plan binds its exact address
-    # stream: the refs-delta check vetoes the key otherwise, so nothing
-    # unpinned can ever be skipped.
-
-    def _plane_enabled(self, loop: Loop) -> bool:
-        if not self._plane_on or self._plane_ops is not None:
-            return False
-        machine = self.machine
-        if (machine.race_check or machine.trace_enabled
-                or machine.faults is not None or machine.oracle is not None
-                or machine.protocol is not None):
-            return False
-        if loop.schedule == ScheduleKind.DYNAMIC:
-            return False
-        tr = machine.tracer
-        return tr is None or tr.counts_only(_PLANE_KINDS)
-
-    def _plane_key(self, loop: Loop, env: dict, lo: int, hi: int,
-                   step: int) -> Optional[tuple]:
-        items = []
-        for name in sorted(env):
-            v = env[name]
-            t = type(v)
-            if t is not int and t is not float:
-                return None
-            # The int/float distinction matters (compiled closures
-            # type-dispatch Fortran integer division) but hash(1) ==
-            # hash(1.0), so tag the type into the key.
-            items.append((name, v, t is int))
-        return (loop.uid, lo, hi, step, self.params.n_pes, tuple(items))
-
-    def _plane_sig(self, words_idx: np.ndarray) -> tuple:
-        machine = self.machine
-        return (tuple(pe.plane_sig() for pe in machine.pes),
-                machine.memory.versions_flat[words_idx].tobytes(),
-                len(machine.stats.stale_examples),
-                0 if machine.tracer is None else 1)
-
-    def _plane_line_owner(self, line: int) -> Tuple[Optional[str], bool]:
-        """(array, is_shared) owning cache line ``line``.  Arrays are
-        line-aligned in the global word space, so lines never straddle."""
-        tab = self._plane_line_tab
-        if tab is None:
-            memory = self.machine.memory
-            lw = self.params.line_words
-            rows = sorted(
-                (base // lw,
-                 (base + memory.decls[name].size + lw - 1) // lw,
-                 name, bool(memory.decls[name].is_shared))
-                for name, base in memory.bases.items())
-            self._plane_line_tab = tab = ([r[0] for r in rows], rows)
-        los, rows = tab
-        ix = bisect_right(los, line) - 1
-        if ix >= 0:
-            _, hi_line, name, shared = rows[ix]
-            if line < hi_line:
-                return name, shared
-        return None, False
-
-    def _run_doall_body(self, loop: Loop, env: dict, lo: int, hi: int,
-                        step: int, run_iteration, run_preamble) -> None:
-        pos = self._plane_pos
-        self._plane_pos = pos + 1
-        enabled = self._plane_enabled(loop)
-        key = self._plane_key(loop, env, lo, hi, step) if enabled else None
-        if self._plane_follow:
-            # Chain mode: this run started from the canonical reset
-            # state and every epoch so far matched the recorded chain,
-            # so the machine state here is bit-identical to the state
-            # the chained entry was verified against — replay without
-            # recomputing the signature.
-            trace = self._plane_trace
-            if pos < len(trace) and trace[pos][0] == key:
-                entry = trace[pos][1]
-                if entry is not None:
-                    self._plane_replay(entry, chain=True)
-                    return
-            else:
-                self._plane_follow = False
-                self._plane_trace = None
-                self._plane_traces.pop(self._plane_run_tmode, None)
-        build = self._plane_build
-        if key is not None:
-            if key in self._plane_veto:
-                # The recording run that vetoed this key executed with
-                # forced batching; keep every later occurrence on the
-                # same path so bookkeeping (chunk counts, coverage,
-                # fallback reasons) is run-order independent.
-                if build is not None:
-                    build.append((key, None))
-                self._force_batch = True
-                try:
-                    super()._run_doall_body(loop, env, lo, hi, step,
-                                            run_iteration, run_preamble)
-                finally:
-                    self._force_batch = False
-                return
-            memo = self._plane_memo.get(key)
-            if memo is not None:
-                words_idx, variants = memo
-                entry = variants.get(self._plane_sig(words_idx))
-                if entry is not None:
-                    if build is not None:
-                        build.append((key, entry))
-                    self._plane_replay(entry)
-                    return
-            entry = self._plane_record(key, loop, env, lo, hi, step,
-                                       run_iteration, run_preamble)
-            if build is not None:
-                build.append((key, entry))
-            return
-        if build is not None:
-            build.append((None, None))
-        super()._run_doall_body(loop, env, lo, hi, step,
-                                run_iteration, run_preamble)
-
-    def _plane_log_ref(self, plan: _Plan, env: dict, pe: int,
-                       values) -> bool:
-        """Log a reference-served chunk during a plane recording: the
-        plan's bound address vectors pin the words the reference
-        iterations are about to touch, and the returned admission keeps
-        the refs-delta check exact.  False (and an unconditional veto)
-        when the addresses cannot be bound."""
-        if isinstance(values, range):
-            V = np.arange(values.start, values.stop, values.step,
-                          dtype=np.int64)
-        else:
-            V = np.asarray(values, dtype=np.int64)
-        if V.size == 0:
-            return True
-        flats, _ = self._bind_slots(plan, env, V)
-        if flats is None:
-            self._plane_iter_veto = True
-            return False
-        self._plane_ops.append(("r", pe, plan, flats))
-        self._plane_ref_refs += sum(
-            len(flats[i]) for i, slot in enumerate(plan.slots)
-            if slot.role != "pf")
-        return True
-
-    def _plane_record(self, key, loop: Loop, env: dict, lo: int, hi: int,
-                      step: int, run_iteration, run_preamble):
-        """Run one epoch live through the per-PE path while capturing
-        everything a later replay needs; admit (and return) the recorded
-        entry unless a veto shows the epoch is not plane-expressible."""
-        machine = self.machine
-        pes = machine.pes
-        memory = machine.memory
-        mst = machine.stats
-        tr = machine.tracer
-        pre = [pe.plane_snapshot() for pe in pes]
-        pre_hw = [pe.queue.high_water for pe in pes]
-        for pe in pes:
-            # With the window reset to the current depth, the post value
-            # is the epoch's true max depth M; the caller-visible value
-            # is repaired to max(pre, M) below, veto or not.
-            pe.queue.reset_high_water()
-        pre_versions = memory.versions_flat.copy()
-        pre_stale = mst.stale_reads
-        pre_nex = len(mst.stale_examples)
-        pre_counts = dict(tr.counts) if tr is not None else None
-        pre_refs = sum(pe.stats.reads + pe.stats.writes for pe in pes)
-        pre_batch_refs = self.batch_refs
-        pre_chunks = self.batch_chunks
-        pre_falls = self.batch_fallbacks
-        pre_reasons = dict(self.fallback_reasons)
-
-        ops: list = []
-        self._plane_iter_veto = False
-        self._plane_iter_allow = 0
-        self._plane_ref_refs = 0
-
-        def rec_iteration(env_p: dict, pe: int, value: int) -> None:
-            # A reference-path iteration is fine when a logged "r" op has
-            # pre-admitted it (its plan pinned the exact address stream);
-            # otherwise the epoch mixes effects the op log cannot express
-            # (per-event machine calls outside any plan) and the key is
-            # vetoed.
-            if self._plane_iter_allow > 0:
-                self._plane_iter_allow -= 1
-            else:
-                self._plane_iter_veto = True
-            run_iteration(env_p, pe, value)
-
-        self._plane_ops = ops
-        self._force_batch = True
-        try:
-            super()._run_doall_body(loop, env, lo, hi, step,
-                                    rec_iteration, run_preamble)
-        finally:
-            self._plane_ops = None
-            self._force_batch = False
-            q_max = [pe.queue.high_water for pe in pes]
-            for pe, hw0 in zip(pes, pre_hw):
-                if hw0 > pe.queue.high_water:
-                    pe.queue.high_water = hw0
-
-        refs = sum(pe.stats.reads + pe.stats.writes for pe in pes) - pre_refs
-        if (self._plane_iter_veto
-                or refs != (self.batch_refs - pre_batch_refs
-                            + self._plane_ref_refs)):
-            self._plane_veto.add(key)
-            return None
-        diff = self._plane_diff(pre, q_max)
-        if diff is None:
-            self._plane_veto.add(key)
-            return None
-        (per_pe, chain, clock_scatter, shared_lines, tag_scatter,
-         row_scatter) = diff
-        if not self._plane_crosscheck(loop, ops, pre, tag_scatter):
-            self._plane_veto.add(key)
-            return None
-
-        # Shared-memory diff: every word whose version moved this epoch,
-        # committed at replay as two flat scatters.  Sound because every
-        # shared write bumps its word's version (plain stores and
-        # np.add.at scatters alike), so version inequality catches every
-        # value change.
-        chg = np.flatnonzero(memory.versions_flat != pre_versions)
-        mem_vals = memory.values_flat[chg].copy()
-        mem_vers = memory.versions_flat[chg].copy()
-
-        # Words whose versions the signature must pin: every word any
-        # logged op addresses — committed ("b") and reference-served
-        # ("r") alike, uncached reads included — plus every shared line
-        # the state diff recorded bytes for and every changed word (its
-        # pre-version anchors the recorded post-version).  A slot on a
-        # non-shared array is unpinnable (private words carry no
-        # versions), so it vetoes the key.
-        lw = self.params.line_words
-        lines = set(shared_lines)
-        for op in ops:
-            plan, flats = op[2], op[3]
-            for i, slot in enumerate(plan.slots):
-                if not slot.shared:
-                    self._plane_veto.add(key)
-                    return None
-                lines.update(
-                    np.unique((slot.base + flats[i]) // lw).tolist())
-        lines.update(np.unique(chg // lw).tolist())
-        if lines:
-            larr = np.fromiter(lines, dtype=np.int64, count=len(lines))
-            larr.sort()
-            words = (larr[:, None] * lw
-                     + np.arange(lw, dtype=np.int64)).reshape(-1)
-            words = words[words < memory.versions_flat.shape[0]]
-        else:
-            words = _EMPTY_I64
-
-        counts_delta = None
-        if tr is not None:
-            counts_delta = {k: n - pre_counts.get(k, 0)
-                            for k, n in tr.counts.items()
-                            if n != pre_counts.get(k, 0)}
-        reasons_delta = {r: n - pre_reasons.get(r, 0)
-                         for r, n in self.fallback_reasons.items()
-                         if n != pre_reasons.get(r, 0)}
-        tag_pe, tag_idx, tag_val = tag_scatter
-        row_pe, row_idx, row_data, row_vers = row_scatter
-        clk_idx, clk_val = clock_scatter
-        # Scatter targets are the machine's flat plane aliases, so the
-        # per-row (pe, line) index pairs collapse to single flat indices.
-        n_lines = machine.cache_tags.shape[1]
-        tag_flat = tag_pe * n_lines + tag_idx
-        row_flat = row_pe * n_lines + row_idx
-        # A dense epoch (a quarter or more of all cache rows rewritten —
-        # the norm at high PE counts, where every PE streams shared
-        # lines) replays faster as three full-plane copies than as
-        # scatters.  Only chain-follow replay may take the copies: its
-        # machine state is bit-identical to the recorded pre-state, so
-        # rows the epoch never touched are overwritten with themselves.
-        # Under a signature hit untouched dead rows are NOT pinned, so
-        # that mode must keep the scatters.
-        if row_flat.size * 4 >= machine.cache_tags.size:
-            cache_full = (machine.cache_tags.copy(),
-                          machine.cache_data.copy(),
-                          machine.cache_vers.copy())
-        else:
-            cache_full = None
-        entry = _PlaneEntry(
-            chg, mem_vals, mem_vers, tag_flat, tag_val,
-            row_flat, row_data, row_vers, cache_full, clk_idx, clk_val,
-            per_pe, chain, refs,
-            self.batch_chunks - pre_chunks,
-            self.batch_fallbacks - pre_falls, reasons_delta,
-            mst.stale_reads - pre_stale,
-            tuple(mst.stale_examples[pre_nex:]), counts_delta)
-
-        sig_pes = tuple(PE.plane_sig_from_snapshot(s) for s in pre)
-        tmode = 0 if tr is None else 1
-        memo = self._plane_memo.get(key)
-        if memo is None:
-            sig = (sig_pes, pre_versions[words].tobytes(), pre_nex, tmode)
-            self._plane_memo[key] = (words, {sig: entry})
-            return entry
-        words0, variants = memo
-        if not np.array_equal(words0, words):
-            union = np.union1d(words0, words)
-            if not np.array_equal(union, words0):
-                # The pinned word set grew: prior variants were keyed on
-                # the smaller set and are unreachable under the new one.
-                variants = {}
-                self._plane_memo[key] = (union, variants)
-                words0 = union
-        sig = (sig_pes, pre_versions[words0].tobytes(), pre_nex, tmode)
-        if len(variants) < PLANE_VARIANT_CAP:
-            variants[sig] = entry
-        return entry
-
-    def _plane_diff(self, pre: list, q_max: list):
-        """Per-PE post-epoch diffs against the pre snapshots, assembled
-        into cross-PE tag/row scatter planes, or None when some effect
-        is not plane-attributable (content frozen into a dead set, a
-        changed private line, or a touched line outside every declared
-        array)."""
-        machine = self.machine
-        per_pe = []
-        # Chain-follow payload, flattened by field kind rather than by
-        # PE: replay then walks five homogeneous lists with no per-PE
-        # tuple unpacking or None checks (most are empty most epochs).
-        chain_stats = []
-        chain_queues = []
-        chain_vecs = []
-        chain_lps = []
-        chain_dls = []
-        clk_idx_l = []
-        clk_val_l = []
-        shared_lines: Set[int] = set()
-        tag_pe_l = []
-        tag_idx_l = []
-        tag_val_l = []
-        row_pe_l = []
-        row_idx_l = []
-        row_data_l = []
-        row_vers_l = []
-        for pe_obj, snap, m in zip(machine.pes, pre, q_max):
-            (clock0, stats0, tags0, data0, vers0, _q0, qi0, qd0, _tv0,
-             vi0, _lp0, _dl0) = snap
-            cache = pe_obj.cache
-            st = pe_obj.stats
-            int_delta = {}
-            for f in _PLANE_INT:
-                d = getattr(st, f) - stats0[f]
-                if d:
-                    int_delta[f] = d
-            floats = tuple(getattr(st, f) for f in _PLANE_FLOAT)
-            floats0 = tuple(stats0[f] for f in _PLANE_FLOAT)
-            tag_chg = np.flatnonzero(tags0 != cache.tags)
-            row_chg = np.flatnonzero(
-                (tags0 != cache.tags)
-                | (data0 != cache.data).any(axis=1)
-                | (vers0 != cache.vers).any(axis=1))
-            for r in row_chg.tolist():
-                tag = int(cache.tags[r])
-                if tag < 0:
-                    if ((data0[r] != cache.data[r]).any()
-                            or (vers0[r] != cache.vers[r]).any()):
-                        # Content written into a set that was then
-                        # invalidated (ghost refill): restorable from no
-                        # signature-protected source.
-                        return None
-                    continue  # pure invalidation: the tag scatter covers it
-                name, shared = self._plane_line_owner(tag)
-                if name is None or not shared:
-                    # Private rows cannot be restored by scatter (their
-                    # backing words carry no versions for the signature
-                    # to pin), and unowned lines have no source at all.
-                    return None
-                # Record the bytes: a stale-but-legal cached copy is the
-                # whole point of the model, so refilling from final
-                # memory at replay would be wrong.  Soundness: the
-                # signature pins this line's memory versions, and
-                # version equality implies value equality.
-                row_pe_l.append(pe_obj.pe_id)
-                row_idx_l.append(r)
-                row_data_l.append(cache.data[r].copy())
-                row_vers_l.append(cache.vers[r].copy())
-                shared_lines.add(tag)
-            if tag_chg.size:
-                tag_pe_l.append(np.full(tag_chg.shape[0], pe_obj.pe_id,
-                                        dtype=np.int64))
-                tag_idx_l.append(tag_chg)
-                tag_val_l.append(cache.tags[tag_chg].copy())
-            # Compact replay record: store only what the epoch changed
-            # for this PE.  Every omitted field is either pinned by the
-            # signature (so at replay time it already holds the recorded
-            # value) or replayed as a zero delta — skipping it is exact,
-            # and the replay loop is the plane's main O(n_pes) cost.
-            float_items = tuple(
-                (f, v) for f, v0, v in zip(_PLANE_FLOAT, floats0, floats)
-                if v != v0)
-            queue = pe_obj.queue
-            qi_d = queue.issued - qi0
-            qd_d = queue.dropped - qd0
-            # Any push bumps ``issued``, so an unchanged queue implies
-            # the epoch high-water m never exceeded the (unchanged)
-            # depth and the max(hw, m) repair is a no-op.
-            if (qi_d or qd_d
-                    or tuple(queue.snapshot()) != snap[5]):
-                q_rec = (tuple(queue.entries), qi_d, qd_d, m)
-            else:
-                q_rec = None
-            vectors = pe_obj.vectors
-            vi_d = vectors.issued - vi0
-            if vi_d or tuple(vectors.snapshot()) != snap[8]:
-                v_rec = (tuple(vectors.transfers), vi_d)
-            else:
-                v_rec = None
-            lp = pe_obj.last_prefetch_pe
-            if lp == snap[10]:
-                lp = _SAME
-            dl = (frozenset(pe_obj.dropped_lines)
-                  if pe_obj.dropped_lines != snap[11] else None)
-            clock = pe_obj.clock
-            if (clock == clock0 and not int_delta and not float_items
-                    and q_rec is None and v_rec is None and lp is _SAME
-                    and dl is None):
-                continue  # idle PE: nothing to replay
-            if clock != clock0:
-                clk_idx_l.append(pe_obj.pe_id)
-                clk_val_l.append(clock)
-            # The PE object and its stats __dict__ are stored directly:
-            # both live as long as this interpreter (plancache._reset
-            # zeroes the stats in place, never rebinds them).
-            stats_dict = pe_obj.stats.__dict__
-            per_pe.append((
-                pe_obj, stats_dict,
-                tuple(int_delta.items()), float_items, q_rec, v_rec,
-                lp, dl))
-            # Chain payload: in chain-follow mode the pre-state is
-            # bit-identical to the recorded pre-state, so every changed
-            # counter can be applied as a recorded absolute (a store,
-            # no read-add) and queue/vector totals likewise (high_water
-            # is already repaired to max(pre, M) here).  The queue and
-            # vector objects are stored directly: plancache._reset
-            # clears them in place, never rebinds them.
-            for f in int_delta:
-                chain_stats.append((stats_dict, f, stats_dict[f]))
-            for f, v in float_items:
-                chain_stats.append((stats_dict, f, v))
-            if q_rec is not None:
-                chain_queues.append((queue, tuple(queue.entries),
-                                     queue.issued, queue.dropped,
-                                     queue.high_water))
-            if v_rec is not None:
-                chain_vecs.append((vectors, tuple(vectors.transfers),
-                                   vectors.issued))
-            if lp is not _SAME:
-                chain_lps.append((pe_obj, lp))
-            if dl is not None:
-                chain_dls.append((pe_obj, dl))
-        if tag_pe_l:
-            tag_scatter = (np.concatenate(tag_pe_l),
-                           np.concatenate(tag_idx_l),
-                           np.concatenate(tag_val_l))
-        else:
-            tag_scatter = (_EMPTY_I64, _EMPTY_I64, _EMPTY_I64)
-        if row_pe_l:
-            row_scatter = (np.asarray(row_pe_l, dtype=np.int64),
-                           np.asarray(row_idx_l, dtype=np.int64),
-                           np.stack(row_data_l),
-                           np.stack(row_vers_l))
-        else:
-            lw = self.params.line_words
-            row_scatter = (_EMPTY_I64, _EMPTY_I64,
-                           np.empty((0, lw), dtype=np.float64),
-                           np.empty((0, lw), dtype=np.int64))
-        if clk_idx_l:
-            clock_scatter = (np.asarray(clk_idx_l, dtype=np.int64),
-                             np.asarray(clk_val_l, dtype=np.float64))
-        else:
-            clock_scatter = (_EMPTY_I64, _EMPTY_I64)
-        chain = (tuple(chain_stats), tuple(chain_queues),
-                 tuple(chain_vecs), tuple(chain_lps), tuple(chain_dls))
-        return (per_pe, chain, clock_scatter, shared_lines, tag_scatter,
-                row_scatter)
-
-    def _plane_crosscheck(self, loop: Loop, ops: list, pre: list,
-                          tag_scatter) -> bool:
-        """Independent validation of recorded tag commits with the
-        stacked multi-PE classifier, where the epoch shape admits one:
-        no preamble, every PE ran exactly one batch-committed chunk of
-        the same prefetch-free plan, and no queue/dropped state existed
-        — so (no-write-allocate) the cacheable read streams against the
-        stacked pre-epoch tags fully determine every tag change.
-        Returns False on mismatch (the key is then vetoed)."""
-        if loop.preamble or not ops:
-            return True
-        plan0 = ops[0][2]
-        if plan0.pf_idx or not plan0.cached_idx:
-            return True
-        seen = set()
-        for op in ops:
-            if op[0] != "b" or op[1] in seen or op[2] is not plan0:
-                return True
-            seen.add(op[1])
-        for snap in pre:
-            if snap[5] or snap[11]:  # queue entries / dropped lines
-                return True
-        lw = self.params.line_words
-        n_lines = self.params.n_lines
-        streams = []
-        pe_of = []
-        for op in ops:
-            pe, plan, flats = op[1], op[2], op[3]
-            cols = [(plan.slots[i].base + flats[i]) // lw
-                    for i in plan.cached_idx]
-            stream = np.stack(cols, axis=1).reshape(-1)
-            streams.append(stream)
-            pe_of.append(np.full(stream.shape[0], pe, dtype=np.int64))
-        tags0 = np.stack([snap[2] for snap in pre])
-        cls = classify_events_multi(np.concatenate(streams), None,
-                                    np.concatenate(pe_of), n_lines, tags0)
-        want: Dict[int, list] = {}
-        for cs, cl in zip(cls.changed_sets.tolist(),
-                          cls.changed_lines.tolist()):
-            want.setdefault(cs // n_lines, []).append((cs % n_lines, cl))
-        tag_pe, tag_idx, tag_val = tag_scatter
-        got: Dict[int, list] = {}
-        for p, ix, tv in zip(tag_pe.tolist(), tag_idx.tolist(),
-                             tag_val.tolist()):
-            got.setdefault(p, []).append((ix, tv))
-        for pe_id in range(len(pre)):
-            # Per-PE segments were built from flatnonzero output, so the
-            # recorded (set, tag) pairs are already sorted by set index.
-            if sorted(want.get(pe_id, [])) != got.get(pe_id, []):
-                return False
-        return True
-
-    def _plane_replay(self, entry: _PlaneEntry,
-                      chain: bool = False) -> None:
-        """Re-apply one recorded epoch as cross-PE scatters — shared
-        memory words, stacked cache tag/row planes — then a small per-PE
-        loop for clocks, stats, and prefetch hardware.  No value pass
-        re-runs: the signature pins every input, so the recorded bytes
-        ARE the live outcome."""
-        machine = self.machine
-        memory = machine.memory
-        if entry.mem_idx.size:
-            memory.values_flat[entry.mem_idx] = entry.mem_vals
-            memory.versions_flat[entry.mem_idx] = entry.mem_vers
-        # Per-PE caches are row views of these planes (DirectMappedCache
-        # .rebase), so the stacked scatters update every cache at once.
-        if chain and entry.cache_full is not None:
-            # Dense epoch in chain-follow mode: the pre-state is
-            # bit-identical to the recorded one, so restoring the full
-            # recorded post planes is exact (and much cheaper than the
-            # equivalent near-total scatter).
-            tags_f, data_f, vers_f = entry.cache_full
-            np.copyto(machine.cache_tags, tags_f)
-            np.copyto(machine.cache_data, data_f)
-            np.copyto(machine.cache_vers, vers_f)
-        else:
-            if entry.tag_flat.size:
-                machine.cache_tags_flat[entry.tag_flat] = entry.tag_val
-            if entry.row_flat.size:
-                machine.cache_data_rows[entry.row_flat] = entry.row_data
-                machine.cache_vers_rows[entry.row_flat] = entry.row_vers
-        # Clocks are absolutes pinned by the signature, so one scatter
-        # on the stacked clock plane serves both replay modes.
-        if entry.clk_idx.size:
-            machine.clocks[entry.clk_idx] = entry.clk_val
-        if chain:
-            # Chain-follow mode: the current state is bit-identical to
-            # the recorded pre-state, so every per-PE field can be set
-            # to its recorded absolute (a store, no read-add).  The
-            # payload is flattened by kind into homogeneous lists.
-            # PrefetchEntry / VectorTransfer objects are never mutated
-            # after construction, so the recorded tuples can be shared.
-            c_stats, c_queues, c_vecs, c_lps, c_dls = entry.chain
-            for d, f, v in c_stats:
-                d[f] = v
-            for queue, q_entries, qi, qd, q_hw in c_queues:
-                queue.entries = list(q_entries)
-                queue.issued = qi
-                queue.dropped = qd
-                queue.high_water = q_hw
-            for vectors, tv_transfers, vi in c_vecs:
-                vectors.transfers = list(tv_transfers)
-                vectors.issued = vi
-            for pe_obj, lp in c_lps:
-                pe_obj.last_prefetch_pe = lp
-            for pe_obj, dl in c_dls:
-                pe_obj.dropped_lines = set(dl)
-        else:
-            for rec in entry.per_pe:
-                (pe_obj, d, int_items, float_items, q_rec, v_rec,
-                 lp, dl) = rec
-                # Counter updates go through the stats instance __dict__:
-                # the field names come from STAT_FIELDS (validated once
-                # at module load), floats are recorded absolutes, ints
-                # deltas.
-                for f, dv in int_items:
-                    d[f] = d[f] + dv
-                for f, v in float_items:
-                    d[f] = v
-                if q_rec is not None:
-                    q_entries, qi_d, qd_d, q_m = q_rec
-                    queue = pe_obj.queue
-                    queue.entries = list(q_entries)
-                    queue.issued += qi_d
-                    queue.dropped += qd_d
-                    if q_m > queue.high_water:
-                        queue.high_water = q_m
-                if v_rec is not None:
-                    tv_transfers, vi_d = v_rec
-                    vectors = pe_obj.vectors
-                    vectors.transfers = list(tv_transfers)
-                    vectors.issued += vi_d
-                if lp is not _SAME:
-                    pe_obj.last_prefetch_pe = lp
-                if dl is not None:
-                    pe_obj.dropped_lines = set(dl)
-        mst = machine.stats
-        mst.stale_reads += entry.stale_reads
-        if entry.stale_examples:
-            mst.stale_examples.extend(entry.stale_examples)
-        tr = machine.tracer
-        if tr is not None and entry.counts:
-            for kind, n in entry.counts.items():
-                tr.add_counts(kind, n)
-        self.batch_chunks += entry.chunks
-        self.batch_fallbacks += entry.falls
-        if entry.reasons:
-            fr = self.fallback_reasons
-            for reason, n in entry.reasons.items():
-                fr[reason] = fr.get(reason, 0) + n
-        self.batch_refs += entry.refs
-        self.plane_refs += entry.refs
-        self.plane_chunks += 1
-
-    # ------------------------------------------------------------------
     # chunk execution
     # ------------------------------------------------------------------
     def _fall(self, reason: str) -> bool:
@@ -2448,7 +1553,7 @@ class BatchedInterpreter(Interpreter):
         T = len(values)
         if T == 0:
             return False
-        if not self._force_batch and T * plan.n_events < MIN_BATCH_EVENTS:
+        if T * plan.n_events < MIN_BATCH_EVENTS:
             self._note_skip("tiny_chunk")
             return False
         reason = self._chunk_guards(plan, env, pe_obj)
@@ -2514,18 +1619,12 @@ class BatchedInterpreter(Interpreter):
                 entry.vec_safe = vsafe
         if vsafe:
             vecs = {plan.var: V}
-            if self._plane_ops is not None:
-                self._plane_ops.append(("b", pe, plan, flats))
             self._vector_value_pass(plan, env, pe, flats, vecs)
             env[plan.var] = int(V[-1])
         elif plan.seq_fn is not None:
-            if self._plane_ops is not None:
-                self._plane_ops.append(("b", pe, plan, flats))
             plan.seq_fn(values, env, pe)
             self._register_residue(plan, pe, flats)
         else:
-            if self._plane_ops is not None:
-                self._plane_ops.append(("b", pe, plan, flats))
             registers = plan.registers
             var = plan.var
             fns = plan.value_fns

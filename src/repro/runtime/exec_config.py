@@ -115,7 +115,6 @@ class ExecutionConfig:
     fault_plan: Optional[FaultPlan] = None  #: seeded fault injection, or None
     oracle: bool = False       #: arm the shadow coherence oracle
     tracer: Optional[object] = None  #: repro.obs.Tracer (machine events)
-    plane_epochs: bool = True  #: batched backend: cross-PE epoch plane
     protocol: Optional[str] = None  #: hardware coherence protocol, or None
 
     def __post_init__(self) -> None:
@@ -155,8 +154,7 @@ class ExecutionConfig:
                     backend: str = Backend.REFERENCE,
                     fault_plan: Optional[FaultPlan] = None,
                     oracle: bool = False,
-                    tracer: Optional[object] = None,
-                    plane_epochs: bool = True) -> "ExecutionConfig":
+                    tracer: Optional[object] = None) -> "ExecutionConfig":
         spec = SCHEMES.get(version)
         if spec is None:
             raise ValueError(
@@ -167,7 +165,6 @@ class ExecutionConfig:
                                on_stale=on_stale,
                                backend=backend, fault_plan=fault_plan,
                                oracle=oracle, tracer=tracer,
-                               plane_epochs=plane_epochs,
                                protocol=spec.protocol)
 
 

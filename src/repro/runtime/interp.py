@@ -71,8 +71,10 @@ class RunResult:
     batch_fallbacks: int = 0   #: chunks that bound but fell back at run time
     fault_fallbacks: int = 0   #: chunks routed to the reference path by faults
     batch_refs: int = 0        #: memory references served by batched chunks
-    plane_chunks: int = 0      #: DOALL epochs replayed through the plane
-    plane_refs: int = 0        #: memory references served by plane replays
+    #: always 0 (no backend replays epochs across PEs); kept because
+    #: benchmark cold-state guards still read them
+    plane_chunks: int = 0
+    plane_refs: int = 0
     #: per-reason fallback/skip counts (reason code -> occurrences); empty
     #: under the reference backend or when no chunk ever fell back
     fallback_reasons: Dict[str, int] = field(default_factory=dict)
@@ -84,14 +86,6 @@ class RunResult:
         total = self.machine.stats.total()
         denom = total.reads + total.writes
         return self.batch_refs / denom if denom else 0.0
-
-    @property
-    def plane_coverage(self) -> float:
-        """Fraction of all memory references serviced by cross-PE plane
-        epoch replays (0.0 on a cold interpreter or reference backend)."""
-        total = self.machine.stats.total()
-        denom = total.reads + total.writes
-        return self.plane_refs / denom if denom else 0.0
 
     @property
     def stats(self):
@@ -207,8 +201,6 @@ class Interpreter:
                          batch_fallbacks=getattr(self, "batch_fallbacks", 0),
                          fault_fallbacks=getattr(self, "fault_fallbacks", 0),
                          batch_refs=getattr(self, "batch_refs", 0),
-                         plane_chunks=getattr(self, "plane_chunks", 0),
-                         plane_refs=getattr(self, "plane_refs", 0),
                          fallback_reasons=dict(
                              getattr(self, "fallback_reasons", {})))
 
@@ -317,8 +309,8 @@ class Interpreter:
     def _run_doall_body(self, loop: Loop, env: dict, lo: int, hi: int,
                         step: int, run_iteration, run_preamble) -> None:
         """Partition one DOALL epoch over the PEs and execute every PE's
-        chunk.  The batched backend overrides this to record/replay whole
-        epochs through the cross-PE plane."""
+        chunk through :meth:`_iterate_doall` (the batched backend's
+        per-PE bulk hook)."""
         machine = self.machine
         params = self.params
         n_pes = params.n_pes
@@ -971,7 +963,7 @@ def run_program(program: Program, params: MachineParams,
                 trace_epochs: bool = False,
                 backend: str = "reference",
                 fault_plan=None, oracle: bool = False,
-                tracer=None, plane_epochs: bool = True) -> RunResult:
+                tracer=None) -> RunResult:
     """One-call convenience: interpret ``program`` as the given version.
 
     Batched fault-free runs reuse a warm interpreter from
@@ -981,8 +973,7 @@ def run_program(program: Program, params: MachineParams,
     config = ExecutionConfig.for_version(version, on_stale=on_stale,
                                          backend=backend,
                                          fault_plan=fault_plan, oracle=oracle,
-                                         tracer=tracer,
-                                         plane_epochs=plane_epochs)
+                                         tracer=tracer)
     if plancache.eligible(config):
         interp = plancache.fetch(program, params, config, trace_epochs)
         if interp is None:

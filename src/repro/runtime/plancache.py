@@ -58,8 +58,7 @@ def _key(program, params, config, trace_epochs: bool) -> tuple:
             content_key("plan", params,
                         [config.version, config.on_stale, config.backend,
                          bool(config.cache_shared),
-                         bool(config.craft_overheads),
-                         bool(getattr(config, "plane_epochs", True))],
+                         bool(config.craft_overheads)],
                         bool(trace_epochs)))
 
 
@@ -154,12 +153,6 @@ def _reset(interp, config) -> None:
     interp.fault_fallbacks = 0
     interp.batch_refs = 0
     interp.fallback_reasons = {}
-    if hasattr(interp, "plane_chunks"):
-        interp.plane_chunks = 0
-        interp.plane_refs = 0
-        # The reset restores the canonical start state, so the next run
-        # may follow (or build) the positional plane-epoch chain.
-        interp._plane_fresh = True
 
 
 __all__ = ["eligible", "fetch", "store", "clear", "size"]

@@ -112,84 +112,6 @@ class TestExactness:
         assert fast.hits == general.hits
 
 
-class TestMultiPEPlane:
-    """``classify_events_multi``: the stacked ``(n_pes, n_lines)``
-    classify behind the plane recorder's crosscheck must be bit-exact
-    against per-PE classification AND against ``n_pes`` independent
-    reference ``DirectMappedCache`` replays."""
-
-    @given(
-        n_pes=st.integers(min_value=1, max_value=8),
-        events=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3),
-                                  st.integers(0, 31)),
-                        min_size=1, max_size=300),
-        warm=st.lists(st.integers(0, 31), max_size=40),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_multi_matches_per_pe_and_reference(self, n_pes, events, warm):
-        from repro.machine.batchops import (classify_events,
-                                            classify_events_multi)
-
-        n_lines = PARAMS.n_lines
-        data = np.zeros(PARAMS.line_words)
-        vers = np.zeros(PARAMS.line_words, dtype=np.int64)
-        # Warm a scattering of sets so initial_tags exercises non-cold rows.
-        tags0 = np.full((n_pes, n_lines), -1, dtype=np.int64)
-        for i, line in enumerate(warm):
-            tags0[i % n_pes, line % n_lines] = line
-        pe_of = np.array([p % n_pes for p, _, _ in events], dtype=np.int64)
-        kinds = np.array([k for _, k, _ in events], dtype=np.int8)
-        lines = np.array([ln for _, _, ln in events], dtype=np.int64)
-
-        multi = classify_events_multi(lines, kinds, pe_of, n_lines, tags0)
-
-        # One single-cache classify per PE must agree element-wise.
-        for pe in range(n_pes):
-            mask = pe_of == pe
-            single = classify_events(lines[mask], kinds[mask], n_lines,
-                                     initial_tags=tags0[pe])
-            assert multi.outcomes[mask].tolist() == single.outcomes.tolist()
-            assert multi.present[mask].tolist() == single.present.tolist()
-
-        # The reference model: n_pes independent DirectMappedCaches
-        # driven event by event in trace order.
-        caches = []
-        for pe in range(n_pes):
-            cache = DirectMappedCache(PARAMS)
-            for line in tags0[pe][tags0[pe] >= 0].tolist():
-                cache.install(line, data, vers)
-            caches.append(cache)
-        out = []
-        for pe, kind, line in zip(pe_of.tolist(), kinds.tolist(),
-                                  lines.tolist()):
-            cache = caches[pe]
-            addr = line * PARAMS.line_words
-            if kind == READ:
-                if cache.read(addr) is None:
-                    out.append(OUT_MISS)
-                    cache.install(line, data, vers)
-                else:
-                    out.append(OUT_HIT)
-            elif kind == WRITE:
-                cache.write_through_update(addr, 0.0, 0)
-                out.append(OUT_NA)
-            elif kind == INSTALL:
-                cache.install(line, data, vers)
-                out.append(OUT_NA)
-            else:
-                cache.invalidate_line(line)
-                out.append(OUT_NA)
-        assert multi.outcomes.tolist() == out
-
-        # changed_sets come back in plane coordinates (pe * n_lines + set)
-        # and must reconstruct every final tag array exactly.
-        final = tags0.copy().reshape(-1)
-        final[multi.changed_sets] = multi.changed_lines
-        final = final.reshape(n_pes, n_lines)
-        for pe in range(n_pes):
-            assert final[pe].tolist() == caches[pe].tags.tolist()
-
-
 class TestAnalysisHelpers:
     def test_miss_rate_decreases_with_cache_size(self):
         rng = np.random.default_rng(7)
