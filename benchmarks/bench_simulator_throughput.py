@@ -34,11 +34,29 @@ WORKLOAD_SIZES = {
 MXM_CCDP_COVERAGE_FLOOR = 0.95
 
 #: Per-cell floors for the full (workload x version) matrix — every cell,
-#: not just the flagship.  Measured headroom: coverage 0.97-1.00 and
-#: speedups 5.5x-245x with the compiled-plan cache warm, so these floors
-#: trip on real regressions, not timer noise.
+#: not just the flagship.  Coverage must stay >= 0.95 everywhere.
 CELL_COVERAGE_FLOOR = 0.95
-CELL_SPEEDUP_FLOOR = 5.0
+
+#: Cold speedup floors (batched over reference) per (workload, version)
+#: cell: 0.5x the median of five cold best-of-5 runs of
+#: ``test_per_cell_floors``, each a fresh process on a 2-vCPU Linux
+#: x86-64 container (medians in the comments).  "Cold" means the
+#: compiled-plan cache is cleared before every rep, so no rep reuses an
+#: interpreter an earlier one built.
+CELL_SPEEDUP_FLOORS = {
+    "mxm_base": 9.11,      # median 18.23x
+    "mxm_ccdp": 4.32,      # median 8.64x
+    "mxm_seq": 8.54,       # median 17.08x
+    "swim_base": 1.72,     # median 3.45x
+    "swim_ccdp": 1.16,     # median 2.33x
+    "swim_seq": 3.26,      # median 6.54x
+    "tomcatv_base": 0.91,  # median 1.83x
+    "tomcatv_ccdp": 0.48,  # median 0.97x
+    "tomcatv_seq": 1.77,   # median 3.54x
+    "vpenta_base": 0.79,   # median 1.59x
+    "vpenta_ccdp": 0.83,   # median 1.67x
+    "vpenta_seq": 0.88,    # median 1.77x
+}
 
 
 def _quick() -> bool:
@@ -144,15 +162,19 @@ def test_batched_backend_speedup(built_programs, capsys):
 
 def test_per_cell_floors(built_programs, capsys):
     """CI gate for the full-coverage fast path: EVERY (workload, version)
-    cell must keep batched coverage >= 0.95, run >= 5x faster than the
-    reference backend, and take zero run-time fallbacks on fault-free
-    runs.  Runs under REPRO_BENCH_QUICK too — this is the per-cell
-    regression floor, not a benchmark.  Timing is best-of-k with the
-    compiled-plan cache warm after the first rep, which is what makes a
-    5x floor safe against scheduler noise."""
+    cell must keep batched coverage >= 0.95, run at least its cold
+    :data:`CELL_SPEEDUP_FLOORS` speedup over the reference backend, and
+    take zero run-time fallbacks on fault-free runs.  Runs under
+    REPRO_BENCH_QUICK too — this is the per-cell regression floor, not a
+    benchmark.  Timing is best-of-5 with the compiled-plan cache cleared
+    before every rep of both backends, so the gate cannot pass on state
+    an earlier rep left warm.  Warm best-of-5 speedups (plan cache kept
+    between reps) are recorded under ``warm_`` keys and not gated."""
     import time
 
-    reps = 5  # quick mode too: best-of-5 keeps the 5x floor noise-proof
+    from repro.runtime import plancache
+
+    reps = 5
     failures = []
     cells = {}
     for name in sorted(WORKLOAD_SIZES):
@@ -164,9 +186,11 @@ def test_per_cell_floors(built_programs, capsys):
             params = t3d(1 if version == Version.SEQ else 4,
                          cache_bytes=2048)
 
-            def best_of(backend):
+            def best_of(backend, cold=True):
                 best, result = float("inf"), None
                 for _ in range(reps):
+                    if cold:
+                        plancache.clear()
                     start = time.perf_counter()
                     result = run_program(program, params, version,
                                          backend=backend)
@@ -175,29 +199,36 @@ def test_per_cell_floors(built_programs, capsys):
 
             t_ref, _ = best_of(Backend.REFERENCE)
             t_bat, res = best_of(Backend.BATCHED)
+            t_warm, _ = best_of(Backend.BATCHED, cold=False)
             speedup = t_ref / t_bat
             cell = f"{name}_{version}"
+            floor = CELL_SPEEDUP_FLOORS[cell]
             cells[cell] = {
                 "speedup": speedup,
+                "speedup_floor": floor,
+                "warm_speedup": t_ref / t_warm,
                 "batched_coverage": res.batched_coverage,
                 "batch_fallbacks": res.batch_fallbacks,
                 "fallback_reasons": dict(res.fallback_reasons),
             }
             with capsys.disabled():
-                print(f"\n[floors] {name:8s} {version:5s} {speedup:7.2f}x "
-                      f"coverage {res.batched_coverage:.4f} "
+                print(f"\n[floors] {name:8s} {version:5s} cold "
+                      f"{speedup:7.2f}x (floor {floor:.2f}x) warm "
+                      f"{t_ref / t_warm:7.2f}x coverage "
+                      f"{res.batched_coverage:.4f} "
                       f"fallbacks {res.batch_fallbacks}")
             if res.batched_coverage < CELL_COVERAGE_FLOOR:
                 failures.append(
                     f"{cell}: coverage {res.batched_coverage:.4f} "
                     f"< {CELL_COVERAGE_FLOOR}")
-            if speedup < CELL_SPEEDUP_FLOOR:
+            if speedup < floor:
                 failures.append(
-                    f"{cell}: speedup {speedup:.2f}x < {CELL_SPEEDUP_FLOOR}x")
+                    f"{cell}: cold speedup {speedup:.2f}x < {floor:.2f}x")
             if res.batch_fallbacks != 0:
                 failures.append(
                     f"{cell}: {res.batch_fallbacks} run-time fallbacks "
                     f"({dict(res.fallback_reasons)}) on a fault-free run")
+    plancache.clear()
     _record("per_cell_floors", cells)
     assert not failures, "per-cell floors violated:\n" + "\n".join(failures)
 
