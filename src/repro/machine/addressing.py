@@ -63,12 +63,6 @@ class AddressMap:
         """Global word address of a flat (0-based, column-major) element."""
         return self.bases[name] + flat
 
-    def addr_vec(self, name: str, flats: np.ndarray) -> np.ndarray:
-        return self.bases[name] + flats
-
-    def line_of(self, addr: int) -> int:
-        return addr // self.params.line_words
-
     # -- ownership -----------------------------------------------------------------
     def owner_table(self, name: str) -> np.ndarray:
         """Per-element home PE for one array (cached, flat column-major).

@@ -152,8 +152,5 @@ class DirectMappedCache:
     def occupancy(self) -> int:
         return int(np.count_nonzero(self.tags >= 0))
 
-    def resident_lines(self) -> np.ndarray:
-        return self.tags[self.tags >= 0].copy()
-
 
 __all__ = ["DirectMappedCache"]

@@ -28,8 +28,8 @@ from .params import MachineParams
 from .pe import PE
 from .prefetchq import PrefetchEntry, VectorTransfer
 from .protocols import make_protocol
-from .stats import MachineStats, PEStats
-from .topology import Torus, torus_for
+from .stats import MachineStats
+from .topology import torus_for
 
 
 class StaleReadError(RuntimeError):
@@ -121,11 +121,6 @@ class Machine:
         self._epoch_writers: dict = {}
         self.races: int = 0
         self.race_examples: List[str] = []
-        # Install-capture hook for the batched backend's preamble memo:
-        # when set to a list, prefetch_vector appends one
-        # ``(array, install_lines)`` record per install it performs, so
-        # the memo can re-gather the same lines from live memory later.
-        self._pf_record: Optional[list] = None
 
     # ------------------------------------------------------------------
     # latency helpers
@@ -532,9 +527,6 @@ class Machine:
             network = self.memory.remote_latency(pe_id, network)
         completion = pe.clock + self.params.vector_per_word * words + network
         self._install_lines_bulk(pe, name, install_lines)
-        rec = self._pf_record
-        if rec is not None:
-            rec.append((name, install_lines))
         pe.vectors.issue(VectorTransfer(array=name, line_lo=line_lo,
                                         line_hi=line_hi, completion=completion))
         pe.stats.vector_prefetches += 1
@@ -711,26 +703,12 @@ class Machine:
             self.tracer.emit(("barrier", time))
         return time
 
-    def sync_clocks_to(self, time: float) -> None:
-        time = float(time)
-        clocks = self.clocks
-        behind = clocks < time
-        if behind.any():
-            pes = self.pes
-            for i in np.flatnonzero(behind):
-                pes[i].stats.idle_cycles += time - float(clocks[i])
-            np.maximum(clocks, time, out=clocks)
-
     def elapsed(self) -> float:
         return float(self.clocks.max())
 
     # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
-    def flush_caches(self) -> None:
-        for pe in self.pes:
-            pe.cache.flush()
-
     def coherent(self) -> bool:
         return self.stats.stale_reads == 0
 

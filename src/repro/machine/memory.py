@@ -11,7 +11,7 @@ Private (replicated) arrays hold one copy per PE and never go stale.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 import numpy as np
 
@@ -109,20 +109,6 @@ class Memory:
         self.values[name][flats] = values
         np.add.at(self.versions[name], flats, 1)
 
-    def gather_addr(self, addrs: np.ndarray) -> np.ndarray:
-        """Current values at global word addresses (any shared array)."""
-        return self.values_flat[addrs]
-
-    def versions_addr(self, addrs: np.ndarray) -> np.ndarray:
-        return self.versions_flat[addrs]
-
-    def gather_private(self, name: str, pe: int, flats: np.ndarray) -> np.ndarray:
-        return self.private_values[name][pe, flats]
-
-    def scatter_private(self, name: str, pe: int, flats: np.ndarray,
-                        values: np.ndarray) -> None:
-        self.private_values[name][pe, flats] = values
-
     # -- bulk access (initialisation, result extraction, fast engine) -------------
     def array_view(self, name: str) -> np.ndarray:
         """Column-major (Fortran-order) ndarray view of a shared array."""
@@ -137,10 +123,6 @@ class Memory:
         self.versions[name] += 1
         if self.oracle is not None:
             self.oracle.observe_fill(name, flat)
-
-    def private_view(self, name: str, pe: int) -> np.ndarray:
-        decl = self.decls[name]
-        return self.private_values[name][pe].reshape(decl.shape, order="F")
 
     def snapshot(self) -> Dict[str, np.ndarray]:
         """Copies of all shared arrays (oracle comparison in tests)."""

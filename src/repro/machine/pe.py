@@ -74,9 +74,6 @@ class PE:
         self.stats.idle_cycles += stall
         return stall
 
-    def reset_clock(self) -> None:
-        self._clocks[self._clock_slot] = 0.0
-
     def metrics_snapshot(self) -> tuple:
         """The counters the epoch metrics timeline tracks as deltas:
         (reads, hits, misses, prefetch_issued, pf_dropped, idle)."""

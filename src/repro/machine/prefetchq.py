@@ -15,8 +15,8 @@ covered lines install into the cache on first touch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -92,15 +92,6 @@ class PrefetchQueue:
         """Outstanding line addresses in queue order."""
         return np.asarray([e.line_addr for e in self.entries], dtype=np.int64)
 
-    def match_lines(self, line_addrs: np.ndarray) -> np.ndarray:
-        """Vectorized membership test: for each query line, is there an
-        outstanding entry covering it?  One ``np.isin`` instead of one
-        linear :meth:`match` scan per reference."""
-        queries = np.asarray(line_addrs, dtype=np.int64)
-        if not self.entries:
-            return np.zeros(queries.shape[0], dtype=bool)
-        return np.isin(queries, self.lines())
-
     def snapshot(self) -> List[Tuple[int, float, float, int, str]]:
         """Queue state as plain tuples (line, arrival, issued_at, home, array)
         for consumption by the batched scan engine."""
@@ -134,7 +125,6 @@ class VectorUnit:
         self.capacity = params.max_outstanding_vectors
         self.transfers: List[VectorTransfer] = []
         self.issued = 0
-        self.words_moved = 0
 
     def earliest_completion(self) -> float:
         return min(t.completion for t in self.transfers)
@@ -154,7 +144,6 @@ class VectorUnit:
             raise RuntimeError("vector unit full; call stall_until_slot first")
         self.transfers.append(transfer)
         self.issued += 1
-        self.words_moved += 0  # updated by caller with actual word count
 
     def match(self, line_addr: int) -> Optional[VectorTransfer]:
         best: Optional[VectorTransfer] = None

@@ -68,8 +68,7 @@ import numpy as np
 from ..analysis.affine import AffineForm, affine_ref
 from ..ir.expr import (ArrayRef, BinOp, Expr, FloatConst, IntConst,
                        IntrinsicCall, RefMode, SymConst, UnaryOp, VarRef)
-from ..ir.stmt import (Assign, InvalidateLines, Loop, LoopKind, PrefetchLine,
-                       PrefetchVector, Stmt)
+from ..ir.stmt import Assign, Loop, LoopKind, PrefetchLine, Stmt
 from ..machine.batchops import (OUT_HIT, RE_COST, RE_PF, RE_READ, RE_WRITE,
                                 REC_EXTRACT, REC_HIT, REC_KILL_FLAG, REC_MISS,
                                 REC_NONE, REC_PF_COALESCE, REC_PF_ISSUE,
@@ -77,21 +76,11 @@ from ..machine.batchops import (OUT_HIT, RE_COST, RE_PF, RE_READ, RE_WRITE,
                                 read_latency_table, replay_chunk, stale_lines,
                                 uncached_read_latency_table,
                                 write_latency_table)
-from ..machine.prefetchq import PrefetchEntry, VectorTransfer
+from ..machine.prefetchq import PrefetchEntry
 from .interp import Interpreter
 
 #: Minimum chunk size (iterations x memory events) worth the bind overhead.
 MIN_BATCH_EVENTS = 16
-
-#: Upper bound on distinct chunk-memo entries per interpreter.  The memo
-#: serves any revisit of a (plan, pe, env, iterations) key: steady-state
-#: chunks of iterative kernels within one cold run, and every chunk of a
-#: warm rerun through the plan cache.  Each entry holds its flats plus a
-#: handful of outcome variants; the cap is a memory backstop, not a
-#: tuning knob — real workloads sit far below it.
-MEMO_CAP = 8192
-
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
 def _seq_div(a, b):
@@ -314,39 +303,6 @@ class _Plan:
         self.event_kinds = frozenset(kinds)
 
 
-class _MemoEntry:
-    """Per-(plan, pe, environment, iteration-vector) chunk memo.
-
-    The bound flat vectors and every derived pure artifact (value-pass
-    vectorisability, signature gather indices) are functions of the key
-    alone, so they are computed once and reused on every revisit.  The
-    *timing outcome* additionally depends on machine state; committed
-    outcomes are stored per state signature in ``variants`` (see
-    :meth:`BatchedInterpreter._memo_sig`) and replayed bit-exactly when
-    the same signature recurs — which is every chunk of a warm re-run,
-    and any steady-state chunk whose cache/queue/clock-relative state
-    repeats within a run."""
-
-    __slots__ = ("flats", "pf_masks", "V", "vecs_extra", "Tt", "const_total",
-                 "row_extra", "vec_safe", "sets_all", "sets_shared",
-                 "words_idx", "variants")
-
-    def __init__(self, flats, pf_masks, V, vecs_extra, Tt, const_total,
-                 row_extra) -> None:
-        self.flats = flats
-        self.pf_masks = pf_masks
-        self.V = V
-        self.vecs_extra = vecs_extra
-        self.Tt = Tt
-        self.const_total = const_total
-        self.row_extra = row_extra
-        self.vec_safe: Optional[bool] = None
-        self.sets_all: Optional[np.ndarray] = None
-        self.sets_shared: Optional[np.ndarray] = None
-        self.words_idx: Optional[np.ndarray] = None
-        self.variants: Dict[tuple, dict] = {}
-
-
 class _Ineligible(Exception):
     """Raised during plan compilation when the loop cannot be batched."""
 
@@ -401,14 +357,6 @@ class BatchedInterpreter(Interpreter):
         #: bulk busy-cycle summation (the clock itself is scanned exactly)
         self._replay_costs_ok = _integral(p.prefetch_issue, p.dtb_setup,
                                           p.prefetch_extract)
-        #: compiled chunk memo: (plan, pe, env, iterations) -> _MemoEntry.
-        #: Survives warm re-runs (see runtime.plancache) by construction —
-        #: every outcome is guarded by a full machine-state signature.
-        self._chunk_memo: Dict[tuple, _MemoEntry] = {}
-        #: preamble memo: (loop uid, pe, env) -> variants (see _run_preamble)
-        self._preamble_memo: Dict[tuple, dict] = {}
-        self._preamble_info: Dict[int, Optional[tuple]] = {}
-
     # ------------------------------------------------------------------
     # integration points
     # ------------------------------------------------------------------
@@ -513,15 +461,6 @@ class BatchedInterpreter(Interpreter):
         if all(b == bounds[0] for b in bounds):
             return self._exec_fused_uniform(plan, env, pe, pe_obj, values,
                                             outer_var, bounds[0], overhead)
-        entry = ekey = None
-        if self._memo_on(plan):
-            ekey = (id(plan), pe, outer_var,
-                    tuple(env[n] for n in plan.env_vars if n != outer_var),
-                    tuple(values), tuple(bounds))
-            entry = self._chunk_memo.get(ekey)
-        if entry is not None:
-            return self._fused_memo_run(plan, entry, env, pe, pe_obj,
-                                        outer_var)
         flat_groups: List[List[np.ndarray]] = [[] for _ in plan.slots]
         v_rows: List[np.ndarray] = []
         o_rows: List[np.ndarray] = []
@@ -564,53 +503,13 @@ class BatchedInterpreter(Interpreter):
             extra_rows[row] += val
         const_total = (overhead * n_outer
                        + plan.const_per_iter * total_iters)
-        sig = None
-        if ekey is not None and len(self._chunk_memo) < MEMO_CAP:
-            entry = _MemoEntry(flats, None, V, {outer_var: O}, total_iters,
-                               const_total, (extra_rows, pending))
-            entry.vec_safe = True
-            self._memo_index(entry, plan)
-            self._chunk_memo[ekey] = entry
-            sig = self._memo_sig(entry, pe_obj)
         self.batch_chunks += 1
         vecs = {plan.var: V, outer_var: O}
         self._vector_value_pass(plan, env, pe, flats, vecs)
         env[plan.var] = int(V[-1])
         # env[outer_var] already holds values[-1] from the binding sweep.
-        rec = {} if sig is not None else None
         self._timing_pass(plan, pe_obj, pe, total_iters, flats, const_total,
-                          (extra_rows, pending), self._inflight(pe_obj), rec)
-        if rec is not None:
-            entry.variants[sig] = rec
-        return True
-
-    def _fused_memo_run(self, plan: _Plan, entry: _MemoEntry, env: dict,
-                        pe: int, pe_obj, outer_var: str) -> bool:
-        """Run a fused chunk whose bindings were memoised: the bounds
-        sweep already matched the stored key, so the per-row bind work is
-        skipped and only the state-dependent guards re-run live."""
-        flats = entry.flats
-        if ((pe_obj.queue.entries or pe_obj.dropped_lines)
-                and not self._prefetch_disjoint(plan, pe_obj, flats)):
-            return False  # per-iteration path: inner chunks replay exactly
-        sig = self._memo_sig(entry, pe_obj)
-        out = entry.variants.get(sig)
-        if out is None and self._stale_overlap(plan, pe_obj, flats):
-            return self._fall("stale_overlap")
-        self.batch_chunks += 1
-        V = entry.V
-        vecs = {plan.var: V}
-        vecs.update(entry.vecs_extra)
-        self._vector_value_pass(plan, env, pe, flats, vecs)
-        env[plan.var] = int(V[-1])
-        if out is not None:
-            self._memo_replay(pe_obj, pe, out)
-        else:
-            rec: dict = {}
-            self._timing_pass(plan, pe_obj, pe, entry.Tt, flats,
-                              entry.const_total, entry.row_extra,
-                              self._inflight(pe_obj), rec)
-            entry.variants[sig] = rec
+                          (extra_rows, pending), self._inflight(pe_obj))
         return True
 
     def _exec_fused_uniform(self, plan: _Plan, env: dict, pe: int, pe_obj,
@@ -626,15 +525,6 @@ class BatchedInterpreter(Interpreter):
         total_iters = n_outer * tj
         if tj == 0 or total_iters * plan.n_events < MIN_BATCH_EVENTS:
             return False
-        entry = ekey = None
-        if self._memo_on(plan):
-            ekey = (id(plan), pe, outer_var,
-                    tuple(env[n] for n in plan.env_vars if n != outer_var),
-                    tuple(values), row_bounds)
-            entry = self._chunk_memo.get(ekey)
-        if entry is not None:
-            return self._fused_memo_run(plan, entry, env, pe, pe_obj,
-                                        outer_var)
         vj = np.arange(rng.start, rng.stop, rng.step, dtype=np.int64)
         V = np.tile(vj, n_outer)
         O = np.repeat(np.fromiter(values, dtype=np.int64, count=n_outer), tj)
@@ -664,24 +554,13 @@ class BatchedInterpreter(Interpreter):
         extra_rows = np.zeros(total_iters, dtype=np.float64)
         extra_rows[::tj] += overhead
         const_total = overhead * n_outer + plan.const_per_iter * total_iters
-        sig = None
-        if ekey is not None and len(self._chunk_memo) < MEMO_CAP:
-            entry = _MemoEntry(flats, None, V, {outer_var: O}, total_iters,
-                               const_total, (extra_rows, 0.0))
-            entry.vec_safe = True
-            self._memo_index(entry, plan)
-            self._chunk_memo[ekey] = entry
-            sig = self._memo_sig(entry, pe_obj)
         self.batch_chunks += 1
         vecs = {plan.var: V, outer_var: O}
         self._vector_value_pass(plan, env, pe, flats, vecs)
         env[plan.var] = int(V[-1])
         # env[outer_var] already holds values[-1] from the bounds sweep.
-        rec = {} if sig is not None else None
         self._timing_pass(plan, pe_obj, pe, total_iters, flats, const_total,
-                          (extra_rows, 0.0), self._inflight(pe_obj), rec)
-        if rec is not None:
-            entry.variants[sig] = rec
+                          (extra_rows, 0.0), self._inflight(pe_obj))
         return True
 
     # ------------------------------------------------------------------
@@ -1559,30 +1438,14 @@ class BatchedInterpreter(Interpreter):
         reason = self._chunk_guards(plan, env, pe_obj)
         if reason is not None:
             return self._fall(reason)
-        entry = ekey = None
-        if self._memo_on(plan):
-            vkey = ((values.start, values.stop, values.step)
-                    if isinstance(values, range) else tuple(values))
-            ekey = (id(plan), pe,
-                    tuple(env[n] for n in plan.env_vars), vkey)
-            entry = self._chunk_memo.get(ekey)
-        if entry is not None:
-            V = entry.V
-            flats, pf_masks = entry.flats, entry.pf_masks
+        if isinstance(values, range):
+            V = np.arange(values.start, values.stop, values.step,
+                          dtype=np.int64)
         else:
-            if isinstance(values, range):
-                V = np.arange(values.start, values.stop, values.step,
-                              dtype=np.int64)
-            else:
-                V = np.asarray(values, dtype=np.int64)
-            flats, pf_masks = self._bind_slots(plan, env, V)
-            if flats is None:
-                return self._fall("oob_bind")
-            if ekey is not None and len(self._chunk_memo) < MEMO_CAP:
-                entry = _MemoEntry(flats, pf_masks, V, None, T,
-                                   plan.const_per_iter * T, None)
-                self._memo_index(entry, plan)
-                self._chunk_memo[ekey] = entry
+            V = np.asarray(values, dtype=np.int64)
+        flats, pf_masks = self._bind_slots(plan, env, V)
+        if flats is None:
+            return self._fall("oob_bind")
         outcome = dtb_count = new_last = record = dtbF = None
         if plan.pf_idx or pe_obj.queue.entries or pe_obj.dropped_lines:
             if plan.pf_idx or not self._prefetch_disjoint(plan, pe_obj,
@@ -1599,27 +1462,15 @@ class BatchedInterpreter(Interpreter):
                     self._replay_scan(plan, pe_obj, pe, T, flats, pf_masks)
                 if outcome.hazard:
                     return self._fall("replay_hazard")
-        sig = out = None
-        if outcome is None and entry is not None:
-            sig = self._memo_sig(entry, pe_obj)
-            out = entry.variants.get(sig)
-        if outcome is None and out is None \
-                and self._stale_overlap(plan, pe_obj, flats):
+        if outcome is None and self._stale_overlap(plan, pe_obj, flats):
             # A stale line the chunk touches: stale read hits / partial
             # write-through refreshes need per-event order.
             return self._fall("stale_overlap")
         self.batch_chunks += 1
 
         # -- value pass ----------------------------------------------------
-        vsafe = entry.vec_safe if entry is not None else None
-        if vsafe is None:
-            vsafe = plan.vec_stmts is not None \
-                and self._vector_safe(plan, flats)
-            if entry is not None:
-                entry.vec_safe = vsafe
-        if vsafe:
-            vecs = {plan.var: V}
-            self._vector_value_pass(plan, env, pe, flats, vecs)
+        if plan.vec_stmts is not None and self._vector_safe(plan, flats):
+            self._vector_value_pass(plan, env, pe, flats, {plan.var: V})
             env[plan.var] = int(V[-1])
         elif plan.seq_fn is not None:
             plan.seq_fn(values, env, pe)
@@ -1636,258 +1487,14 @@ class BatchedInterpreter(Interpreter):
             if plan.final_clear:
                 registers.clear()
 
-        if out is not None:
-            self._memo_replay(pe_obj, pe, out)
-        elif outcome is None:
-            rec = {} if sig is not None else None
+        if outcome is None:
             self._timing_pass(plan, pe_obj, pe, T, flats,
                               plan.const_per_iter * T, None,
-                              self._inflight(pe_obj), rec)
-            if rec is not None:
-                entry.variants[sig] = rec
+                              self._inflight(pe_obj))
         else:
             self._replay_commit(plan, pe_obj, pe, T, flats, outcome,
                                 dtb_count, new_last, record, dtbF)
         return True
-
-    # ------------------------------------------------------------------
-    # preamble memo
-    # ------------------------------------------------------------------
-    def _preamble_names(self, loop: Loop) -> Optional[Tuple[str, ...]]:
-        """Free variable names of a memo-eligible preamble, or None when
-        any statement is not a pure prefetch/invalidate (those run live:
-        queue-touching scalar prefetches interleave with chunk replay)."""
-        names: Set[str] = set()
-        for stmt in loop.preamble:
-            if not isinstance(stmt, (PrefetchVector, InvalidateLines)):
-                return None
-            for expr in stmt.expressions():
-                for node in expr.walk():
-                    if isinstance(node, VarRef):
-                        names.add(node.name)
-        return tuple(sorted(names))
-
-    #: Float-valued stats fields a preamble mutates.  They are *pinned*
-    #: in the memo key and *restored* as absolutes (fractional vector
-    #: costs make delta replay inexact); the integer fields replay as
-    #: deltas, which integer addition keeps exact on any base.
-    _PREAMBLE_FLOAT = ("busy_cycles", "idle_cycles", "vector_stall_cycles")
-    _PREAMBLE_INT = ("invalidations", "vector_prefetches", "vector_words")
-    #: Event kinds a pure prefetch/invalidate preamble can emit; under a
-    #: counts-only tracer the memo folds their count deltas on replay.
-    _PREAMBLE_KINDS = ("invalidate", "vector_transfer")
-
-    def _run_preamble(self, loop: Loop, preamble_fns, env_p: dict,
-                      pe: int) -> None:
-        """Memoise pure prefetch/invalidate preambles.
-
-        A vector-prefetch preamble touches only this PE's clock, cache,
-        vector unit and a fixed set of stats counters, and its effect is
-        a pure function of the machine state it reads: env values, cache
-        tags, the absolute clock, in-flight transfers and the float stat
-        fields it accumulates into.  All of those are pinned in the memo
-        key, so a recorded outcome replays bit-exactly by restoring the
-        recorded absolutes — except line *installs*, which re-gather
-        **live** memory (array values may have changed since record;
-        install timing and tag evolution cannot), and integer counters,
-        which replay as exact deltas.  Warm repeated runs are
-        deterministic, so every preamble after the first run hits."""
-        machine = self.machine
-        pe_obj = machine.pes[pe]
-        tr = machine.tracer
-        if (machine.race_check or machine.trace_enabled
-                or machine.faults is not None or machine.oracle is not None
-                or (tr is not None
-                    and not tr.counts_only(self._PREAMBLE_KINDS))):
-            return super()._run_preamble(loop, preamble_fns, env_p, pe)
-        info = self._preamble_info
-        if loop.uid not in info:
-            info[loop.uid] = self._preamble_names(loop)
-        names = info[loop.uid]
-        if names is None:
-            return super()._run_preamble(loop, preamble_fns, env_p, pe)
-        vec = pe_obj.vectors
-        st = pe_obj.stats
-        key = (loop.uid, pe, tr is not None,
-               tuple(env_p.get(n) for n in names),
-               pe_obj.clock,
-               tuple(getattr(st, f) for f in self._PREAMBLE_FLOAT),
-               pe_obj.cache.tags.tobytes(),
-               tuple((t.array, t.line_lo, t.line_hi, t.completion)
-                     for t in vec.transfers))
-        out = self._preamble_memo.get(key)
-        if out is not None:
-            if out["bulk"] is not None:
-                sets, word_ix = out["bulk"]
-                pe_obj.cache.data[sets] = machine.memory.values_flat[word_ix]
-                pe_obj.cache.vers[sets] = machine.memory.versions_flat[word_ix]
-            else:
-                for name, lines in out["installs"]:
-                    machine._install_lines_bulk(pe_obj, name, lines)
-            pe_obj.cache.tags[:] = out["tags"]
-            for f, v in zip(self._PREAMBLE_FLOAT, out["floats"]):
-                setattr(st, f, v)
-            for f, d in out["ints"]:
-                setattr(st, f, getattr(st, f) + d)
-            pe_obj.clock = out["clock"]
-            vec.transfers[:] = [VectorTransfer(a, lo, hi, c)
-                                for a, lo, hi, c in out["transfers"]]
-            vec.issued += out["issued"]
-            if tr is not None:
-                for kind, n in out["tr_counts"]:
-                    tr.add_counts(kind, n)
-            return
-        before = [getattr(st, f) for f in self._PREAMBLE_INT]
-        issued0 = vec.issued
-        counts0 = ({k: tr.counts.get(k, 0) for k in self._PREAMBLE_KINDS}
-                   if tr is not None else None)
-        installs: list = []
-        machine._pf_record = installs
-        try:
-            super()._run_preamble(loop, preamble_fns, env_p, pe)
-        finally:
-            machine._pf_record = None
-        if len(self._preamble_memo) < MEMO_CAP:
-            # Consolidate the install records into one gather/scatter when
-            # every installed array is shared: shared lines are line-aligned
-            # views of the flat backing, and replaying last-write-wins per
-            # cache set from *live* memory is exactly what the per-record
-            # install loop does — tags are restored wholesale right after.
-            bulk = None
-            if installs and all(machine.memory.decls[name].is_shared
-                                for name, _ in installs):
-                lw = machine._lw
-                n_lines = pe_obj.cache.n_lines
-                last: dict = {}
-                for _name, lines in installs:
-                    for line in lines:
-                        last[line % n_lines] = line
-                sets = np.fromiter(last.keys(), dtype=np.int64,
-                                   count=len(last))
-                ln = np.fromiter(last.values(), dtype=np.int64,
-                                 count=len(last))
-                bulk = (sets,
-                        ln[:, None] * lw + np.arange(lw, dtype=np.int64))
-            self._preamble_memo[key] = {
-                "installs": installs,
-                "bulk": bulk,
-                "tags": pe_obj.cache.tags.copy(),
-                "floats": tuple(getattr(st, f)
-                                for f in self._PREAMBLE_FLOAT),
-                "ints": tuple(
-                    (f, getattr(st, f) - b)
-                    for f, b in zip(self._PREAMBLE_INT, before)
-                    if getattr(st, f) != b),
-                "clock": pe_obj.clock,
-                "transfers": tuple((t.array, t.line_lo, t.line_hi,
-                                    t.completion) for t in vec.transfers),
-                "issued": vec.issued - issued0,
-                "tr_counts": tuple(
-                    (k, tr.counts.get(k, 0) - c0)
-                    for k, c0 in (counts0 or {}).items()
-                    if tr.counts.get(k, 0) != c0),
-            }
-
-    # ------------------------------------------------------------------
-    # chunk-outcome memo
-    # ------------------------------------------------------------------
-    def _memo_on(self, plan: _Plan) -> bool:
-        """Memoing is sound only when the run's event consumers are
-        replayable: no tracer, or a counts-only tracer (whose per-chunk
-        counter folds are part of the stored outcome).  Full event
-        synthesis needs the live per-event matrices, so it bypasses."""
-        tr = self.machine.tracer
-        return tr is None or tr.counts_only(plan.event_kinds)
-
-    def _memo_index(self, entry: _MemoEntry, plan: _Plan) -> None:
-        """Precompute the signature gather indices: cache sets of every
-        cacheable slot (classification + residency), plus the unique
-        shared lines whose version words decide staleness."""
-        lw = self.params.line_words
-        nl = self.machine.pes[0].cache.n_lines
-        sets_parts: List[np.ndarray] = []
-        shared_parts: List[np.ndarray] = []
-        for i, slot in enumerate(plan.slots):
-            if slot.role in ("ur", "pf") or not slot.cacheable:
-                continue
-            lines = (slot.base + entry.flats[i]) // lw
-            sets_parts.append(lines % nl)
-            if slot.shared:
-                shared_parts.append(lines)
-        entry.sets_all = (np.unique(np.concatenate(sets_parts))
-                          if sets_parts else _EMPTY_I64)
-        if shared_parts:
-            su = np.unique(np.concatenate(shared_parts))
-            entry.sets_shared = su % nl
-            entry.words_idx = (su[:, None] * lw
-                               + np.arange(lw, dtype=np.int64)).reshape(-1)
-
-    def _memo_sig(self, entry: _MemoEntry, pe_obj) -> tuple:
-        """Machine-state signature: everything the timing outcome can
-        depend on beyond the (already-keyed) plan/env/iterations.  Cache
-        tags at the chunk's sets govern classification, evictions and
-        refill residency; version words govern the stale-overlap guard;
-        queue/dropped lines govern prefetch disjointness; the absolute
-        clock plus the vector-transfer list governs stall resolution
-        (and is collapsed to ``None`` when nothing is in flight, making
-        the outcome clock-relative)."""
-        cache = pe_obj.cache
-        tags_b = cache.tags[entry.sets_all].tobytes()
-        if entry.sets_shared is not None:
-            vers_b = cache.vers[entry.sets_shared].tobytes()
-            mem_b = self.machine.memory.versions_flat[
-                entry.words_idx].tobytes()
-        else:
-            vers_b = mem_b = b""
-        q = pe_obj.queue
-        if q.entries or pe_obj.dropped_lines:
-            qpart: Optional[tuple] = (
-                tuple(e.line_addr for e in q.entries),
-                tuple(sorted(pe_obj.dropped_lines)))
-        else:
-            qpart = None
-        tpart: Optional[tuple] = None
-        clock = pe_obj.clock
-        for t in pe_obj.vectors.transfers:
-            if t.completion > clock:
-                tpart = (clock,
-                         tuple((tr.array, tr.line_lo, tr.line_hi,
-                                tr.completion)
-                               for tr in pe_obj.vectors.transfers))
-                break
-        return (tags_b, vers_b, mem_b, qpart, tpart)
-
-    def _memo_replay(self, pe_obj, pe: int, out: dict) -> None:
-        """Re-apply a stored chunk outcome: the exact sequence of scalar
-        adds, scatters and live-memory refills the recorded
-        :meth:`_timing_pass` performed."""
-        pe_obj.stats.add_bulk(**out["stats"])
-        self.batch_refs += out["refs"]
-        tr = self.machine.tracer
-        if tr is not None:
-            hits, misses, fetches, writes = out["counts"]
-            tr.add_counts("read_hit", hits)
-            tr.add_counts("read_miss", misses)
-            tr.add_counts("bypass_fetch", fetches)
-            tr.add_counts("write", writes)
-        clock_abs = out["clock_abs"]
-        if clock_abs is not None:
-            for s in out["stalls"]:
-                pe_obj.stats.idle_cycles += s
-                pe_obj.stats.vector_stall_cycles += s
-            pe_obj.clock = clock_abs
-        else:
-            pe_obj.clock += out["total"]
-        cache = pe_obj.cache
-        tags_sets = out["tags_sets"]
-        if tags_sets is not None:
-            cache.tags[tags_sets] = out["tags_lines"]
-        for lines, base, array in out["priv_fills"]:
-            self._fill_private_lines(cache, lines, base, array, pe)
-        if out["shared_fill"] is not None:
-            memory = self.machine.memory
-            bulk_fill_lines(cache, out["shared_fill"], memory.values_flat,
-                            memory.versions_flat)
 
     def _stale_overlap(self, plan: _Plan, pe_obj,
                        flats: List[np.ndarray]) -> bool:
@@ -2273,18 +1880,13 @@ class BatchedInterpreter(Interpreter):
 
     def _timing_pass(self, plan: _Plan, pe_obj, pe: int, Tt: int,
                      flats: List[np.ndarray], const_total: float,
-                     row_extra, transfers: list,
-                     rec: Optional[dict] = None) -> None:
+                     row_extra, transfers: list) -> None:
         """Charge the chunk's cycles/counters and commit cache state.
 
         ``const_total`` is every constant advance in the chunk (loop
         overheads + arithmetic); ``row_extra`` optionally adds per-iteration
         constants at iteration granularity (fused chunks); ``transfers`` are
-        the PE's vector transfers still in flight at chunk start.  When
-        ``rec`` is a dict, every externally visible effect (scalar adds,
-        tag scatter, fill line sets) is also recorded into it so
-        :meth:`_memo_replay` can re-apply the outcome bit-exactly under an
-        identical machine-state signature."""
+        the PE's vector transfers still in flight at chunk start."""
         params = self.params
         memory = self.machine.memory
         ch = float(params.cache_hit)
@@ -2387,12 +1989,11 @@ class BatchedInterpreter(Interpreter):
                 else:
                     rw += Tt - int(np.count_nonzero(eq_cache[okey]))
         total = const_total + float(ev.sum())
-        kw = dict(
+        pe_obj.stats.add_bulk(
             reads=Tt * n_reads, writes=Tt * n_writes, cache_hits=hits,
             cache_misses=misses, local_fills=lf, remote_fills=rf,
             bypass_reads=byp, uncached_local_reads=ulr,
             uncached_remote_reads=urr, remote_writes=rw, busy_cycles=total)
-        pe_obj.stats.add_bulk(**kw)
         self.batch_refs += Tt * (n_reads + n_writes)
         tr = self.machine.tracer
         if tr is not None:
@@ -2412,28 +2013,14 @@ class BatchedInterpreter(Interpreter):
                 pe_obj.stats.vector_stall_cycles += s
             pe_obj.clock = clock_final
         else:
-            clock_final = stalls = None
             pe_obj.clock += total
-        if rec is not None:
-            rec["stats"] = kw
-            rec["refs"] = Tt * (n_reads + n_writes)
-            rec["counts"] = (hits, misses, byp + ulr + urr, Tt * n_writes)
-            rec["clock_abs"] = clock_final
-            rec["stalls"] = tuple(stalls) if stalls is not None else ()
-            rec["total"] = total
 
         # -- cache commit -------------------------------------------------
         cache = pe_obj.cache
         if cls is not None and len(cls.changed_sets):
             cache.tags[cls.changed_sets] = cls.changed_lines
-            if rec is not None:
-                rec["tags_sets"] = cls.changed_sets
-                rec["tags_lines"] = cls.changed_lines
-        elif rec is not None:
-            rec["tags_sets"] = rec["tags_lines"] = None
         shared_lines: List[np.ndarray] = []
         seen_lines: Set[int] = set()
-        priv_fills: List[tuple] = []
         for i in cidx + plan.write_idx:
             slot = plan.slots[i]
             if not slot.cacheable:
@@ -2452,18 +2039,11 @@ class BatchedInterpreter(Interpreter):
             else:
                 self._fill_private_lines(cache, lines, slot.base, slot.array,
                                          pe)
-                if rec is not None:
-                    priv_fills.append((lines, slot.base, slot.array))
-        if rec is not None:
-            rec["priv_fills"] = priv_fills
-            rec["shared_fill"] = None
         if shared_lines:
             cat = np.concatenate(shared_lines)
             lines = np.flatnonzero(np.bincount(cat))  # sorted unique
             bulk_fill_lines(cache, lines, memory.values_flat,
                             memory.versions_flat)
-            if rec is not None:
-                rec["shared_fill"] = lines
 
     def _synth_timing_events(self, plan: _Plan, pe: int, Tt: int,
                              flats: List[np.ndarray], hit_cols, eq_cols,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..analysis.affine import affine_ref
 from ..analysis.costmodel import expr_cost
@@ -289,7 +289,8 @@ class Interpreter:
             env_p[lo_name] = c_lo
             env_p[hi_name] = c_hi
             env_p[cnt_name] = c_cnt
-            self._run_preamble(loop, preamble_fns, env_p, pe)
+            for fn in preamble_fns:
+                fn(env_p, pe)
 
         self._run_doall_body(loop, env, lo, hi, step,
                              run_iteration, run_preamble)
@@ -368,14 +369,6 @@ class Interpreter:
         backend overrides this to service whole chunks as bulk traces."""
         for value in values:
             run_iteration(env_p, pe, value)
-
-    def _run_preamble(self, loop: Loop, preamble_fns, env_p: dict,
-                      pe: int) -> None:
-        """Execute one PE's DOALL preamble (chunk vars already bound in
-        ``env_p``).  The batched backend overrides this to memoise pure
-        prefetch/invalidate preambles."""
-        for fn in preamble_fns:
-            fn(env_p, pe)
 
     # ------------------------------------------------------------------
     # register-promotion contexts

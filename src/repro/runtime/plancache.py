@@ -32,7 +32,6 @@ effectiveness alongside the program/transform caches.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
 
 from ..machine.stats import PEStats
 
@@ -121,7 +120,6 @@ def _reset(interp, config) -> None:
         vectors = pe.vectors
         vectors.transfers = []
         vectors.issued = 0
-        vectors.words_moved = 0
         pe.last_prefetch_pe = None
         pe.dropped_lines = set()
         # Zero the counters in place: machine.stats.per_pe aliases these

@@ -1,14 +1,14 @@
-"""Warm-rerun equivalence: memo replays must be bit-exact.
+"""Warm-rerun equivalence: a reused batched interpreter must be bit-exact.
 
-The batched backend keeps two per-interpreter memos that replay a
-recorded outcome whenever the same machine state recurs: the
-chunk-outcome memo (``_chunk_memo``, replayed by ``_memo_replay``) and
-the preamble memo (``_preamble_memo``).  A warm interpreter re-run from
-the canonical reset state (``plancache._reset``) revisits every chunk
-and preamble of the first run, so runs 2 and 3 are served by replays —
-and every observable (arrays, versions, per-PE stats, cache contents,
-prefetch queues, tracer counts) must still match the reference
-interpreter exactly.
+The plan cache (``runtime.plancache``) keeps whole batched interpreters
+warm across runs and restores the canonical post-construction state with
+``plancache._reset`` before each reuse.  Runs 2 and 3 of one interpreter
+therefore start from reset state but with every plan, latency table and
+compiled value pass already built — and every observable (arrays,
+versions, per-PE stats, cache contents, prefetch queues, tracer counts)
+must still match the reference interpreter exactly.  The reset also
+retargets the machine tracer, so traced and untraced runs may alternate
+on one interpreter.
 """
 
 from hypothesis import given, settings
@@ -64,19 +64,6 @@ def _machine_state(machine):
     return state
 
 
-def _spy_memo_replays(interp):
-    """Count chunk-memo replays on ``interp`` (instance-level wrapper)."""
-    calls = [0]
-    replay = interp._memo_replay
-
-    def counted(*args):
-        calls[0] += 1
-        return replay(*args)
-
-    interp._memo_replay = counted
-    return calls
-
-
 def _run(program, params, version, backend, runs=1):
     """Run ``runs`` times from the canonical reset state; return the
     final RunResult."""
@@ -108,8 +95,8 @@ def _assert_same(ref_machine, got_machine, ref_elapsed, got_elapsed, label):
 )
 def test_warm_rerun_property_bit_exact(n_pes, name, version, queue_slots):
     """For any (n_pes, workload, version, queue capacity): the batched
-    backend — cold, and warm reruns 2 and 3 served by memo replays —
-    must leave the machine bit-identical to the reference interpreter."""
+    backend — cold, and warm reruns 2 and 3 from the reset state — must
+    leave the machine bit-identical to the reference interpreter."""
     params = t3d(n_pes=n_pes, cache_bytes=2048,
                  prefetch_queue_slots=queue_slots)
     program = _build(name, version, params)
@@ -120,31 +107,6 @@ def test_warm_rerun_property_bit_exact(n_pes, name, version, queue_slots):
         _assert_same(ref_res.machine, bat_res.machine,
                      ref_res.elapsed, bat_res.elapsed,
                      f"batched run {runs}")
-
-
-def test_warm_rerun_replays_memos_exactly():
-    """A warm rerun of MXM CCDP is served by chunk-memo replays, every
-    preamble hits its memo (the memo does not grow on run 3), and the
-    final state stays bit-identical to the reference."""
-    params = t3d(n_pes=8, cache_bytes=2048)
-    program = _build("mxm", Version.CCDP, params)
-    ref_res = _run(program, params, Version.CCDP, "reference")
-
-    cfg = ExecutionConfig.for_version(Version.CCDP, backend="batched")
-    interp = make_interpreter(program, params, cfg)
-    calls = _spy_memo_replays(interp)
-    interp.run()
-    for run in (2, 3):
-        preambles = len(interp._preamble_memo)
-        plancache._reset(interp, cfg)
-        result = interp.run()
-        _assert_same(ref_res.machine, result.machine,
-                     ref_res.elapsed, result.elapsed, f"warm run {run}")
-    assert calls[0] > 0, "chunk-memo replay never engaged"
-    assert interp._preamble_memo, "preamble memo never recorded"
-    assert len(interp._preamble_memo) == preambles, (
-        "a warm preamble missed its memo")
-    assert result.plane_chunks == 0 and result.plane_refs == 0
 
 
 def test_warm_rerun_tracer_counts_exact():
@@ -163,8 +125,8 @@ def test_warm_rerun_tracer_counts_exact():
         interp.run()
         for _ in range(runs - 1):
             # The reset restores machine state but not the tracer, whose
-            # counts span runs by design — clear so the final (replay)
-            # run's totals are compared on their own.
+            # counts span runs by design — clear so the final run's
+            # totals are compared on their own.
             plancache._reset(interp, cfg)
             tracer.counts.clear()
             interp.run()
@@ -174,10 +136,9 @@ def test_warm_rerun_tracer_counts_exact():
 
 
 def test_warm_rerun_survives_tracer_mode_switch():
-    """Alternating untraced and traced warm runs on one interpreter:
-    chunk-memo outcomes carry their event counts whichever mode recorded
-    them, and preamble memo keys include the tracer mode, so every
-    traced run sees the reference totals."""
+    """Alternating untraced and traced warm runs on one interpreter: the
+    reset retargets the tracer, so every traced run sees the reference
+    totals and every run stays bit-exact."""
     params = t3d(n_pes=8, cache_bytes=2048)
     program = _build("mxm", Version.CCDP, params)
 
@@ -188,11 +149,10 @@ def test_warm_rerun_survives_tracer_mode_switch():
 
     cfg_off = ExecutionConfig.for_version(Version.CCDP, backend="batched")
     interp = make_interpreter(program, params, cfg_off)
-    calls = _spy_memo_replays(interp)
     interp.run()
     plancache._reset(interp, cfg_off)
-    interp.run()  # untraced outcomes recorded and replayed
-    for _ in range(2):  # traced: first records its own outcomes, then replays
+    interp.run()
+    for _ in range(2):
         tracer = Tracer(sample=0)
         cfg_on = ExecutionConfig.for_version(
             Version.CCDP, backend="batched", tracer=tracer)
@@ -201,7 +161,6 @@ def test_warm_rerun_survives_tracer_mode_switch():
         assert dict(tracer.counts) == dict(truth.counts)
         _assert_same(ref_res.machine, result.machine,
                      ref_res.elapsed, result.elapsed, "traced warm run")
-    assert calls[0] > 0, "chunk-memo replay never engaged"
     # ... and flipping back must still be exact.
     plancache._reset(interp, cfg_off)
     result = interp.run()
@@ -209,10 +168,9 @@ def test_warm_rerun_survives_tracer_mode_switch():
                  ref_res.elapsed, result.elapsed, "untraced warm run")
 
 
-def test_memos_stand_down_under_oracle_and_still_exact():
-    """The oracle observes per-reference effects, so neither memo may
-    record or replay under it — and the run must stay exact and
-    oracle-clean, warm rerun included."""
+def test_warm_rerun_under_oracle_exact_and_clean():
+    """Under the oracle every chunk takes the exact reference path; a
+    rerun of the same interpreter must stay exact and oracle-clean."""
     params = t3d(n_pes=4, cache_bytes=2048)
     program = _build("mxm", Version.CCDP, params)
     ref_res = _run(program, params, Version.CCDP, "reference")
@@ -220,12 +178,9 @@ def test_memos_stand_down_under_oracle_and_still_exact():
     cfg = ExecutionConfig.for_version(Version.CCDP, backend="batched",
                                       oracle=True)
     interp = make_interpreter(program, params, cfg)
-    calls = _spy_memo_replays(interp)
     interp.run()
     plancache._reset(interp, cfg)
     result = interp.run()
-    assert calls[0] == 0
-    assert not interp._chunk_memo and not interp._preamble_memo
     assert result.oracle is not None
     assert not result.oracle.violations, result.oracle.summary()
     _assert_same(ref_res.machine, result.machine,
