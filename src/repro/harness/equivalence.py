@@ -180,6 +180,47 @@ def _diff_stats(machine_a, machine_b, out: List[str]) -> None:
         if pa.vectors.issued != pb.vectors.issued:
             out.append(f"pe{pe}.vectors.issued: {pa.vectors.issued} != "
                        f"{pb.vectors.issued}")
+    _diff_protocol(machine_a, machine_b, out)
+
+
+def _diff_protocol(machine_a, machine_b, out: List[str]) -> None:
+    """Diff the hardware-protocol internals: every PE's line states
+    (reconciled, so a copy lost behind the table's back reads as I),
+    holder sets, phase, the snooping bus and the directory."""
+    pa, pb = machine_a.protocol, machine_b.protocol
+    if pa is None:
+        return
+
+    def first_diff(name: str, da: dict, db: dict) -> None:
+        if da != db:
+            key = min(k for k in da.keys() | db.keys()
+                      if da.get(k) != db.get(k))
+            out.append(f"protocol.{name}[{key}]: {da.get(key)} != "
+                       f"{db.get(key)}")
+
+    for pe in range(pa.n_pes):
+        live = []
+        for proto in (pa, pb):
+            states = {line: proto.state(pe, line)
+                      for line in list(proto.states[pe])}
+            live.append({k: v for k, v in states.items() if v != "I"})
+        first_diff(f"pe{pe}.states", *live)
+    first_diff("holders", pa.holders, pb.holders)
+    if pa.phase != pb.phase:
+        out.append(f"protocol.phase: {pa.phase} != {pb.phase}")
+    if hasattr(pa, "bus"):
+        for attr in ("free_at", "transactions", "busy_cycles",
+                     "stall_cycles"):
+            va, vb = getattr(pa.bus, attr), getattr(pb.bus, attr)
+            if va != vb:
+                out.append(f"protocol.bus.{attr}: {va} != {vb}")
+    if hasattr(pa, "entries"):
+        first_diff("entries", *(
+            {line: (sorted(e.sharers), e.dirty, e.owner, e.bcast)
+             for line, e in proto.entries.items()} for proto in (pa, pb)))
+        first_diff("home_of", pa.home_of, pb.home_of)
+        if pa.free_at != pb.free_at:
+            out.append(f"protocol.free_at: {pa.free_at} != {pb.free_at}")
 
 
 def _diff_traces(tracer_ref, tracer_bat, out: List[str]) -> int:

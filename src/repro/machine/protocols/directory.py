@@ -41,7 +41,7 @@ Variants:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Set
+from typing import Dict, List, Optional, Set
 
 from .base import CoherenceProtocol
 
@@ -72,6 +72,8 @@ class DirectoryProtocol(CoherenceProtocol):
         self.home_of: Dict[int, int] = {}
         #: per-home controller occupancy horizon (machine cycles).
         self.free_at = [0.0] * self.n_pes
+        #: per-sender rows of :meth:`_msg` costs, each built on first use.
+        self._msg_rows: List[Optional[List[float]]] = [None] * self.n_pes
 
     # -- directory mechanics --------------------------------------------
     def _entry(self, line_addr: int) -> DirEntry:
@@ -81,8 +83,14 @@ class DirectoryProtocol(CoherenceProtocol):
         return entry
 
     def _msg(self, p: int, q: int) -> float:
-        return (self.params.dir_msg_base
-                + self.params.remote_per_hop * self.machine.torus.hops(p, q))
+        row = self._msg_rows[p]
+        if row is None:
+            base = self.params.dir_msg_base
+            per_hop = self.params.remote_per_hop
+            hops = self.machine.torus.hops
+            row = self._msg_rows[p] = [base + per_hop * hops(p, r)
+                                       for r in range(self.n_pes)]
+        return row[q]
 
     def _home_grant(self, home: int, clock: float):
         """(stall, bypass) of one request at the home controller."""
@@ -162,7 +170,7 @@ class DirectoryProtocol(CoherenceProtocol):
         state = self._state(pe_id, line_addr)
         if state == "M":
             # Owner write: directory-silent, like a MESI M hit.
-            return params.write_local
+            return self.owner_write_cost()
         home = self.home_of.setdefault(line_addr, owner)
         entry = self._entry(line_addr)
         stall, bypass = self._home_grant(home, pe.clock)

@@ -52,6 +52,18 @@ bit-exactly).  The scan flags the one inexpressible case — a
 write-through into a line ghosted by an in-chunk invalidation — as a
 hazard, falling back before anything is mutated.
 
+Chunks under a hardware coherence protocol (MESI, directory) keep the
+value pass and swap the timing pass for :meth:`_protocol_timing_pass`:
+one warm classification decides every hit and miss, hits and the
+writes the protocol declares silent (line already in M) are charged in
+bulk, and only the real transactions are walked, in program order,
+through the protocol's own ``read_miss``/``write`` with the PE clock
+set to each one's exact pre-event value.  This is exact because a DOALL
+epoch runs PE by PE: while one PE's chunk runs, no other PE touches the
+state tables, the bus or the home horizons.  Small chunks do the same
+in one Python pass over their events.  Traced runs and chunks with
+prefetch or vector state fall back.
+
 Chunks containing ``PrefetchVector``/``InvalidateLines`` statements,
 ``If``s, calls or nested loops are never planned; they run on the
 reference path unchanged.
@@ -69,10 +81,11 @@ from ..analysis.affine import AffineForm, affine_ref
 from ..ir.expr import (ArrayRef, BinOp, Expr, FloatConst, IntConst,
                        IntrinsicCall, RefMode, SymConst, UnaryOp, VarRef)
 from ..ir.stmt import Assign, Loop, LoopKind, PrefetchLine, Stmt
-from ..machine.batchops import (OUT_HIT, RE_COST, RE_PF, RE_READ, RE_WRITE,
-                                REC_EXTRACT, REC_HIT, REC_KILL_FLAG, REC_MISS,
-                                REC_NONE, REC_PF_COALESCE, REC_PF_ISSUE,
-                                STALL_VECTOR, bulk_fill_lines,
+from ..machine.batchops import (INSTALL, OUT_HIT, RE_COST, RE_PF, RE_READ,
+                                RE_WRITE, READ, REC_EXTRACT, REC_HIT,
+                                REC_KILL_FLAG, REC_MISS, REC_NONE,
+                                REC_PF_COALESCE, REC_PF_ISSUE, STALL_VECTOR,
+                                WRITE, bulk_fill_lines, classify_events,
                                 read_latency_table, replay_chunk, stale_lines,
                                 uncached_read_latency_table,
                                 write_latency_table)
@@ -81,6 +94,10 @@ from .interp import Interpreter
 
 #: Minimum chunk size (iterations x memory events) worth the bind overhead.
 MIN_BATCH_EVENTS = 16
+
+#: Protocol chunks below this many events skip the NumPy classification:
+#: one Python pass over their events costs less than its fixed overhead.
+PROTOCOL_SCAN_EVENTS = 512
 
 
 def _seq_div(a, b):
@@ -226,7 +243,8 @@ class _Plan:
                  "const_per_iter", "n_events", "env_vars",
                  "touches_shared_cache", "const_before", "tail_const",
                  "assigned", "vec_stmts", "reg_ops", "alias_pairs",
-                 "bind_groups", "event_kinds", "seq_fn")
+                 "bind_groups", "event_kinds", "seq_fn", "protocol_bulk",
+                 "protocol_rows")
 
     def __init__(self, var: str, registers: dict, final_clear: bool,
                  value_fns: list, slots: List[_Slot],
@@ -284,6 +302,11 @@ class _Plan:
             s.shared and (s.role == "pf" or (s.cacheable
                                              and s.role in ("cr", "w")))
             for s in slots)
+        # Under a hardware protocol only cached reads and cacheable writes
+        # have a bulk timing pass (see _protocol_timing_pass).
+        self.protocol_bulk = all(
+            s.role == "cr" or (s.role == "w" and s.cacheable) for s in slots)
+        self.protocol_rows = None  # per-slot constants, built on first use
         # Every machine-event kind a chunk of this plan could emit (a
         # conservative superset): the batched backend checks it against
         # the tracer's sampling to pick full synthesis vs counts-only.
@@ -341,6 +364,7 @@ class BatchedInterpreter(Interpreter):
         self._doall_plans: Dict[int, Optional[_Plan]] = {}
         self._fused_plans: Dict[int, Optional[tuple]] = {}
         self._lat: Dict[tuple, np.ndarray] = {}
+        self._owners: Optional[np.ndarray] = None
         #: chunks serviced in bulk / chunks that fell back at bind time
         self.batch_chunks = 0
         self.batch_fallbacks = 0
@@ -357,6 +381,10 @@ class BatchedInterpreter(Interpreter):
         #: bulk busy-cycle summation (the clock itself is scanned exactly)
         self._replay_costs_ok = _integral(p.prefetch_issue, p.dtb_setup,
                                           p.prefetch_extract)
+        #: protocol chunks set each transaction's start clock from integral
+        #: partial sums, so bus and directory costs must be integral too
+        self._protocol_costs_ok = _integral(p.bus_cycle, p.dir_msg_base,
+                                            p.dir_proc)
     # ------------------------------------------------------------------
     # integration points
     # ------------------------------------------------------------------
@@ -1379,12 +1407,14 @@ class BatchedInterpreter(Interpreter):
         machine = self.machine
         if machine.race_check or machine.trace_enabled:
             return "trace_or_race"
-        if machine.protocol is not None:
-            # Hardware-protocol versions: every access mutates the
-            # protocol's line-state machine (and the bus/home horizons),
-            # which is defined over the reference event order.  Route
-            # the chunk to the exact reference closures so interconnect
-            # stats stay exact.
+        if machine.protocol is not None and (
+                machine.tracer is not None or not plan.protocol_bulk
+                or not self._protocol_costs_ok or pe_obj.queue.entries
+                or pe_obj.dropped_lines or self._inflight(pe_obj)):
+            # Outside the protocol timing pass: traced runs (it emits no
+            # events), prefetch or uncached slots, leftover prefetch or
+            # vector state, fractional bus/directory costs.  Those
+            # chunks take the exact reference closures.
             return "protocol"
         if machine.faults is not None or machine.oracle is not None:
             # Fault injection and the oracle are defined over the reference
@@ -1629,9 +1659,7 @@ class BatchedInterpreter(Interpreter):
             if record is not None:
                 dtbF = np.zeros(kindF.shape[0], dtype=bool)
                 dtbF[pf_pos[dtb]] = True
-        pre = np.tile(plan.const_before, (Tt, 1))
-        if Tt > 1:
-            pre[1:, 0] += plan.tail_const
+        pre, _ = self._pre_offsets(plan, Tt, None)
         outcome = replay_chunk(
             kindF, pre.ravel(), costF, line.ravel(), miss.ravel(),
             unc.ravel(), loc.ravel(), shr.ravel(), fill.ravel(), homeF,
@@ -1649,8 +1677,6 @@ class BatchedInterpreter(Interpreter):
                        flats: List[np.ndarray], outcome, dtb_count: int,
                        new_last, record=None, dtbF=None) -> None:
         """Apply one hazard-free replay outcome to the live machine."""
-        params = self.params
-        memory = self.machine.memory
         st = pe_obj.stats
         n_reads = len(plan.cached_idx) + len(plan.uncached_idx)
         n_writes = len(plan.write_idx)
@@ -1706,22 +1732,7 @@ class BatchedInterpreter(Interpreter):
         pe_obj.dropped_lines = outcome.dropped
         if new_last is not None:
             pe_obj.last_prefetch_pe = new_last
-        lw = params.line_words
-        shared_lines: List[np.ndarray] = []
-        for i in plan.cached_idx + plan.write_idx:
-            slot = plan.slots[i]
-            if not slot.cacheable:
-                continue
-            lines = (slot.base + flats[i]) // lw
-            if slot.shared:
-                shared_lines.append(lines)
-            else:
-                self._fill_private_lines(cache, lines, slot.base, slot.array,
-                                         pe)
-        if shared_lines:
-            cat = np.concatenate(shared_lines)
-            bulk_fill_lines(cache, np.flatnonzero(np.bincount(cat)),
-                            memory.values_flat, memory.versions_flat)
+        self._refill_touched(plan, cache, pe, flats, {})
         # Ghost sets (invalidated, tag already -1) keep data frozen at
         # invalidation time; hazard-free means no later write dirtied the
         # line, so refilling from final memory reproduces it exactly.
@@ -1887,8 +1898,11 @@ class BatchedInterpreter(Interpreter):
         overheads + arithmetic); ``row_extra`` optionally adds per-iteration
         constants at iteration granularity (fused chunks); ``transfers`` are
         the PE's vector transfers still in flight at chunk start."""
+        if self.machine.protocol is not None:
+            self._protocol_timing_pass(plan, pe_obj, pe, Tt, flats,
+                                       const_total, row_extra)
+            return
         params = self.params
-        memory = self.machine.memory
         ch = float(params.cache_hit)
         n_slots = plan.n_events
         # Dense (Tt, n_slots) per-event cost matrix: every slot of a
@@ -2019,19 +2033,26 @@ class BatchedInterpreter(Interpreter):
         cache = pe_obj.cache
         if cls is not None and len(cls.changed_sets):
             cache.tags[cls.changed_sets] = cls.changed_lines
+        self._refill_touched(plan, cache, pe, flats, line_cache)
+
+    def _refill_touched(self, plan: _Plan, cache, pe: int,
+                        flats: List[np.ndarray], line_cache: dict) -> None:
+        """Refill every still-resident line the chunk's cacheable reads and
+        writes touched from final memory.  ``line_cache`` maps
+        ``(base, id(flat vector))`` to line vectors already computed."""
+        memory = self.machine.memory
+        lw = cache.line_words
         shared_lines: List[np.ndarray] = []
         seen_lines: Set[int] = set()
-        for i in cidx + plan.write_idx:
+        for i in plan.cached_idx + plan.write_idx:
             slot = plan.slots[i]
             if not slot.cacheable:
                 continue
-            lines = line_cols[i]
+            lkey = (slot.base, id(flats[i]))
+            lines = line_cache.get(lkey)
             if lines is None:
-                lkey = (slot.base, id(flats[i]))
-                lines = line_cache.get(lkey)
-                if lines is None:
-                    lines = (slot.base + flats[i]) // lw
-                    line_cache[lkey] = lines
+                lines = (slot.base + flats[i]) // lw
+                line_cache[lkey] = lines
             if slot.shared:
                 if id(lines) not in seen_lines:
                     seen_lines.add(id(lines))
@@ -2044,6 +2065,205 @@ class BatchedInterpreter(Interpreter):
             lines = np.flatnonzero(np.bincount(cat))  # sorted unique
             bulk_fill_lines(cache, lines, memory.values_flat,
                             memory.versions_flat)
+
+    def _pre_offsets(self, plan: _Plan, Tt: int, row_extra):
+        """``(pre, tail)``: the constant cycles charged just before each
+        event of a ``(Tt, n_slots)`` chunk (loop overhead and arithmetic;
+        ``row_extra`` adds a fused chunk's outer-loop overheads) and the
+        constant charged after the last event."""
+        pre = np.empty((Tt, plan.n_events), dtype=np.float64)
+        pre[:] = plan.const_before
+        tail = plan.tail_const
+        if Tt > 1:
+            pre[1:, 0] += tail
+        if row_extra is not None:
+            extra_rows, tail_extra = row_extra
+            pre[:, 0] += extra_rows
+            tail = tail + tail_extra
+        return pre, tail
+
+    def _protocol_timing_pass(self, plan: _Plan, pe_obj, pe: int, Tt: int,
+                              flats: List[np.ndarray], const_total: float,
+                              row_extra) -> None:
+        """:meth:`_timing_pass` for a chunk under a hardware protocol.
+
+        One warm classification over the chunk's events in program order
+        (cached reads READ; cacheable shared writes INSTALL, since a write
+        in state I allocates; private writes WRITE) decides every hit and
+        miss.  Hits, private misses and private writes are charged in
+        bulk, and so are the writes the protocol declares silent (the
+        line is already in M).  Every other shared miss and write is a
+        real transaction: the walk calls the protocol's own ``read_miss``
+        / ``write`` for it, in program order, with the PE clock and the
+        event's cache set restored to their exact pre-event values.  Only
+        this PE acts until the chunk ends, so no other PE's table, the
+        bus or the home horizons can move between two walked events."""
+        params = self.params
+        proto = self.machine.protocol
+        cache = pe_obj.cache
+        n_slots = plan.n_events
+        rows = plan.protocol_rows
+        if rows is None:
+            rows = plan.protocol_rows = self._protocol_rows(plan)
+        base_row, kind_row, shared_row, ev_row, names, extras = rows
+        flat = np.stack(flats, axis=1)
+        addr = (flat + base_row).ravel()
+        lines = addr // params.line_words
+        if Tt * n_slots < PROTOCOL_SCAN_EVENTS:
+            self._protocol_scan(plan, pe_obj, pe, Tt, flats, flat, addr,
+                                lines, row_extra)
+            return
+        kinds = np.broadcast_to(kind_row, (Tt, n_slots)).ravel()
+        tags = cache.tags
+        tags0 = tags.copy()
+        cls = classify_events(lines, kinds, cache.n_lines, tags0,
+                              with_before=True)
+        shared = np.broadcast_to(shared_row, (Tt, n_slots)).ravel()
+        hit = cls.outcomes == OUT_HIT  # reads only
+        miss = (kinds == READ) & ~hit
+        swrite = kinds == INSTALL
+        silent = proto.silent_writes(pe, lines, swrite,
+                                     miss | (swrite & ~cls.present),
+                                     cls.present, cache.n_lines)
+        # Static per-event cycles; walked events cost 0 until walked.
+        ev = np.where(hit, float(params.cache_hit),
+                      np.broadcast_to(ev_row, (Tt, n_slots)).ravel())
+        ev[silent] = float(proto.owner_write_cost())
+        pre, _ = self._pre_offsets(plan, Tt, row_extra)
+        C = np.cumsum(pre.ravel() + ev)
+        home = self._addr_owners()[addr]  # -1 for private data
+        walk = np.flatnonzero((miss & shared) | (swrite & ~silent))
+        clock0 = pe_obj.clock
+        dyn = 0.0  # cycles of the transactions walked so far
+        if walk.size:
+            nl = cache.n_lines
+            read_miss = proto.read_miss
+            write = proto.write
+            for d, si, line, before, f, h in zip(
+                    C[walk].tolist(), (walk % n_slots).tolist(),
+                    lines[walk].tolist(), cls.before[walk].tolist(),
+                    flat.ravel()[walk].tolist(), home[walk].tolist()):
+                tags[line % nl] = before
+                pe_obj.clock = clock0 + (d + dyn)
+                extra = extras[si]
+                if extra is None:
+                    dyn += write(pe, names[si], f, line, h)
+                else:
+                    dyn += read_miss(pe, names[si], f, line, h) + extra
+        n_reads = len(plan.cached_idx)
+        n_writes = len(plan.write_idx)
+        hits = int(np.count_nonzero(hit))
+        misses = Tt * n_reads - hits
+        lf = int(np.count_nonzero(miss & ((home == pe) | (home < 0))))
+        total = const_total + float(ev.sum()) + dyn
+        pe_obj.stats.add_bulk(
+            reads=Tt * n_reads, writes=Tt * n_writes, cache_hits=hits,
+            cache_misses=misses, local_fills=lf, remote_fills=misses - lf,
+            busy_cycles=total)
+        self.batch_refs += Tt * (n_reads + n_writes)
+        pe_obj.clock = clock0 + total
+        # The walk moved tags through intermediate states (and the
+        # protocol's write-allocate installs); commit the final ones.
+        tags[:] = tags0
+        if len(cls.changed_sets):
+            tags[cls.changed_sets] = cls.changed_lines
+        self._refill_touched(plan, cache, pe, flats, {})
+
+    def _protocol_scan(self, plan: _Plan, pe_obj, pe: int, Tt: int,
+                       flats: List[np.ndarray], flat: np.ndarray,
+                       addr: np.ndarray, lines: np.ndarray,
+                       row_extra) -> None:
+        """Small-chunk form of :meth:`_protocol_timing_pass`: one Python
+        pass over every event against a list copy of the tags.  Every
+        shared miss and write goes to the protocol, which itself answers
+        the silent owner writes; the rest is charged inline."""
+        params = self.params
+        proto = self.machine.protocol
+        cache = pe_obj.cache
+        _, kind_row, _, ev_row, names, extras = plan.protocol_rows
+        kinds = kind_row.tolist()
+        costs = ev_row.tolist()
+        n_slots = plan.n_events
+        pre, tail = self._pre_offsets(plan, Tt, row_extra)
+        tags = cache.tags
+        tl = tags.tolist()
+        nl = cache.n_lines
+        ch = float(params.cache_hit)
+        read_miss = proto.read_miss
+        write = proto.write
+        clock0 = pe_obj.clock
+        off = 0.0  # cycles since the chunk began
+        hits = lf = 0
+        for si, p, f, line, h in zip(
+                list(range(n_slots)) * Tt, pre.ravel().tolist(),
+                flat.ravel().tolist(), lines.tolist(),
+                self._addr_owners()[addr].tolist()):
+            off += p
+            s = line % nl
+            kind = kinds[si]
+            if kind == READ:
+                if tl[s] == line:
+                    off += ch
+                    hits += 1
+                    continue
+                if h < 0:  # private: a local fill
+                    lf += 1
+                    off += costs[si]
+                else:
+                    lf += h == pe
+                    tags[s] = tl[s]
+                    pe_obj.clock = clock0 + off
+                    off += read_miss(pe, names[si], f, line, h) + extras[si]
+                tl[s] = line
+            elif kind == INSTALL:
+                tags[s] = tl[s]
+                pe_obj.clock = clock0 + off
+                off += write(pe, names[si], f, line, h)
+                tl[s] = line
+            else:
+                off += costs[si]
+        n_reads = len(plan.cached_idx)
+        n_writes = len(plan.write_idx)
+        misses = Tt * n_reads - hits
+        total = off + tail
+        pe_obj.stats.add_bulk(
+            reads=Tt * n_reads, writes=Tt * n_writes, cache_hits=hits,
+            cache_misses=misses, local_fills=lf, remote_fills=misses - lf,
+            busy_cycles=total)
+        self.batch_refs += Tt * (n_reads + n_writes)
+        pe_obj.clock = clock0 + total
+        tags[:] = tl
+        self._refill_touched(plan, cache, pe, flats, {})
+
+    def _protocol_rows(self, plan: _Plan) -> tuple:
+        """Per-slot constants of :meth:`_protocol_timing_pass`: word-address
+        bases, classification kinds, shared flags, the static cost of a
+        miss or write (0 where the protocol prices it), array names, and
+        the CRAFT extra of each read (None for writes)."""
+        p = self.params
+        slots = plan.slots
+        return (
+            np.array([s.base for s in slots], dtype=np.int64),
+            np.array([READ if s.role == "cr" else INSTALL if s.shared
+                      else WRITE for s in slots], dtype=np.int8),
+            np.array([s.shared for s in slots], dtype=bool),
+            np.array([0.0 if s.shared else float(
+                p.local_mem if s.role == "cr" else p.write_local)
+                for s in slots], dtype=np.float64),
+            [s.array for s in slots],
+            [s.extra if s.role == "cr" else None for s in slots])
+
+    def _addr_owners(self) -> np.ndarray:
+        """Home PE of every global word address; -1 outside shared arrays."""
+        if self._owners is None:
+            amap = self.machine.addr_map
+            owners = np.full(amap.total_words, -1, dtype=np.int16)
+            for name, decl in amap.decls.items():
+                if decl.is_shared:
+                    base = amap.base(name)
+                    owners[base:base + decl.size] = amap.owner_table(name)
+            self._owners = owners
+        return self._owners
 
     def _synth_timing_events(self, plan: _Plan, pe: int, Tt: int,
                              flats: List[np.ndarray], hit_cols, eq_cols,
@@ -2150,15 +2370,7 @@ class BatchedInterpreter(Interpreter):
                 masks.append([t, cov_idx, None])
         if not masks:
             return clock0 + total, []
-        pre = np.empty((Tt, n_slots), dtype=np.float64)
-        pre[:] = plan.const_before
-        tail = plan.tail_const
-        if Tt > 1:
-            pre[1:, 0] += tail
-        if row_extra is not None:
-            extra_rows, tail_extra = row_extra
-            pre[:, 0] += extra_rows
-            tail = tail + tail_extra
+        pre, tail = self._pre_offsets(plan, Tt, row_extra)
         ev_f = ev.ravel()
         C = np.cumsum(pre.ravel() + ev_f)
         D = C - ev_f  # clock offset just before each event's own cost

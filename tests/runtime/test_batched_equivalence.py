@@ -9,17 +9,23 @@ and array contents *exactly* — no tolerances anywhere.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.ir as ir
+from repro.faults import parse_fault_plan
 from repro.harness.equivalence import check_workload, compare_backends
 from repro.machine.params import t3d
 from repro.runtime import ExecutionConfig, Version, run_program
+from repro.runtime import batched
 from repro.runtime.batched import BatchedInterpreter
 from repro.runtime.interp import make_interpreter
+from repro.verify.gen import generate_with_choices
 
 SIZES = {"mxm": 12, "vpenta": 8, "tomcatv": 10, "swim": 10}
+#: Protocol-matrix sizes: TOMCATV needs n=20 to keep 16-PE chunks above
+#: the batch threshold (at n=10 most of them are tiny and skipped).
+PROTOCOL_SIZES = {"mxm": 12, "vpenta": 8, "tomcatv": 20, "swim": 10}
 
 
 @pytest.mark.parametrize("name", sorted(SIZES))
@@ -229,3 +235,60 @@ def test_plan_cache_hit_byte_identical(name, version):
         run_program(program, params, version, backend="batched"))
     assert progcache.COUNTERS.get("plan_hits", 0) == hits_before + 1
     assert warm == cold, f"warm run diverged from cold ({name}/{version})"
+
+
+@pytest.mark.parametrize("n_pes", [2, 4, 16])
+@pytest.mark.parametrize("version", Version.PROTOCOL)
+@pytest.mark.parametrize("name", sorted(PROTOCOL_SIZES))
+def test_protocol_bit_exact(name, version, n_pes):
+    """Hardware-protocol chunks run the bulk protocol timing pass when
+    untraced and oracle-free: every line state, holder set, bus and
+    directory horizon must match the reference, nearly every reference
+    must be bulk-served, and no chunk may fall back at run time.  The
+    256-byte cache forces dirty victims (``coh_wb evict``)."""
+    params = t3d(n_pes, cache_bytes=256)
+    report = check_workload(name, params, version, n=PROTOCOL_SIZES[name])
+    assert report.exact, report.summary()
+    assert report.coverage >= 0.9, report.coverage
+    assert report.batch_fallbacks == 0
+    assert report.stats_batched["writebacks"] > 0
+
+
+@pytest.mark.parametrize("version", [Version.MESI, Version.DIR])
+@pytest.mark.parametrize("name", sorted(PROTOCOL_SIZES))
+def test_protocol_classified_path_bit_exact(name, version, monkeypatch):
+    """Every protocol chunk through the NumPy classification and the
+    transaction walk (no small-chunk scan), at 16 PEs where chunks are
+    smallest and the owner-write runs shortest."""
+    monkeypatch.setattr(batched, "PROTOCOL_SCAN_EVENTS", 0)
+    params = t3d(16, cache_bytes=256)
+    report = check_workload(name, params, version, n=PROTOCOL_SIZES[name])
+    assert report.exact, report.summary()
+    assert report.batch_fallbacks == 0
+
+
+@pytest.mark.parametrize("version", [Version.MESI, Version.DIR])
+@pytest.mark.parametrize("mode", ["traced", "oracle", "faulted"])
+def test_protocol_fallbacks_stay_exact(mode, version):
+    """Traced, oracle-checked and fault-injected protocol runs keep the
+    reference path for every chunk, and stay exact doing so."""
+    extra = {"traced": {"trace": True}, "oracle": {"oracle": True},
+             "faulted": {"fault_plan": parse_fault_plan("light", seed=3)}}
+    params = t3d(4, cache_bytes=256)
+    report = check_workload("mxm", params, version, n=12, **extra[mode])
+    assert report.exact, report.summary()
+    assert report.batch_chunks == 0
+    assert report.batch_fallbacks > 0
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_generated_programs_protocol_bit_exact(seed):
+    """Differential property over generated programs: batched vs
+    reference under MESI and the directory, untraced, protocol internals
+    included in the diff."""
+    program, choices = generate_with_choices(seed)
+    for version in (Version.MESI, Version.DIR):
+        report = compare_backends(program, t3d(4, cache_bytes=256), version)
+        assert report.exact, f"{choices.describe()}: {report.summary()}"
