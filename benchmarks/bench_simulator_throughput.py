@@ -56,14 +56,14 @@ CELL_SPEEDUP_FLOORS = {
     "vpenta_base": 0.79,   # median 1.59x
     "vpenta_ccdp": 0.83,   # median 1.67x
     "vpenta_seq": 0.88,    # median 1.77x
-    # Hardware-protocol cells (bulk protocol timing pass): 0.5x the
-    # median of three cold runs of this test on the same container.
-    "mxm_mesi": 2.85,      # median 5.69x
-    "mxm_dir": 3.19,       # median 6.38x
-    "swim_mesi": 1.00,     # median 2.01x
+    # Hardware-protocol cells (protocol timing pass): 0.5x the median of
+    # ten cold runs of this test, each in a fresh process.
+    "mxm_mesi": 2.10,      # median 4.21x
+    "mxm_dir": 2.19,       # median 4.38x
+    "swim_mesi": 0.93,     # median 1.85x
     "swim_dir": 0.94,      # median 1.89x
-    "tomcatv_mesi": 0.73,  # median 1.46x
-    "tomcatv_dir": 0.73,   # median 1.46x
+    "tomcatv_mesi": 0.76,  # median 1.51x
+    "tomcatv_dir": 0.72,   # median 1.45x
     "vpenta_mesi": 0.78,   # median 1.56x
     "vpenta_dir": 0.78,    # median 1.56x
 }

@@ -61,29 +61,24 @@ class EventClassification:
     write-through update lands in the cache).  ``changed_sets`` lists the
     cache sets whose resident line after the trace differs from the initial
     state, with ``changed_lines`` the new resident line per such set (-1 for
-    invalidated-empty).  ``before[i]``, filled only on request, is the
-    line resident in event *i*'s set immediately before the event (-1
-    empty)."""
+    invalidated-empty)."""
 
     outcomes: np.ndarray       # int8 per event: OUT_HIT / OUT_MISS / OUT_NA
     present: np.ndarray        # bool per event: line resident before event
     changed_sets: np.ndarray   # int64, sets whose final resident line changed
     changed_lines: np.ndarray  # int64, final resident line per changed set
-    before: Optional[np.ndarray] = None  # int64 per event, if requested
 
 
 def classify_events(line_addrs: np.ndarray,
                     kinds: Optional[np.ndarray],
                     n_lines: int,
-                    initial_tags: Optional[np.ndarray] = None,
-                    with_before: bool = False) -> EventClassification:
+                    initial_tags: Optional[np.ndarray] = None) -> EventClassification:
     """Replay ``(line_addrs, kinds)`` against a direct-mapped cache.
 
     ``kinds=None`` means all-READ.  ``initial_tags`` is the resident line per
     set before the trace (-1 empty); ``None`` means a cold cache.  READ misses
     and INSTALLs install their line; WRITEs never install (write-through,
     no-allocate); INVALIDATEs empty the set iff the named line is resident.
-    ``with_before`` also reports each event's pre-event resident line.
     """
     line_addrs = np.asarray(line_addrs, dtype=np.int64)
     n = line_addrs.shape[0]
@@ -97,8 +92,7 @@ def classify_events(line_addrs: np.ndarray,
     present = np.zeros(n, dtype=bool)
     empty = np.empty(0, dtype=np.int64)
     if n == 0:
-        return EventClassification(outcomes, present, empty, empty.copy(),
-                                   empty.copy() if with_before else None)
+        return EventClassification(outcomes, present, empty, empty.copy())
     sets = line_addrs % n_lines  # already int64 from the asarray above
     if initial_tags is None:
         init = np.full(n_lines, -1, dtype=np.int64)
@@ -130,13 +124,6 @@ def classify_events(line_addrs: np.ndarray,
         out_sorted = np.where(hit, np.int8(OUT_HIT), np.int8(OUT_MISS))
         outcomes[order] = out_sorted
         present[order] = hit
-        before_out = None
-        if with_before:
-            prev = np.empty(n, dtype=np.int64)
-            prev[1:] = sl[:-1]
-            prev[starts] = init[ss[starts]]
-            before_out = np.empty(n, dtype=np.int64)
-            before_out[order] = prev
         seg_last = np.empty(n, dtype=bool)
         seg_last[-1] = True
         seg_last[:-1] = seg_start[1:]
@@ -144,7 +131,7 @@ def classify_events(line_addrs: np.ndarray,
         fin = sl[seg_last]
         changed = fin != init[csets]
         return EventClassification(outcomes, present, csets[changed],
-                                   fin[changed], before_out)
+                                   fin[changed])
 
     sk = kinds[order]
     pos = np.arange(n, dtype=np.int64)
@@ -176,12 +163,6 @@ def classify_events(line_addrs: np.ndarray,
         prev_kill[1:] = last_kill[:-1]
         cleared = (prev_kill >= seg0) & (prev_kill > prev_inst)
         hit = hit & ~cleared
-        if with_before:
-            before = np.where(cleared, np.int64(-1), before)
-    before_out = None
-    if with_before:
-        before_out = np.empty(n, dtype=np.int64)
-        before_out[order] = before
 
     is_read = sk == READ
     out_sorted = np.full(n, OUT_NA, dtype=np.int8)
@@ -202,8 +183,7 @@ def classify_events(line_addrs: np.ndarray,
         killed = (lk >= seg0[seg_last]) & (lk > li)
         fin = np.where(killed, np.int64(-1), fin)
     changed = fin != init[csets]
-    return EventClassification(outcomes, present, csets[changed], fin[changed],
-                               before_out)
+    return EventClassification(outcomes, present, csets[changed], fin[changed])
 
 
 # -- prefetch replay scan engine ---------------------------------------------

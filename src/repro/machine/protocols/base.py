@@ -18,22 +18,11 @@ reconciles: :meth:`CoherenceProtocol._state` answers ``I`` and drops
 the stale table entry whenever the physical tag no longer matches.
 The inverse cannot happen — every physical install of a shared line
 under a protocol version goes through the protocol first.
-
-Bulk contract (the batched backend's protocol timing pass): every
-protocol here obeys two rules that let a chunk skip most calls.  A
-write by a PE that holds the line in ``M`` is *silent* — it changes no
-table, counter, horizon or event and costs :meth:`owner_write_cost`.
-Every cacheable write leaves the writer in ``M``, which it keeps until
-the line leaves its cache.  :meth:`silent_writes` states the two rules
-over a whole event stream; the bulk pass calls :meth:`read_miss` /
-:meth:`write` for every other shared miss and write, in program order.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
-
-import numpy as np
 
 
 class CoherenceProtocol:
@@ -135,67 +124,6 @@ class CoherenceProtocol:
         tracer = self.machine.tracer
         if tracer is not None:
             tracer.emit(("coh_inval", writer, line_addr, count))
-
-    # -- bulk contract ----------------------------------------------------
-    def owner_write_cost(self) -> float:
-        """Latency of a write to a line the writer holds in ``M``."""
-        return self.params.write_local
-
-    def silent_writes(self, pe_id: int, lines: np.ndarray,
-                      writes: np.ndarray, installs: np.ndarray,
-                      present: np.ndarray, n_lines: int) -> np.ndarray:
-        """Mask of the writes in one PE's event stream that find their
-        line in ``M``, so :meth:`write` would return at once.
-
-        ``lines`` are the events' line addresses in program order,
-        ``writes`` marks the cacheable shared writes, ``installs`` the
-        events that bring a line not yet resident into its set (read
-        misses of any array, writes whose line was absent) and
-        ``present`` whether each event's line was resident just before
-        it.  No other PE may act between the events.  A write finds
-        ``M`` when its line is resident and either an earlier write of
-        the stream hit the same residency or the line was already
-        resident in ``M`` before the stream began."""
-        n = lines.shape[0]
-        out = np.zeros(n, dtype=bool)
-        if not n or not writes.any():
-            return out
-        sets = lines % n_lines
-        order = np.argsort(sets, kind="stable")
-        ss = sets[order]
-        pos = np.arange(n, dtype=np.int64)
-        neg = np.int64(-1)
-        start = np.empty(n, dtype=bool)
-        start[0] = True
-        start[1:] = ss[1:] != ss[:-1]
-        seg0 = np.maximum.accumulate(np.where(start, pos, neg))
-
-        def last_before(mask: np.ndarray) -> np.ndarray:
-            """Position of the latest earlier ``mask`` event (any set)."""
-            last = np.maximum.accumulate(np.where(mask[order], pos, neg))
-            prev = np.empty(n, dtype=np.int64)
-            prev[0] = -1
-            prev[1:] = last[:-1]
-            return prev
-
-        prev_inst = last_before(installs)
-        prev_wr = last_before(writes)
-        # Inside one set, every cacheable write to another line is an
-        # install, so the writes since the residency began all hit it.
-        moved = prev_inst >= seg0
-        since = np.where(moved, prev_inst, seg0)
-        owned = writes[order] & present[order] & (prev_wr >= since)
-        # Resident since before the stream with no write yet: the
-        # table's current state decides (resident, so no reconcile).
-        ask = writes[order] & present[order] & ~moved & ~owned
-        if ask.any():
-            table = self.states[pe_id]
-            asked = lines[order][ask].tolist()
-            held = np.fromiter((table.get(line) == "M" for line in asked),
-                               dtype=bool, count=len(asked))
-            owned[np.flatnonzero(ask)[held]] = True
-        out[order] = owned
-        return out
 
     # -- hooks the machine calls ----------------------------------------
     def read_miss(self, pe_id: int, name: str, flat: int, line_addr: int,

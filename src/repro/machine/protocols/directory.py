@@ -170,7 +170,7 @@ class DirectoryProtocol(CoherenceProtocol):
         state = self._state(pe_id, line_addr)
         if state == "M":
             # Owner write: directory-silent, like a MESI M hit.
-            return self.owner_write_cost()
+            return params.write_local
         home = self.home_of.setdefault(line_addr, owner)
         entry = self._entry(line_addr)
         stall, bypass = self._home_grant(home, pe.clock)

@@ -82,7 +82,7 @@ class MESIProtocol(CoherenceProtocol):
         params = self.params
         state = self._state(pe_id, line_addr)
         if state == "M":
-            return self.owner_write_cost()
+            return params.write_local
         if state == "E":
             # Silent E→M upgrade: exclusivity means no bus transaction.
             self.states[pe_id][line_addr] = "M"

@@ -54,14 +54,12 @@ hazard, falling back before anything is mutated.
 
 Chunks under a hardware coherence protocol (MESI, directory) keep the
 value pass and swap the timing pass for :meth:`_protocol_timing_pass`:
-one warm classification decides every hit and miss, hits and the
-writes the protocol declares silent (line already in M) are charged in
-bulk, and only the real transactions are walked, in program order,
-through the protocol's own ``read_miss``/``write`` with the PE clock
-set to each one's exact pre-event value.  This is exact because a DOALL
-epoch runs PE by PE: while one PE's chunk runs, no other PE touches the
-state tables, the bus or the home horizons.  Small chunks do the same
-in one Python pass over their events.  Traced runs and chunks with
+one Python pass over the chunk's events in program order charges read
+hits and private accesses inline and hands every shared miss and write
+to the protocol's own ``read_miss``/``write``, with the PE clock set to
+the event's exact pre-event value.  This is exact because a DOALL epoch
+runs PE by PE: while one PE's chunk runs, no other PE touches the state
+tables, the bus or the home horizons.  Traced runs and chunks with
 prefetch or vector state fall back.
 
 Chunks containing ``PrefetchVector``/``InvalidateLines`` statements,
@@ -85,8 +83,8 @@ from ..machine.batchops import (INSTALL, OUT_HIT, RE_COST, RE_PF, RE_READ,
                                 RE_WRITE, READ, REC_EXTRACT, REC_HIT,
                                 REC_KILL_FLAG, REC_MISS, REC_NONE,
                                 REC_PF_COALESCE, REC_PF_ISSUE, STALL_VECTOR,
-                                WRITE, bulk_fill_lines, classify_events,
-                                read_latency_table, replay_chunk, stale_lines,
+                                WRITE, bulk_fill_lines, read_latency_table,
+                                replay_chunk, stale_lines,
                                 uncached_read_latency_table,
                                 write_latency_table)
 from ..machine.prefetchq import PrefetchEntry
@@ -94,10 +92,6 @@ from .interp import Interpreter
 
 #: Minimum chunk size (iterations x memory events) worth the bind overhead.
 MIN_BATCH_EVENTS = 16
-
-#: Protocol chunks below this many events skip the NumPy classification:
-#: one Python pass over their events costs less than its fixed overhead.
-PROTOCOL_SCAN_EVENTS = 512
 
 
 def _seq_div(a, b):
@@ -1900,7 +1894,7 @@ class BatchedInterpreter(Interpreter):
         the PE's vector transfers still in flight at chunk start."""
         if self.machine.protocol is not None:
             self._protocol_timing_pass(plan, pe_obj, pe, Tt, flats,
-                                       const_total, row_extra)
+                                       row_extra)
             return
         params = self.params
         ch = float(params.cache_hit)
@@ -2083,107 +2077,30 @@ class BatchedInterpreter(Interpreter):
         return pre, tail
 
     def _protocol_timing_pass(self, plan: _Plan, pe_obj, pe: int, Tt: int,
-                              flats: List[np.ndarray], const_total: float,
+                              flats: List[np.ndarray],
                               row_extra) -> None:
         """:meth:`_timing_pass` for a chunk under a hardware protocol.
 
-        One warm classification over the chunk's events in program order
-        (cached reads READ; cacheable shared writes INSTALL, since a write
-        in state I allocates; private writes WRITE) decides every hit and
-        miss.  Hits, private misses and private writes are charged in
-        bulk, and so are the writes the protocol declares silent (the
-        line is already in M).  Every other shared miss and write is a
-        real transaction: the walk calls the protocol's own ``read_miss``
-        / ``write`` for it, in program order, with the PE clock and the
-        event's cache set restored to their exact pre-event values.  Only
-        this PE acts until the chunk ends, so no other PE's table, the
-        bus or the home horizons can move between two walked events."""
+        One Python pass over the chunk's events in program order, against
+        a list copy of the tags.  Read hits, private misses and private
+        writes are charged inline.  Every shared read miss and every
+        cacheable shared write (a write in state I allocates) goes to the
+        protocol's own ``read_miss``/``write``, which also answers the
+        silent owner writes, with the PE clock and the event's cache set
+        restored to their exact pre-event values.  Only this PE acts until
+        the chunk ends, so no other PE's table, the bus or the home
+        horizons can move between two of its events."""
         params = self.params
         proto = self.machine.protocol
         cache = pe_obj.cache
-        n_slots = plan.n_events
         rows = plan.protocol_rows
         if rows is None:
             rows = plan.protocol_rows = self._protocol_rows(plan)
-        base_row, kind_row, shared_row, ev_row, names, extras = rows
+        base_row, kinds, costs, names, extras = rows
+        n_slots = plan.n_events
         flat = np.stack(flats, axis=1)
         addr = (flat + base_row).ravel()
         lines = addr // params.line_words
-        if Tt * n_slots < PROTOCOL_SCAN_EVENTS:
-            self._protocol_scan(plan, pe_obj, pe, Tt, flats, flat, addr,
-                                lines, row_extra)
-            return
-        kinds = np.broadcast_to(kind_row, (Tt, n_slots)).ravel()
-        tags = cache.tags
-        tags0 = tags.copy()
-        cls = classify_events(lines, kinds, cache.n_lines, tags0,
-                              with_before=True)
-        shared = np.broadcast_to(shared_row, (Tt, n_slots)).ravel()
-        hit = cls.outcomes == OUT_HIT  # reads only
-        miss = (kinds == READ) & ~hit
-        swrite = kinds == INSTALL
-        silent = proto.silent_writes(pe, lines, swrite,
-                                     miss | (swrite & ~cls.present),
-                                     cls.present, cache.n_lines)
-        # Static per-event cycles; walked events cost 0 until walked.
-        ev = np.where(hit, float(params.cache_hit),
-                      np.broadcast_to(ev_row, (Tt, n_slots)).ravel())
-        ev[silent] = float(proto.owner_write_cost())
-        pre, _ = self._pre_offsets(plan, Tt, row_extra)
-        C = np.cumsum(pre.ravel() + ev)
-        home = self._addr_owners()[addr]  # -1 for private data
-        walk = np.flatnonzero((miss & shared) | (swrite & ~silent))
-        clock0 = pe_obj.clock
-        dyn = 0.0  # cycles of the transactions walked so far
-        if walk.size:
-            nl = cache.n_lines
-            read_miss = proto.read_miss
-            write = proto.write
-            for d, si, line, before, f, h in zip(
-                    C[walk].tolist(), (walk % n_slots).tolist(),
-                    lines[walk].tolist(), cls.before[walk].tolist(),
-                    flat.ravel()[walk].tolist(), home[walk].tolist()):
-                tags[line % nl] = before
-                pe_obj.clock = clock0 + (d + dyn)
-                extra = extras[si]
-                if extra is None:
-                    dyn += write(pe, names[si], f, line, h)
-                else:
-                    dyn += read_miss(pe, names[si], f, line, h) + extra
-        n_reads = len(plan.cached_idx)
-        n_writes = len(plan.write_idx)
-        hits = int(np.count_nonzero(hit))
-        misses = Tt * n_reads - hits
-        lf = int(np.count_nonzero(miss & ((home == pe) | (home < 0))))
-        total = const_total + float(ev.sum()) + dyn
-        pe_obj.stats.add_bulk(
-            reads=Tt * n_reads, writes=Tt * n_writes, cache_hits=hits,
-            cache_misses=misses, local_fills=lf, remote_fills=misses - lf,
-            busy_cycles=total)
-        self.batch_refs += Tt * (n_reads + n_writes)
-        pe_obj.clock = clock0 + total
-        # The walk moved tags through intermediate states (and the
-        # protocol's write-allocate installs); commit the final ones.
-        tags[:] = tags0
-        if len(cls.changed_sets):
-            tags[cls.changed_sets] = cls.changed_lines
-        self._refill_touched(plan, cache, pe, flats, {})
-
-    def _protocol_scan(self, plan: _Plan, pe_obj, pe: int, Tt: int,
-                       flats: List[np.ndarray], flat: np.ndarray,
-                       addr: np.ndarray, lines: np.ndarray,
-                       row_extra) -> None:
-        """Small-chunk form of :meth:`_protocol_timing_pass`: one Python
-        pass over every event against a list copy of the tags.  Every
-        shared miss and write goes to the protocol, which itself answers
-        the silent owner writes; the rest is charged inline."""
-        params = self.params
-        proto = self.machine.protocol
-        cache = pe_obj.cache
-        _, kind_row, _, ev_row, names, extras = plan.protocol_rows
-        kinds = kind_row.tolist()
-        costs = ev_row.tolist()
-        n_slots = plan.n_events
         pre, tail = self._pre_offsets(plan, Tt, row_extra)
         tags = cache.tags
         tl = tags.tolist()
@@ -2237,19 +2154,19 @@ class BatchedInterpreter(Interpreter):
 
     def _protocol_rows(self, plan: _Plan) -> tuple:
         """Per-slot constants of :meth:`_protocol_timing_pass`: word-address
-        bases, classification kinds, shared flags, the static cost of a
-        miss or write (0 where the protocol prices it), array names, and
+        bases, event kinds (cached reads READ, cacheable shared writes
+        INSTALL, private writes WRITE), the static cost of a private miss
+        or write (0 where the protocol prices the event), array names, and
         the CRAFT extra of each read (None for writes)."""
         p = self.params
         slots = plan.slots
         return (
             np.array([s.base for s in slots], dtype=np.int64),
-            np.array([READ if s.role == "cr" else INSTALL if s.shared
-                      else WRITE for s in slots], dtype=np.int8),
-            np.array([s.shared for s in slots], dtype=bool),
-            np.array([0.0 if s.shared else float(
+            [READ if s.role == "cr" else INSTALL if s.shared else WRITE
+             for s in slots],
+            [0.0 if s.shared else float(
                 p.local_mem if s.role == "cr" else p.write_local)
-                for s in slots], dtype=np.float64),
+             for s in slots],
             [s.array for s in slots],
             [s.extra if s.role == "cr" else None for s in slots])
 

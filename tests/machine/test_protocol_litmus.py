@@ -26,13 +26,9 @@ cache) lines 1 and 5 conflict in the same set, which the eviction
 cells exploit.
 """
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.ir.arrays import ArrayDecl
-from repro.machine.batchops import INSTALL, OUT_MISS, READ, classify_events
 from repro.machine.machine import Machine
 from repro.machine.params import t3d
 from repro.obs import Tracer
@@ -752,40 +748,3 @@ def test_fault_eviction_reconciles_lazily():
     assert m.protocol.state(0, ln) == "I"
     assert m.read(0, "a", 0) == 1.0      # fresh from memory, no stale
     assert m.stats.stale_reads == 0
-
-
-_ACCESS = st.tuples(st.sampled_from("rw"), st.integers(0, 31))
-
-
-@pytest.mark.parametrize("protocol", ["mesi", "dir"])
-@settings(max_examples=30, deadline=None)
-@given(prefix=st.lists(st.tuples(st.integers(0, 3), _ACCESS), max_size=12),
-       stream=st.lists(_ACCESS, min_size=1, max_size=24))
-def test_silent_writes_match_per_event_protocol(protocol, prefix, stream):
-    """The bulk contract: ``silent_writes`` marks exactly the writes of a
-    one-PE stream that find their line in M when the stream is replayed
-    event by event, starting from whatever state a mixed prefix left."""
-    m = make(protocol, cache_bytes=128)
-    for pe, (kind, flat) in prefix:
-        if kind == "r":
-            m.read(pe, "a", flat)
-        else:
-            m.write(pe, "a", flat, 1.0)
-    cache = m.pes[0].cache
-    lines = np.array([line(m, flat) for _, flat in stream], dtype=np.int64)
-    kinds = np.array([READ if k == "r" else INSTALL for k, _ in stream],
-                     dtype=np.int8)
-    cls = classify_events(lines, kinds, cache.n_lines, cache.tags.copy())
-    writes = kinds == INSTALL
-    installs = (cls.outcomes == OUT_MISS) | (writes & ~cls.present)
-    silent = m.protocol.silent_writes(0, lines, writes, installs,
-                                      cls.present, cache.n_lines)
-    expected = []
-    for (kind, flat), ln in zip(stream, lines.tolist()):
-        if kind == "r":
-            expected.append(False)
-            m.read(0, "a", flat)
-        else:
-            expected.append(m.protocol.state(0, ln) == "M")
-            m.write(0, "a", flat, 1.0)
-    assert silent.tolist() == expected

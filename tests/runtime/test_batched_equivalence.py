@@ -17,7 +17,6 @@ from repro.faults import parse_fault_plan
 from repro.harness.equivalence import check_workload, compare_backends
 from repro.machine.params import t3d
 from repro.runtime import ExecutionConfig, Version, run_program
-from repro.runtime import batched
 from repro.runtime.batched import BatchedInterpreter
 from repro.runtime.interp import make_interpreter
 from repro.verify.gen import generate_with_choices
@@ -252,19 +251,6 @@ def test_protocol_bit_exact(name, version, n_pes):
     assert report.coverage >= 0.9, report.coverage
     assert report.batch_fallbacks == 0
     assert report.stats_batched["writebacks"] > 0
-
-
-@pytest.mark.parametrize("version", [Version.MESI, Version.DIR])
-@pytest.mark.parametrize("name", sorted(PROTOCOL_SIZES))
-def test_protocol_classified_path_bit_exact(name, version, monkeypatch):
-    """Every protocol chunk through the NumPy classification and the
-    transaction walk (no small-chunk scan), at 16 PEs where chunks are
-    smallest and the owner-write runs shortest."""
-    monkeypatch.setattr(batched, "PROTOCOL_SCAN_EVENTS", 0)
-    params = t3d(16, cache_bytes=256)
-    report = check_workload(name, params, version, n=PROTOCOL_SIZES[name])
-    assert report.exact, report.summary()
-    assert report.batch_fallbacks == 0
 
 
 @pytest.mark.parametrize("version", [Version.MESI, Version.DIR])
