@@ -12,8 +12,9 @@ by golden snapshots and cross-backend equivalence tests.
 from .events import (BYPASS_KINDS, EVENT_FIELDS, EVENT_KINDS,
                      INVALIDATE_REASONS, event_from_dict, event_to_dict,
                      validate_event)
-from .export import (chrome_trace, event_to_json, events_to_jsonl,
-                     read_jsonl, write_chrome_trace, write_jsonl)
+from .export import (JSONLError, chrome_trace, event_to_json,
+                     events_to_jsonl, iter_jsonl, read_jsonl,
+                     write_chrome_trace, write_jsonl)
 from .fold import (FOLDABLE_MACHINE_FIELDS, FOLDABLE_PE_FIELDS,
                    TIMING_DEPENDENT_FIELDS, fold_events, reconcile)
 from .tracer import EpochPEMetrics, EpochRow, Tracer
@@ -21,8 +22,8 @@ from .tracer import EpochPEMetrics, EpochRow, Tracer
 __all__ = [
     "BYPASS_KINDS", "EVENT_FIELDS", "EVENT_KINDS", "INVALIDATE_REASONS",
     "event_from_dict", "event_to_dict", "validate_event",
-    "chrome_trace", "event_to_json", "events_to_jsonl", "read_jsonl",
-    "write_chrome_trace", "write_jsonl",
+    "JSONLError", "chrome_trace", "event_to_json", "events_to_jsonl",
+    "iter_jsonl", "read_jsonl", "write_chrome_trace", "write_jsonl",
     "FOLDABLE_MACHINE_FIELDS", "FOLDABLE_PE_FIELDS",
     "TIMING_DEPENDENT_FIELDS", "fold_events", "reconcile",
     "EpochPEMetrics", "EpochRow", "Tracer",

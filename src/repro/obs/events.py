@@ -151,10 +151,12 @@ def event_to_dict(event) -> dict:
 
 def event_from_dict(record: dict) -> tuple:
     """Inverse of :func:`event_to_dict`; raises on malformed records."""
+    if not isinstance(record, dict):
+        raise ValueError(f"record is not a JSON object: {record!r}")
     if "ev" not in record:
         raise ValueError(f"record has no 'ev' key: {record!r}")
     kind = record["ev"]
-    fields = EVENT_FIELDS.get(kind)
+    fields = EVENT_FIELDS.get(kind) if isinstance(kind, str) else None
     if fields is None:
         raise ValueError(f"unknown event kind {kind!r}")
     extra = set(record) - set(fields) - {"ev"}

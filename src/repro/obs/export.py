@@ -7,17 +7,28 @@ Chrome-trace exporter renders the epoch timeline (spans + per-PE
 counter tracks) and barrier instants for ``chrome://tracing`` /
 https://ui.perfetto.dev — the machine clock (cycles) is mapped onto the
 microsecond timestamp axis.
+
+The JSONL codec is exact: lines are assembled from per-kind plans, yet
+byte-identical to ``json.dumps`` of the normalized record, and decoded
+to exactly what ``event_from_dict(json.loads(line))`` gives.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import islice
+from json.decoder import WHITESPACE
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .events import event_from_dict, event_to_dict
+from .events import EVENT_FIELDS, event_from_dict
 
 PathLike = Union[str, Path]
+
+#: events per block written by :func:`write_jsonl` (bounds the text held)
+WRITE_BLOCK = 4096
 
 
 def normalize_value(value):
@@ -32,38 +43,133 @@ def normalize_value(value):
     return value
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _encode_value(value) -> str:
+    return _ENCODER.encode(normalize_value(value))
+
+
+#: exact encoders of the two types nearly every field has; any other
+#: type (bool, float, NumPy scalar) is normalized first
+_VALUE_ENCODERS = {int: int.__repr__, str: encode_basestring_ascii}
+
+
+def _encode_plan(fields: Tuple[str, ...]):
+    """(width, %-template with the keys in sorted order, picker of the
+    tuple's values in that order) for one event kind."""
+    names = ("ev",) + fields
+    order = sorted(range(len(names)), key=names.__getitem__)
+    template = "{%s}" % ",".join(
+        f"{encode_basestring_ascii(names[i])}:%s" for i in order)
+    return len(names), template, itemgetter(*order)
+
+
+_ENCODE_PLANS = {kind: _encode_plan(fields)
+                 for kind, fields in EVENT_FIELDS.items()}
+
+
+def _encode(events: Iterable[tuple]) -> List[str]:
+    """The normalized JSONL line of each event (no newlines)."""
+    plans, encoder_for = _ENCODE_PLANS, _VALUE_ENCODERS.get
+    lines = []
+    for event in events:
+        width, template, pick = plans[event[0]]
+        if len(event) != width:
+            raise ValueError(f"{event[0]} event has {len(event) - 1} "
+                             f"fields, schema wants {width - 1}: {event!r}")
+        lines.append(template % tuple([
+            encoder_for(type(value), _encode_value)(value)
+            for value in pick(event)]))
+    return lines
+
+
 def event_to_json(event: tuple) -> str:
     """One normalized JSONL line (no trailing newline)."""
-    record = {key: normalize_value(val)
-              for key, val in event_to_dict(event).items()}
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _encode((event,))[0]
 
 
 def events_to_jsonl(events: Iterable[tuple]) -> str:
     """Full normalized JSONL document (trailing newline included)."""
-    lines = [event_to_json(event) for event in events]
+    lines = _encode(events)
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def write_jsonl(events: Iterable[tuple], path: PathLike) -> int:
-    """Write events as JSONL; returns the number of lines written."""
-    text = events_to_jsonl(events)
-    Path(path).write_text(text)
-    return text.count("\n")
+    """Write events as JSONL, :data:`WRITE_BLOCK` lines at a time;
+    returns the number of lines written."""
+    events = iter(events)
+    n = 0
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        while True:
+            lines = _encode(islice(events, WRITE_BLOCK))
+            if not lines:
+                return n
+            n += len(lines)
+            fh.write("\n".join(lines) + "\n")
+
+
+class JSONLError(ValueError):
+    """A malformed JSONL line, as ``path:lineno: reason``.  ``cause`` is
+    the underlying error: a ``json.JSONDecodeError`` when the line is
+    not JSON at all, else the schema's ``ValueError``."""
+
+    def __init__(self, path, lineno: int, cause: ValueError) -> None:
+        invalid = isinstance(cause, json.JSONDecodeError)
+        super().__init__(
+            f"{path}:{lineno}: {'invalid JSON: ' if invalid else ''}{cause}")
+        self.lineno = lineno
+        self.cause = cause
+
+
+_scan_once = json.JSONDecoder().scan_once
+_whitespace = WHITESPACE.match
+
+#: kind -> (the record's key set, getter of the event tuple from it)
+_RECORD_PLANS = {kind: (frozenset(("ev",) + fields),
+                        itemgetter("ev", *fields))
+                 for kind, fields in EVENT_FIELDS.items()}
+
+
+def iter_jsonl(path: PathLike) -> Iterator[Tuple[int, tuple]]:
+    """Stream ``(lineno, event)`` pairs from a JSONL trace.
+
+    One line at a time, so the whole trace is never resident.  Lines end
+    at ``\\n``; blank lines are skipped.  Each line yields exactly
+    ``event_from_dict(json.loads(line))``: the C scanner behind
+    ``json.loads`` is called directly, and a line it does not consume
+    whole (leading whitespace, or an error) goes to ``json.loads``
+    itself.  A malformed line raises :class:`JSONLError`."""
+    plans = _RECORD_PLANS
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+                try:
+                    record, end = _scan_once(line, 0)
+                    whole = line[end:] == "\n" or \
+                        _whitespace(line, end).end() == len(line)
+                except (StopIteration, ValueError):
+                    whole = False
+                if not whole:
+                    if line.isspace():
+                        continue
+                    record = json.loads(line.removesuffix("\n"))
+                kind = record.get("ev") if type(record) is dict else None
+                plan = plans.get(kind) if type(kind) is str else None
+                if plan is not None and record.keys() == plan[0]:
+                    event = plan[1](record)
+                else:
+                    event = event_from_dict(record)
+            except ValueError as exc:
+                raise JSONLError(path, lineno, exc) from None
+            yield lineno, event
 
 
 def read_jsonl(path: PathLike) -> List[tuple]:
     """Parse a JSONL trace back into event tuples (raises on malformed
     lines, with the 1-based line number in the message)."""
-    events: List[tuple] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            events.append(event_from_dict(json.loads(line)))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return events
+    return [event for _, event in iter_jsonl(path)]
 
 
 def chrome_trace(timeline: Sequence, events: Iterable[tuple] = (),
@@ -119,5 +225,5 @@ def write_chrome_trace(timeline: Sequence, path: PathLike,
 
 
 __all__ = ["normalize_value", "event_to_json", "events_to_jsonl",
-           "write_jsonl", "read_jsonl", "chrome_trace",
-           "write_chrome_trace"]
+           "write_jsonl", "JSONLError", "iter_jsonl", "read_jsonl",
+           "chrome_trace", "write_chrome_trace"]

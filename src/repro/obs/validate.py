@@ -7,13 +7,12 @@ malformed one, printing a per-kind census on success.
 
 from __future__ import annotations
 
-import json
 import sys
 from collections import Counter
-from pathlib import Path
 from typing import List, Tuple
 
-from .events import event_from_dict, validate_event
+from .events import validate_event
+from .export import iter_jsonl
 
 
 def validate_file(path) -> Tuple[int, Counter]:
@@ -21,22 +20,13 @@ def validate_file(path) -> Tuple[int, Counter]:
 
     Raises ``ValueError`` with the offending line number on failure."""
     counts: Counter = Counter()
-    n = 0
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, event in iter_jsonl(path):
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        try:
-            event = event_from_dict(record)
             validate_event(event)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
         counts[event[0]] += 1
-        n += 1
-    return n, counts
+    return sum(counts.values()), counts
 
 
 def main(argv: List[str] = None) -> int:

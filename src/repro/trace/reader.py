@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple
 
-from ..obs.events import event_from_dict
+from ..obs.export import JSONLError, iter_jsonl
 from .format import TraceError, parse_text_line, trace_error
 
 #: default ops per ("ops", pe, [...]) chunk — small enough to bound
@@ -195,21 +195,15 @@ def read_jsonl_events(path) -> Iterator[Tuple[int, tuple]]:
     Line-by-line — the whole trace is never resident.  Malformed lines
     raise :class:`TraceError` with the file:line position.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise trace_error(path, lineno,
-                                  f"not a JSON object ({exc.msg}); expected "
-                                  f"one event per line as written by "
-                                  f"repro.obs.export.write_jsonl") from None
-            try:
-                yield lineno, event_from_dict(record)
-            except ValueError as exc:
-                raise trace_error(path, lineno, str(exc)) from None
+    try:
+        yield from iter_jsonl(path)
+    except JSONLError as exc:
+        reason = exc.cause
+        if isinstance(reason, json.JSONDecodeError):
+            reason = (f"not a JSON object ({reason.msg}); expected one "
+                      f"event per line as written by "
+                      f"repro.obs.export.write_jsonl")
+        raise trace_error(path, exc.lineno, str(reason)) from None
 
 
 def read_jsonl_records(path, *, chunk_ops: int = DEFAULT_CHUNK_OPS

@@ -142,6 +142,30 @@ def test_jsonl_unknown_event(tmp_path):
     assert str(exc.value).startswith(f"{path}:1: ")
 
 
+NON_OBJECT_LINES = ["1", "null", '"every"', "[1, 2]", "true",
+                    '{"ev": ["barrier"], "time": 0}']
+
+
+@pytest.mark.parametrize("line", NON_OBJECT_LINES)
+def test_jsonl_non_object_line(tmp_path, line):
+    """Valid JSON that is not an event object is a positioned
+    TraceError, not a TypeError from indexing the value."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"ev":"barrier","time":0}\n' + line + "\n")
+    with pytest.raises(TraceError) as exc:
+        list(read_jsonl_events(path))
+    assert str(exc.value).startswith(f"{path}:2: ")
+    assert "\n" not in str(exc.value), "error must be a single line"
+
+
+def test_jsonl_not_utf8(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"ev":"barrier","time":0}\n{"ev":"\xff"}\n')
+    with pytest.raises(TraceError) as exc:
+        list(read_jsonl_events(path))
+    assert str(exc.value).startswith(f"{path}:2: ")
+
+
 # -- CLI surface ------------------------------------------------------------
 
 def test_cli_reports_one_line_and_exit_2(tmp_path, capsys):
@@ -154,6 +178,17 @@ def test_cli_reports_one_line_and_exit_2(tmp_path, capsys):
     assert "truncated access line" in captured.err
     assert captured.err.count("\n") == 1, "exactly one stderr line"
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("line", NON_OBJECT_LINES)
+def test_cli_jsonl_non_object_line(tmp_path, capsys, line):
+    from repro.harness.cli import main
+    path = _trace(tmp_path, line + "\n", name="bad.jsonl")
+    rc = main(["replay", "--trace", str(path), "--version", "ccdp"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"error: {path}:1: ")
+    assert captured.err.count("\n") == 1, "exactly one stderr line"
 
 
 def test_grammar_docs_cover_the_surface():
