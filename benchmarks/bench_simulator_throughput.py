@@ -40,9 +40,9 @@ CELL_COVERAGE_FLOOR = 0.95
 #: Cold speedup floors (batched over reference) per (workload, version)
 #: cell: 0.5x the median of five cold best-of-5 runs of
 #: ``test_per_cell_floors``, each a fresh process on a 2-vCPU Linux
-#: x86-64 container (medians in the comments).  "Cold" means the
-#: compiled-plan cache is cleared before every rep, so no rep reuses an
-#: interpreter an earlier one built.
+#: x86-64 container (medians in the comments).  "Cold" means every rep
+#: builds its own interpreter, so no rep reuses plans an earlier one
+#: compiled.
 CELL_SPEEDUP_FLOORS = {
     "mxm_base": 9.11,      # median 18.23x
     "mxm_ccdp": 4.32,      # median 8.64x
@@ -182,13 +182,10 @@ def test_per_cell_floors(built_programs, capsys):
     :data:`CELL_SPEEDUP_FLOORS` speedup over the reference backend, and
     take zero run-time fallbacks on fault-free runs.  Runs under
     REPRO_BENCH_QUICK too — this is the per-cell regression floor, not a
-    benchmark.  Timing is best-of-5 with the compiled-plan cache cleared
-    before every rep of both backends, so the gate cannot pass on state
-    an earlier rep left warm.  Warm best-of-5 speedups (plan cache kept
-    between reps) are recorded under ``warm_`` keys and not gated."""
+    benchmark.  Timing is best-of-5; every rep of both backends builds a
+    fresh interpreter, so the gate cannot pass on state an earlier rep
+    left warm."""
     import time
-
-    from repro.runtime import plancache
 
     reps = 5
     failures = []
@@ -202,11 +199,9 @@ def test_per_cell_floors(built_programs, capsys):
             params = t3d(1 if version == Version.SEQ else 4,
                          cache_bytes=2048)
 
-            def best_of(backend, cold=True):
+            def best_of(backend):
                 best, result = float("inf"), None
                 for _ in range(reps):
-                    if cold:
-                        plancache.clear()
                     start = time.perf_counter()
                     result = run_program(program, params, version,
                                          backend=backend)
@@ -215,22 +210,19 @@ def test_per_cell_floors(built_programs, capsys):
 
             t_ref, _ = best_of(Backend.REFERENCE)
             t_bat, res = best_of(Backend.BATCHED)
-            t_warm, _ = best_of(Backend.BATCHED, cold=False)
             speedup = t_ref / t_bat
             cell = f"{name}_{version}"
             floor = CELL_SPEEDUP_FLOORS[cell]
             cells[cell] = {
                 "speedup": speedup,
                 "speedup_floor": floor,
-                "warm_speedup": t_ref / t_warm,
                 "batched_coverage": res.batched_coverage,
                 "batch_fallbacks": res.batch_fallbacks,
                 "fallback_reasons": dict(res.fallback_reasons),
             }
             with capsys.disabled():
                 print(f"\n[floors] {name:8s} {version:5s} cold "
-                      f"{speedup:7.2f}x (floor {floor:.2f}x) warm "
-                      f"{t_ref / t_warm:7.2f}x coverage "
+                      f"{speedup:7.2f}x (floor {floor:.2f}x) coverage "
                       f"{res.batched_coverage:.4f} "
                       f"fallbacks {res.batch_fallbacks}")
             if res.batched_coverage < CELL_COVERAGE_FLOOR:
@@ -244,19 +236,18 @@ def test_per_cell_floors(built_programs, capsys):
                 failures.append(
                     f"{cell}: {res.batch_fallbacks} run-time fallbacks "
                     f"({dict(res.fallback_reasons)}) on a fault-free run")
-    plancache.clear()
     _record("per_cell_floors", cells)
     assert not failures, "per-cell floors violated:\n" + "\n".join(failures)
 
 
-#: Budget for counts-only tracing tax on a *warm* per-PE batched run.
-#: The historical 3% budget was calibrated against ~50ms cold runs,
-#: where the tracer's fixed per-epoch timeline snapshots and per-chunk
-#: count folds were negligible; the compiled-plan cache cut the run to
-#: ~2.5ms without changing that absolute tracer work (~0.15-0.3ms:
-#: measured 0-12% across runs), so the budget now reflects the warm
-#: regime — it trips when the count-fold path gains real per-chunk
-#: work, not on machine-state variance.
+#: Budget for the counts-only tracing tax on a cold per-PE batched run:
+#: each timed run builds its own interpreter, plans included, and takes
+#: ~19-21 ms on a 2-vCPU x86-64 container, where the tax measured
+#: +3.6% to +11.3% over four runs (~0.7-2 ms of epoch snapshots and
+#: per-chunk count folds).  The 20% budget dates from the few-ms warm
+#: reruns this test used to time and is kept unchanged: it trips when
+#: the count-fold path gains real per-chunk work, not on machine-state
+#: variance.
 TRACING_OVERHEAD_BUDGET = 0.20
 
 
@@ -281,8 +272,8 @@ def test_tracing_overhead(built_programs, capsys):
         return time.perf_counter() - start
 
     once(None)
-    once(Tracer(sample=0))  # warm both arms before timing
-    # Scheduler/frequency noise on a few-ms run swamps a percent-level
+    once(Tracer(sample=0))  # one untimed run per arm: imports, lazy setup
+    # Scheduler/frequency noise on a short run swamps a percent-level
     # signal, and it only ever *adds* time — so interleave many reps of
     # both arms (each sees the same machine conditions) and pool a
     # single global best per arm.  Both minima converge to each arm's

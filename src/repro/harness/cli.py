@@ -151,11 +151,11 @@ def _sweeps(args: argparse.Namespace, parser: argparse.ArgumentParser):
         print("  " + collect["farm"].summary(), file=sys.stderr)
     # Cache effectiveness, for this process's share of the work (workers
     # in a --jobs pool keep their own counters): program/oracle/transform
-    # memoisation plus the batched backend's compiled-plan cache.
+    # memoisation.
     counters = progcache.COUNTERS
     print("  cache: " + ", ".join(
         f"{kind} {counters[kind + '_hits']}h/{counters[kind + '_misses']}m"
-        for kind in ("program", "oracle", "transform", "plan")),
+        for kind in ("program", "oracle", "transform")),
         file=sys.stderr)
     # Report generation re-derives CCDP pass reports from runners (the
     # sweep records travel without them); runners share the sweep's
@@ -461,17 +461,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "profile":
         import numpy as np
 
-        from ..machine.fastcache import (classify_read_trace,
-                                         conflict_profile,
-                                         miss_rate_vs_cache_size)
+        from ..machine.batchops import OUT_HIT, OUT_MISS, classify_events
         from ..runtime import ExecutionConfig, Interpreter
         from .experiment import SCALED_CACHE_BYTES
 
+        n_pes = int(args.pes)
+        if not 0 <= args.pe < n_pes:
+            parser.error(f"--pe {args.pe} is out of range: --pes {n_pes} "
+                         f"has PEs 0..{n_pes - 1}")
         spec = workload(args.workload)
         sizes = {**spec.default_args, **_size_args(args)}
         sizes = {k: v for k, v in sizes.items() if k in spec.default_args}
         program = spec.build(**sizes)
-        params = t3d(int(args.pes), cache_bytes=SCALED_CACHE_BYTES)
+        params = t3d(n_pes, cache_bytes=SCALED_CACHE_BYTES)
         if args.version == Version.CCDP:
             transformed, _ = ccdp_transform(program, CCDPConfig(machine=params))
             program = transformed
@@ -482,17 +484,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         trace = np.array(interp.machine.read_trace[args.pe], dtype=np.int64)
         print(f"{spec.name}/{args.version}: PE {args.pe} issued "
               f"{len(trace):,} cacheable reads")
-        result = classify_read_trace(trace, params)
-        print(f"hit rate (cold, this trace): {result.hit_rate:.3f}")
+        lines = trace // params.line_words
+
+        def cold_pass(n_lines):
+            """Per-read outcomes and hit rate against a cold cache."""
+            outcomes = classify_events(lines, None, n_lines).outcomes
+            hits = int(np.count_nonzero(outcomes == OUT_HIT))
+            return outcomes, (hits / len(lines) if len(lines) else 0.0)
+
+        outcomes, hit_rate = cold_pass(params.n_lines)
+        print(f"hit rate (cold, this trace): {hit_rate:.3f}")
         print("\nmiss rate vs cache size:")
-        for size, rate in miss_rate_vs_cache_size(
-                trace, params, (512, 1024, 2048, 8192, 65536)).items():
+        for size in (512, 1024, 2048, 8192, 65536):
+            rate = 1.0 - cold_pass(params.with_(cache_bytes=size).n_lines)[1]
             bar = "#" * int(rate * 50)
             print(f"  {size:>6d} B  {rate:6.3f}  {bar}")
-        worst, counts = conflict_profile(trace, params, top=5)
+        per_set = np.bincount(lines[outcomes == OUT_MISS] % params.n_lines,
+                              minlength=params.n_lines)
         print("\nmost-conflicted cache sets (set: misses):")
-        for set_i, count in zip(worst, counts):
-            print(f"  {set_i:>4d}: {count}")
+        for set_i in np.argsort(per_set)[::-1][:5]:
+            print(f"  {set_i:>4d}: {per_set[set_i]}")
         return 0
 
     if args.command == "trace":

@@ -5,8 +5,6 @@ SHMEM-style vector transfer engine — with an exact stale-read checker.
 
 from .addressing import AddressMap
 from .cache import DirectMappedCache
-from .fastcache import (TraceResult, classify_read_trace, classify_trace,
-                        conflict_profile, miss_rate_vs_cache_size)
 from .machine import Machine, StaleReadError
 from .memory import Memory
 from .oracle import CoherenceOracle, StaleReadViolation
@@ -17,9 +15,7 @@ from .stats import MachineStats, PEStats
 from .topology import Torus, torus_for, torus_shape
 
 __all__ = [
-    "AddressMap", "DirectMappedCache",
-    "TraceResult", "classify_trace", "classify_read_trace",
-    "conflict_profile", "miss_rate_vs_cache_size", "Machine", "StaleReadError", "Memory",
+    "AddressMap", "DirectMappedCache", "Machine", "StaleReadError", "Memory",
     "CoherenceOracle", "StaleReadViolation",
     "MachineParams", "t3d", "sequential_params", "PE",
     "PrefetchEntry", "PrefetchQueue", "VectorTransfer", "VectorUnit",

@@ -2,10 +2,10 @@
 
 The heart of this module is :func:`classify_events`: an exact direct-mapped
 cache simulation over a whole event trace.  It runs as a handful of NumPy
-array operations using the *shifted comparison* trick pioneered in
-``fastcache``: sort events by cache set (stable), then for every event the
-resident line beforehand is the line of the most recent earlier installing
-event in the same set — a prefix-maximum over positions, no Python loop.
+array operations using a *shifted comparison*: sort events by cache set
+(stable), then for every event the resident line beforehand is the line of
+the most recent earlier installing event in the same set — a prefix-maximum
+over positions, no Python loop.
 INVALIDATE events ride the same machinery: an invalidate *kills* iff its
 line equals the last-installed line of its set, and a set reads as empty
 whenever the most recent kill postdates the most recent install (a kill
@@ -20,10 +20,12 @@ occupancy/coalescing/reclaim, capacity-drop → bypass-fetch degradation
 without touching the live machine.  The batched runtime commits its outcome
 wholesale, or discards it untouched when the scan flags a hazard.
 
-Unlike ``fastcache.classify_trace`` (which always starts from a cold cache),
-:func:`classify_events` accepts ``initial_tags`` so a trace can be classified
+:func:`classify_events` takes ``initial_tags`` so a trace can be classified
 against a *warm* cache — this is what lets the batched backend splice bulk
 chunks into the middle of a simulation without touching per-word state.
+With ``initial_tags=None`` it answers cold-cache questions instead: ``ccdp
+profile`` uses it for a read trace's hit rate, its miss rate under other
+cache sizes, and its most-conflicted sets.
 
 Also here: latency lookup tables (per-owner cost vectors that turn the
 machine's scalar cost model into O(1) list indexing inside scan loops) and
@@ -40,7 +42,7 @@ import numpy as np
 
 from .params import MachineParams
 
-# Event kinds (canonical values; ``fastcache`` re-exports these).
+# Event kinds.
 READ = 0
 WRITE = 1
 INSTALL = 2
@@ -87,6 +89,8 @@ def classify_events(line_addrs: np.ndarray,
         kinds = np.zeros(n, dtype=np.int8)
     else:
         kinds = np.asarray(kinds, dtype=np.int8)
+        if kinds.shape != (n,):
+            raise ValueError("line_addrs and kinds must have equal length")
         all_reads = bool((kinds == READ).all())
     outcomes = np.full(n, OUT_NA, dtype=np.int8)
     present = np.zeros(n, dtype=bool)

@@ -123,20 +123,6 @@ class DirectMappedCache:
     def flush(self) -> None:
         self.tags[:] = -1
 
-    # -- batched classification ------------------------------------------------
-    def classify_trace(self, addrs: np.ndarray,
-                       kinds: Optional[np.ndarray] = None):
-        """Classify an event trace against this cache's *current* contents
-        without mutating it (warm-start variant of ``fastcache``).
-
-        Returns a :class:`~repro.machine.batchops.EventClassification`; the
-        batched execution backend uses it to service whole read traces in
-        one shot and then commit the resulting tag changes."""
-        from .batchops import classify_events
-        line_addrs = np.asarray(addrs, dtype=np.int64) // self.line_words
-        return classify_events(line_addrs, kinds, self.n_lines,
-                               initial_tags=self.tags)
-
     # -- machine-stacked storage ------------------------------------------------
     def rebase(self, tags: np.ndarray, data: np.ndarray,
                vers: np.ndarray) -> None:

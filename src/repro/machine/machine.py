@@ -64,8 +64,8 @@ class Machine:
         # as one row of these (n_pes, ...) arrays, and each cache holds
         # row views into them.  Per-PE code is unchanged (all cache
         # mutations are in-place), while whole-machine consumers — the
-        # plan-cache reset, the tracer's epoch snapshot — touch every
-        # cache in single NumPy operations.
+        # tracer's epoch snapshot — touch every cache in single NumPy
+        # operations.
         self.cache_tags = np.full((params.n_pes, params.n_lines), -1,
                                   dtype=np.int64)
         self.cache_data = np.zeros(
@@ -109,7 +109,8 @@ class Machine:
             CoherenceOracle(self.memory) if oracle else None)
         self.memory.oracle = self.oracle
         # Optional per-PE access trace: lists of global word addresses of
-        # cacheable reads, consumable by repro.machine.fastcache.
+        # cacheable reads (``ccdp profile`` classifies them in bulk with
+        # repro.machine.batchops.classify_events).
         self.trace_enabled = trace
         self.read_trace: List[List[int]] = [[] for _ in self.pes] if trace else []
         # Optional intra-epoch race detection: per-word last writer within

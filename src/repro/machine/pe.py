@@ -52,8 +52,8 @@ class PE:
     def rebase_clock(self, clocks: np.ndarray, slot: int) -> None:
         """Move this PE's clock into row ``slot`` of a machine-stacked
         plane (carrying the current value along), so cross-PE consumers
-        — barrier, elapsed, the plan-cache reset — address every clock in
-        one NumPy operation."""
+        — barrier, elapsed — address every clock in one NumPy
+        operation."""
         clocks[slot] = self._clocks[self._clock_slot]
         self._clocks = clocks
         self._clock_slot = slot

@@ -142,8 +142,7 @@ class CoherenceProtocol:
         self.phase += 1
 
     def reset(self) -> None:
-        """Restore the exact post-construction state (plan-cache warm
-        reuse)."""
+        """Restore the exact post-construction state."""
         for table in self.states:
             table.clear()
         self.holders.clear()

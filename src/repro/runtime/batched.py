@@ -83,8 +83,8 @@ from ..machine.batchops import (INSTALL, OUT_HIT, RE_COST, RE_PF, RE_READ,
                                 RE_WRITE, READ, REC_EXTRACT, REC_HIT,
                                 REC_KILL_FLAG, REC_MISS, REC_NONE,
                                 REC_PF_COALESCE, REC_PF_ISSUE, STALL_VECTOR,
-                                WRITE, bulk_fill_lines, read_latency_table,
-                                replay_chunk, stale_lines,
+                                WRITE, bulk_fill_lines, classify_events,
+                                read_latency_table, replay_chunk, stale_lines,
                                 uncached_read_latency_table,
                                 write_latency_table)
 from ..machine.prefetchq import PrefetchEntry
@@ -1921,19 +1921,19 @@ class BatchedInterpreter(Interpreter):
         latcol_cache: dict = {}
         line_cache: dict = {}
         if cidx:
-            addr_cache: dict = {}
-            addr_mat = np.empty((Tt, len(cidx)), dtype=np.int64)
+            line_mat = np.empty((Tt, len(cidx)), dtype=np.int64)
             for k, i in enumerate(cidx):
                 slot = plan.slots[i]
                 akey = (slot.base, id(flats[i]))
-                addr = addr_cache.get(akey)
-                if addr is None:
-                    addr = slot.base + flats[i]
-                    addr_cache[akey] = addr
-                    line_cache[akey] = addr // lw
-                addr_mat[:, k] = addr
-                line_cols[i] = line_cache[akey]
-            cls = pe_obj.cache.classify_trace(addr_mat.reshape(-1))
+                lines = line_cache.get(akey)
+                if lines is None:
+                    lines = (slot.base + flats[i]) // lw
+                    line_cache[akey] = lines
+                line_mat[:, k] = lines
+                line_cols[i] = lines
+            cls = classify_events(line_mat.reshape(-1), None,
+                                  pe_obj.cache.n_lines,
+                                  initial_tags=pe_obj.cache.tags)
             ncr = len(cidx)
             hit_mat = (cls.outcomes == OUT_HIT).reshape(Tt, ncr)
             lat_mat = np.empty((Tt, ncr), dtype=np.float64)

@@ -37,7 +37,6 @@ from ..ir.stmt import (Assign, CallStmt, If, InvalidateLines, Loop, LoopKind,
 from ..machine.machine import Machine
 from ..machine.params import MachineParams
 from .exec_config import ExecutionConfig, Version
-from . import plancache
 from .schedulers import (block_partition, cyclic_partition, dynamic_chunks,
                          owner_partition)
 
@@ -957,26 +956,13 @@ def run_program(program: Program, params: MachineParams,
                 backend: str = "reference",
                 fault_plan=None, oracle: bool = False,
                 tracer=None) -> RunResult:
-    """One-call convenience: interpret ``program`` as the given version.
-
-    Batched fault-free runs reuse a warm interpreter from
-    :mod:`repro.runtime.plancache`, so chunk planning and address-stream
-    compilation are paid once per (program, version, params) per process.
-    """
+    """One-call convenience: interpret ``program`` as the given version."""
     config = ExecutionConfig.for_version(version, on_stale=on_stale,
                                          backend=backend,
                                          fault_plan=fault_plan, oracle=oracle,
                                          tracer=tracer)
-    if plancache.eligible(config):
-        interp = plancache.fetch(program, params, config, trace_epochs)
-        if interp is None:
-            interp = make_interpreter(program, params, config,
-                                      trace_epochs=trace_epochs)
-            plancache.store(program, params, config, trace_epochs, interp)
-        return interp.run()
-    interp = make_interpreter(program, params, config,
-                              trace_epochs=trace_epochs)
-    return interp.run()
+    return make_interpreter(program, params, config,
+                            trace_epochs=trace_epochs).run()
 
 
 def make_interpreter(program: Program, params: MachineParams,

@@ -110,3 +110,18 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "miss rate vs cache size" in out
         assert "most-conflicted cache sets" in out
+
+    def test_profile_rejects_pe_past_the_last(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "mxm", "--n", "8", "--pes", "2", "--pe", "5"])
+        assert exc.value.code == 2
+        assert "--pe 5 is out of range" in capsys.readouterr().err
+
+    def test_profile_rejects_negative_pe(self, capsys):
+        """A negative index must not silently profile the last PE."""
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "mxm", "--n", "8", "--pes", "2", "--pe", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--pe -1 is out of range" in captured.err
+        assert "PE -1" not in captured.out

@@ -194,46 +194,59 @@ def test_recurrence_chunk_compiles_scalar_pass():
         "compiled scalar value pass missing"
 
 
-def _machine_snapshot(result):
-    """Every observable a warm run must reproduce, as bytes."""
-    import pickle
-
-    machine = result.machine
-    return pickle.dumps((
-        result.elapsed,
-        result.stats.as_dict(),
-        [(pe.clock, pe.cache.tags.tobytes(), pe.cache.data.tobytes(),
-          pe.cache.vers.tobytes()) for pe in machine.pes],
-        machine.memory.values_flat.tobytes(),
-        machine.memory.versions_flat.tobytes(),
-        result.batch_chunks, result.batch_fallbacks,
-        dict(result.fallback_reasons)))
+#: Small sizes keep a 64-PE example affordable while still producing
+#: multi-chunk epochs, boundary chunks, and PEs with no work at all.
+PROPERTY_SIZES = {
+    "mxm": {"n": 8},
+    "vpenta": {"n": 8},
+    "tomcatv": {"n": 8, "steps": 2},
+    "swim": {"n": 8, "steps": 2},
+}
 
 
-@settings(max_examples=8, deadline=None)
-@given(name=st.sampled_from(sorted(SIZES)),
-       version=st.sampled_from([Version.SEQ, Version.BASE, Version.CCDP]))
-def test_plan_cache_hit_byte_identical(name, version):
-    """Property: a plan-cache hit (warm interpreter, reset in place) runs
-    byte-identically to the cold run that populated it."""
-    from repro.harness import progcache
-    from repro.runtime import plancache
+def _property_program(name, version, params):
+    from repro.coherence import CCDPConfig, ccdp_transform
     from repro.workloads import workload
 
-    params = t3d(4, cache_bytes=2048)
-    spec = workload(name)
-    sizes = {"n": 8}
-    program = progcache.get_program(spec, sizes)
+    program = workload(name).build(**PROPERTY_SIZES[name])
     if version == Version.CCDP:
-        program, _ = progcache.get_transform(name, sizes, program, params, {})
-    plancache.clear()
-    cold = _machine_snapshot(
-        run_program(program, params, version, backend="batched"))
-    hits_before = progcache.COUNTERS.get("plan_hits", 0)
-    warm = _machine_snapshot(
-        run_program(program, params, version, backend="batched"))
-    assert progcache.COUNTERS.get("plan_hits", 0) == hits_before + 1
-    assert warm == cold, f"warm run diverged from cold ({name}/{version})"
+        program, _ = ccdp_transform(program, CCDPConfig(machine=params))
+    return program
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n_pes=st.integers(min_value=1, max_value=64),
+    name=st.sampled_from(sorted(PROPERTY_SIZES)),
+    version=st.sampled_from([Version.SEQ, Version.BASE, Version.CCDP]),
+    queue_slots=st.integers(min_value=1, max_value=12),
+)
+def test_machine_shape_property_bit_exact(n_pes, name, version, queue_slots):
+    """For any (n_pes, workload, version, prefetch-queue capacity): a
+    batched run leaves the machine bit-identical to the reference."""
+    params = t3d(n_pes=n_pes, cache_bytes=2048,
+                 prefetch_queue_slots=queue_slots)
+    program = _property_program(name, version, params)
+    report = compare_backends(program, params, version)
+    assert report.exact, report.summary()
+
+
+def test_counts_only_tracer_totals_exact():
+    """A counts-only tracer (``Tracer(sample=0)``, whose batched chunks
+    fold straight into per-kind counters) must see the reference run's
+    per-kind event totals at 8 PEs."""
+    from repro.obs import Tracer
+
+    params = t3d(n_pes=8, cache_bytes=2048)
+    program = _property_program("mxm", Version.CCDP, params)
+    counts = {}
+    for backend in ("reference", "batched"):
+        tracer = Tracer(sample=0)
+        run_program(program, params, Version.CCDP, backend=backend,
+                    tracer=tracer)
+        counts[backend] = dict(tracer.counts)
+    assert counts["reference"]
+    assert counts["batched"] == counts["reference"]
 
 
 @pytest.mark.parametrize("n_pes", [2, 4, 16])

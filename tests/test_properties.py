@@ -284,68 +284,89 @@ class TestCacheAgainstReference:
 # vectorised trace classification vs. the reference cache
 # ---------------------------------------------------------------------------
 
-from repro.machine import fastcache
+from repro.machine import batchops
 
-event_kinds = st.sampled_from([fastcache.READ, fastcache.WRITE,
-                               fastcache.INSTALL, fastcache.INVALIDATE])
+event_kinds = st.sampled_from([batchops.READ, batchops.WRITE,
+                               batchops.INSTALL, batchops.INVALIDATE])
 
 #: 8 lines x 4 words of cache, addresses over 64 lines -> every set sees
 #: up to 8 aliasing lines, so conflict evictions are routine.
 fast_traces = st.lists(st.tuples(event_kinds, st.integers(0, 255)),
                        min_size=1, max_size=100)
 
+#: Per-set starting state: -1 empty, else which of the 8 aliasing lines
+#: is resident before the trace.
+warm_starts = st.lists(st.integers(-1, 7), min_size=8, max_size=8)
+
 
 class TestClassifyTraceAgainstReference:
-    """``fastcache.classify_trace`` (the batched backend's kernel) must
-    reproduce the reference ``DirectMappedCache`` outcome for *any*
-    interleaving of READ/WRITE/INSTALL/INVALIDATE events."""
+    """``batchops.classify_events`` (the batched backend's kernel) must
+    reproduce the reference ``DirectMappedCache`` for *any* interleaving
+    of READ/WRITE/INSTALL/INVALIDATE events from *any* resident state:
+    per-event outcome and presence, and the final tag diff the backend
+    commits."""
 
-    def _check(self, events, params):
+    def _check(self, events, aliases, params):
         from repro.machine.cache import DirectMappedCache
-
-        addrs = np.array([addr for _, addr in events], dtype=np.int64)
-        kinds = np.array([kind for kind, _ in events], dtype=np.int8)
-        result = fastcache.classify_trace(addrs, kinds, params)
 
         dut = DirectMappedCache(params)
         zeros = np.zeros(params.line_words)
         zvers = np.zeros(params.line_words, dtype=np.int64)
+        for set_index, alias in enumerate(aliases):
+            if alias >= 0:
+                dut.install(set_index + params.n_lines * alias, zeros, zvers)
+        initial = dut.tags.copy()
+
+        lines = np.array([addr // params.line_words for _, addr in events],
+                         dtype=np.int64)
+        kinds = np.array([kind for kind, _ in events], dtype=np.int8)
+        result = batchops.classify_events(lines, kinds, params.n_lines,
+                                          initial_tags=initial)
+
         for i, (kind, addr) in enumerate(events):
             line = addr // params.line_words
-            if kind == fastcache.READ:
-                hit = dut.read(addr) is not None
-                expected = fastcache.OUT_HIT if hit else fastcache.OUT_MISS
+            resident = dut.probe(addr)
+            assert result.present[i] == resident, f"event {i}: presence"
+            if kind == batchops.READ:
+                expected = batchops.OUT_HIT if resident else batchops.OUT_MISS
                 assert result.outcomes[i] == expected, \
-                    f"event {i}: {'hit' if hit else 'miss'} expected"
-                if not hit:
+                    f"event {i}: {'hit' if resident else 'miss'} expected"
+                if not resident:
                     dut.install(line, zeros, zvers)  # read allocates
             else:
-                assert result.outcomes[i] == fastcache.OUT_NA
-                if kind == fastcache.WRITE:
+                assert result.outcomes[i] == batchops.OUT_NA
+                if kind == batchops.WRITE:
                     dut.write_through_update(addr, 0.0, 0)  # no-allocate
-                elif kind == fastcache.INSTALL:
+                elif kind == batchops.INSTALL:
                     dut.install(line, zeros, zvers)
                 else:
                     dut.invalidate_line(line)
 
-    @given(fast_traces)
+        changed = np.flatnonzero(dut.tags != initial)
+        assert sorted(result.changed_sets.tolist()) == changed.tolist()
+        final = dict(zip(result.changed_sets.tolist(),
+                         result.changed_lines.tolist()))
+        assert final == {int(s): int(dut.tags[s]) for s in changed}
+
+    @given(fast_traces, warm_starts)
     @settings(max_examples=80)
-    def test_mixed_trace_equivalence(self, events):
-        self._check(events, t3d(1, cache_bytes=256))
+    def test_mixed_trace_equivalence(self, events, aliases):
+        self._check(events, aliases, t3d(1, cache_bytes=256))
 
     @given(st.integers(0, 7),
            st.lists(st.tuples(event_kinds, st.integers(0, 7),
                               st.integers(0, 3)),
-                    min_size=1, max_size=60))
+                    min_size=1, max_size=60),
+           warm_starts)
     @settings(max_examples=60)
-    def test_single_set_aliasing(self, set_index, picks):
+    def test_single_set_aliasing(self, set_index, picks, aliases):
         """Adversarial conflict traffic: every event lands in one cache
         set, cycling through its 8 aliasing lines."""
         params = t3d(1, cache_bytes=256)
         events = [(kind, (set_index + params.n_lines * alias)
                    * params.line_words + off)
                   for kind, alias, off in picks]
-        self._check(events, params)
+        self._check(events, aliases, params)
 
 
 # ---------------------------------------------------------------------------
