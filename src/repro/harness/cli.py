@@ -62,8 +62,26 @@ from .tables import (TABLE3_VERSIONS, format_table1, format_table2,
 DEFAULT_FARM_RETRIES = 2
 
 
-def _parse_pes(text: str) -> List[int]:
-    return [int(p) for p in text.split(",") if p.strip()]
+def _pe_count(text: str) -> int:
+    """argparse type of a ``--pes`` count: a positive integer, so a bad
+    count is a usage error (exit 2) instead of a MachineParams
+    traceback."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"PE count must be a positive integer, got {text!r}")
+    return count
+
+
+def _pe_counts(text: str) -> List[int]:
+    """argparse type of a comma list of ``--pes`` counts."""
+    counts = [_pe_count(p) for p in text.split(",") if p.strip()]
+    if not counts:
+        raise argparse.ArgumentTypeError("expected at least one PE count")
+    return counts
 
 
 def _size_args(args: argparse.Namespace) -> Dict[str, int]:
@@ -114,7 +132,7 @@ def _print_failed_cells(failed, stream=sys.stderr) -> None:
 def _sweeps(args: argparse.Namespace, parser: argparse.ArgumentParser):
     names = args.workloads.split(",") if args.workloads else \
         [spec.name for spec in all_workloads()]
-    pe_counts = _parse_pes(args.pes)
+    pe_counts = args.pes
     jobs = getattr(args, "jobs", 1)
     farm = _farm_config(args, parser, jobs)
     versions = None
@@ -177,7 +195,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workloads", default="",
                        help="comma list (default: all four)")
-        p.add_argument("--pes", default=",".join(map(str, PAPER_PE_COUNTS)),
+        p.add_argument("--pes", type=_pe_counts,
+                       default=",".join(map(str, PAPER_PE_COUNTS)),
                        help="comma list of PE counts")
         p.add_argument("--n", type=int, default=None, help="problem size")
         p.add_argument("--steps", type=int, default=None, help="time steps")
@@ -229,7 +248,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("workload")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--pes", default="8")
+    p.add_argument("--pes", type=_pe_count, default="8")
     p.add_argument("--program", action="store_true",
                    help="print the transformed program text")
 
@@ -237,7 +256,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("workload")
     p.add_argument("--version", default=Version.CCDP,
                    choices=list(Version.ALL))
-    p.add_argument("--pes", default="8")
+    p.add_argument("--pes", type=_pe_count, default="8")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--no-check", action="store_true")
@@ -261,7 +280,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("workload")
     p.add_argument("--version", default=Version.CCDP,
                    choices=list(Version.ALL))
-    p.add_argument("--pes", default="4")
+    p.add_argument("--pes", type=_pe_count, default="4")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--backend", default=Backend.REFERENCE,
@@ -296,7 +315,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--versions", default="", metavar="LIST",
                    help="comma list of schemes (overrides --version; "
                         "one cell per scheme)")
-    p.add_argument("--pes", type=int, default=None, metavar="N",
+    p.add_argument("--pes", type=_pe_count, default=None, metavar="N",
                    help="PE count (default: the trace's own geometry)")
     p.add_argument("--backend", default=Backend.REFERENCE,
                    choices=list(Backend.ALL),
@@ -328,7 +347,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p = sub.add_parser("compile-file",
                        help="compile a DSL source file with CCDP")
     p.add_argument("path")
-    p.add_argument("--pes", default="8")
+    p.add_argument("--pes", type=_pe_count, default="8")
     p.add_argument("--run", action="store_true",
                    help="also execute SEQ/BASE/CCDP and compare")
     p.add_argument("--out", default="", help="write transformed DSL to file")
@@ -338,7 +357,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "trace evaluator")
     p.add_argument("workload")
     p.add_argument("--version", default=Version.CCDP, choices=list(Version.ALL))
-    p.add_argument("--pes", default="4")
+    p.add_argument("--pes", type=_pe_count, default="4")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--pe", type=int, default=0, help="which PE's trace")
@@ -349,7 +368,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="comma list (default: all four)")
     p.add_argument("--versions", default=",".join(Version.ALL),
                    help="comma list of versions to verify")
-    p.add_argument("--pes", default="8", help="PE count for the machine model")
+    p.add_argument("--pes", type=_pe_count, default="8",
+                   help="PE count for the machine model")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--steps", type=int, default=None)
 
@@ -359,7 +379,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="number of generator seeds to run")
     p.add_argument("--start", type=int, default=0, metavar="S",
                    help="first seed (cells run seeds S .. S+N-1)")
-    p.add_argument("--pes", default="4",
+    p.add_argument("--pes", type=_pe_count, default="4",
                    help="PE count for the parallel versions (seq runs on 1)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="fan cells out across N worker processes")
@@ -415,7 +435,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         spec = workload(args.workload)
         sizes = _size_args(args)
         program = spec.build(**{**spec.default_args, **sizes})
-        config = CCDPConfig(machine=t3d(int(args.pes)))
+        config = CCDPConfig(machine=t3d(args.pes))
         transformed, report = ccdp_transform(program, config)
         print(report.summary())
         for entry in report.schedule.entries:
@@ -432,7 +452,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         with open(args.path) as fh:
             program = parse_program(fh.read())
-        params = t3d(int(args.pes), cache_bytes=SCALED_CACHE_BYTES)
+        params = t3d(args.pes, cache_bytes=SCALED_CACHE_BYTES)
         transformed, report = ccdp_transform(program, CCDPConfig(machine=params))
         print(report.summary())
         text = format_program(transformed)
@@ -465,7 +485,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from ..runtime import ExecutionConfig, Interpreter
         from .experiment import SCALED_CACHE_BYTES
 
-        n_pes = int(args.pes)
+        n_pes = args.pes
         if not 0 <= args.pe < n_pes:
             parser.error(f"--pe {args.pe} is out of range: --pes {n_pes} "
                          f"has PEs 0..{n_pes - 1}")
@@ -515,7 +535,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         sizes = {**spec.default_args, **_size_args(args)}
         sizes = {k: v for k, v in sizes.items() if k in spec.default_args}
         program = spec.build(**sizes)
-        n_pes = int(args.pes)
+        n_pes = args.pes
         params = t3d(n_pes, cache_bytes=SCALED_CACHE_BYTES)
         if args.version == Version.CCDP:
             program, _ = ccdp_transform(program, CCDPConfig(machine=params))
@@ -560,7 +580,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 from ..runtime import scheme_names
                 parser.error(f"--versions: unknown version {version!r} "
                              f"(registered schemes: {scheme_names()})")
-        config = CCDPConfig(machine=t3d(int(args.pes),
+        config = CCDPConfig(machine=t3d(args.pes,
                                         cache_bytes=SCALED_CACHE_BYTES))
         bad = 0
         for name in names:
@@ -585,7 +605,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         from ..verify import fuzz_seeds, shrink_failure
 
-        n_pes = int(args.pes)
+        n_pes = args.pes
         farm = _farm_config(args, parser, args.jobs)
         seeds = list(range(args.start, args.start + args.seeds))
         print(f"fuzzing {len(seeds)} seed(s) [{seeds[0]}..{seeds[-1]}] "
@@ -781,7 +801,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"--faults: {exc}")
         spec = workload(args.workload)
         runner = ExperimentRunner(spec, _size_args(args), check=not args.no_check)
-        record = runner.run_version(args.version, int(args.pes),
+        record = runner.run_version(args.version, args.pes,
                                     backend=args.backend,
                                     fault_plan=fault_plan,
                                     oracle=args.oracle)

@@ -184,9 +184,9 @@ def _diff_stats(machine_a, machine_b, out: List[str]) -> None:
 
 
 def _diff_protocol(machine_a, machine_b, out: List[str]) -> None:
-    """Diff the hardware-protocol internals: every PE's line states
-    (reconciled, so a copy lost behind the table's back reads as I),
-    holder sets, phase, the snooping bus and the directory."""
+    """Diff the hardware-protocol internals: every PE's live line states
+    (an entry whose line is no longer the set's tag reads as I), the
+    holder bitmasks, phase, the snooping bus and the directory."""
     pa, pb = machine_a.protocol, machine_b.protocol
     if pa is None:
         return
@@ -199,12 +199,9 @@ def _diff_protocol(machine_a, machine_b, out: List[str]) -> None:
                        f"{db.get(key)}")
 
     for pe in range(pa.n_pes):
-        live = []
-        for proto in (pa, pb):
-            states = {line: proto.state(pe, line)
-                      for line in list(proto.states[pe])}
-            live.append({k: v for k, v in states.items() if v != "I"})
-        first_diff(f"pe{pe}.states", *live)
+        first_diff(f"pe{pe}.states", *(
+            {e >> 2: proto.state(pe, e >> 2) for e in proto.st[pe]
+             if proto.state(pe, e >> 2) != "I"} for proto in (pa, pb)))
     first_diff("holders", pa.holders, pb.holders)
     if pa.phase != pb.phase:
         out.append(f"protocol.phase: {pa.phase} != {pb.phase}")
@@ -216,7 +213,7 @@ def _diff_protocol(machine_a, machine_b, out: List[str]) -> None:
                 out.append(f"protocol.bus.{attr}: {va} != {vb}")
     if hasattr(pa, "entries"):
         first_diff("entries", *(
-            {line: (sorted(e.sharers), e.dirty, e.owner, e.bcast)
+            {line: (e.sharers, e.owner, e.bcast)
              for line, e in proto.entries.items()} for proto in (pa, pb)))
         first_diff("home_of", pa.home_of, pb.home_of)
         if pa.free_at != pb.free_at:

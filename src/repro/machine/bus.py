@@ -45,11 +45,5 @@ class SnoopBus:
         self.stall_cycles += stall
         return grant, stall
 
-    def reset(self) -> None:
-        self.free_at = 0.0
-        self.transactions = 0
-        self.busy_cycles = 0.0
-        self.stall_cycles = 0.0
-
 
 __all__ = ["SnoopBus"]

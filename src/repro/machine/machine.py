@@ -324,8 +324,8 @@ class Machine:
         # possibly cache-to-cache from a modified remote copy).
         owner = self._owner(name, flat, pe_id)
         if self.protocol is not None and shared:
-            latency = self.protocol.read_miss(pe_id, name, flat,
-                                              line_addr, owner)
+            latency = self.protocol.read_miss(pe_id, line_addr, owner,
+                                              pe.clock)
         else:
             latency = self.read_latency(pe_id, owner)
             if owner != pe_id:
@@ -390,16 +390,18 @@ class Machine:
             # plane stays write-through exact), so the protocol only
             # prices the transaction and kills remote copies.  Ownership
             # makes the store local — remote_writes stays 0, and the
-            # write event says so, keeping trace folds exact.
+            # write event says so, keeping trace folds exact.  A write
+            # that missed allocates: the line comes in from memory, new
+            # value included (the one write-allocate path).
             addr = self.addr_map.addr(name, flat)
-            latency = self.protocol.write(pe_id, name, flat,
-                                          addr // self._lw, owner,
-                                          cacheable=cacheable)
+            line_addr = addr // self._lw
+            latency = self.protocol.write(pe_id, line_addr, owner, pe.clock)
             pe.advance(latency)
             if self.tracer is not None:
                 self.tracer.emit(("write", pe_id, name, flat, 1, 0))
-            if cacheable:
-                pe.cache.write_through_update(addr, value, version)
+            if cacheable and not pe.cache.write_through_update(
+                    addr, value, version):
+                self._install_line(pe, name, line_addr)
             return
         latency = self.write_latency(pe_id, owner)
         if owner != pe_id:

@@ -3,10 +3,12 @@ phase-priority request ordering.
 
 Every line has a *home* PE (the home of its first-touched word, cached
 per line — deterministic because the reference path replays accesses in
-one fixed order).  The home's directory entry records the sharer set, a
-dirty bit with the owning PE, and — in the limited-pointer variant — a
-broadcast bit that replaces precise sharers once more than
-``dir_ptr_limit`` PEs hold the line.
+one fixed order).  The home's directory entry records the sharer set
+(a PE bitmask), the owning PE while the line is dirty, and — in the
+limited-pointer variant — a broadcast bit that replaces precise sharers
+once more than ``dir_ptr_limit`` PEs hold the line.  One transition
+table (:attr:`DirectoryProtocol.table`) serves all three variants; the
+variants are parameters of it.
 
 Message cost between PEs ``p`` and ``q`` is
 ``dir_msg_base + remote_per_hop * hops(p, q)``; the home controller
@@ -40,24 +42,34 @@ Variants:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
-from .base import CoherenceProtocol
+from .base import M, S, CoherenceProtocol, bits
 
 
-@dataclass
+@dataclass(slots=True)
 class DirEntry:
     """One line's directory state at its home node."""
 
-    sharers: Set[int] = field(default_factory=set)
-    dirty: bool = False
-    owner: int = -1      #: owning PE while ``dirty``
+    sharers: int = 0     #: PE bitmask, a superset of the live copies
+    owner: int = -1      #: owning PE while dirty, else -1
     bcast: bool = False  #: limited-pointer overflow: sharers imprecise
+
+    @property
+    def dirty(self) -> bool:
+        return self.owner >= 0
 
 
 class DirectoryProtocol(CoherenceProtocol):
     kind = "dir"
+    #: table[state] = (read miss, write); the local view has no E.
+    table = (
+        ((S, "rd", True), (M, "rdx", True)),   # I
+        (None, (M, "upgr", False)),            # S: ownership upgrade
+        (None, None),                          # (E unused)
+        (None, (M, None, False)),              # M: directory-silent
+    )
 
     def __init__(self, machine, limited_ptrs: bool = False,
                  phase_priority: bool = False) -> None:
@@ -72,17 +84,14 @@ class DirectoryProtocol(CoherenceProtocol):
         self.home_of: Dict[int, int] = {}
         #: per-home controller occupancy horizon (machine cycles).
         self.free_at = [0.0] * self.n_pes
-        #: per-sender rows of :meth:`_msg` costs, each built on first use.
+        #: per-sender rows of message costs, each built on first use.
         self._msg_rows: List[Optional[List[float]]] = [None] * self.n_pes
 
     # -- directory mechanics --------------------------------------------
-    def _entry(self, line_addr: int) -> DirEntry:
-        entry = self.entries.get(line_addr)
-        if entry is None:
-            entry = self.entries[line_addr] = DirEntry()
-        return entry
-
-    def _msg(self, p: int, q: int) -> float:
+    def _row(self, p: int) -> List[float]:
+        """Message costs ``dir_msg_base + remote_per_hop * hops(p, q)``
+        from PE ``p`` to every ``q`` (hops are symmetric, so also to
+        ``p``)."""
         row = self._msg_rows[p]
         if row is None:
             base = self.params.dir_msg_base
@@ -90,7 +99,7 @@ class DirectoryProtocol(CoherenceProtocol):
             hops = self.machine.torus.hops
             row = self._msg_rows[p] = [base + per_hop * hops(p, r)
                                        for r in range(self.n_pes)]
-        return row[q]
+        return row
 
     def _home_grant(self, home: int, clock: float):
         """(stall, bypass) of one request at the home controller."""
@@ -106,138 +115,92 @@ class DirectoryProtocol(CoherenceProtocol):
         self.free_at[home] = grant + self.params.dir_proc
         return grant - clock, 0
 
-    def _add_sharer(self, entry: DirEntry, pe_id: int) -> None:
-        entry.sharers.add(pe_id)
-        if (self.limited_ptrs and not entry.bcast
-                and len(entry.sharers) > self.params.dir_ptr_limit):
-            entry.bcast = True
-
-    def _live_dirty_owner(self, entry: DirEntry, line_addr: int, pe_id: int):
+    def _live_dirty_owner(self, entry: DirEntry, line: int, pe_id: int):
         """The modified-owner PE, or None (reconciling silent evictions)."""
-        if not entry.dirty:
-            return None
         owner = entry.owner
-        if owner == pe_id or self._state(owner, line_addr) != "M":
-            entry.dirty = False
+        if owner < 0:
+            return None
+        if owner == pe_id or self._code(owner, line) != M:
             entry.owner = -1
             return None
         return owner
 
-    # -- machine hooks ---------------------------------------------------
-    def read_miss(self, pe_id: int, name: str, flat: int, line_addr: int,
-                  owner: int) -> float:
-        pe = self.machine.pes[pe_id]
+    def _transact(self, pe_id, line, owner, clock, nxt, op, data):
+        pe = self.pes[pe_id]
         params = self.params
-        home = self.home_of.setdefault(line_addr, owner)
-        self._evict_victim(pe_id, line_addr)
-        entry = self._entry(line_addr)
-        stall, bypass = self._home_grant(home, pe.clock)
-        cost = stall + self._msg(pe_id, home) + params.dir_proc
-        dirty_owner = self._live_dirty_owner(entry, line_addr, pe_id)
-        if dirty_owner is not None:
-            # 4-hop: forward to owner, cache-to-cache data, sharing
-            # writeback; the owner keeps a shared copy.
+        write = nxt == M
+        home = self.home_of.setdefault(line, owner)
+        if not write:
+            self._retire(pe_id, line)
+        entry = self.entries.get(line)
+        if entry is None:
+            entry = self.entries[line] = DirEntry()
+        stall, bypass = self._home_grant(home, clock)
+        from_home = self._row(home)
+        msgs, c2c = 2, 0  # request + terminal data/ack
+        cost = stall + from_home[pe_id] + params.dir_proc
+        dirty = self._live_dirty_owner(entry, line, pe_id)
+        if data and dirty is not None:
+            # 4-hop: forward to the owner, cache-to-cache data; a read
+            # leaves the owner a shared copy after a sharing writeback.
             msgs, c2c = 4, 1
-            cost += (self._msg(home, dirty_owner)
-                     + self._msg(dirty_owner, pe_id) + self.lw)
+            cost += from_home[dirty] + self._row(dirty)[pe_id] + self.lw
             pe.stats.c2c_transfers += 1
-            self.states[dirty_owner][line_addr] = "S"
-            self._emit_wb(dirty_owner, line_addr, "downgrade")
-            entry.dirty = False
-            entry.owner = -1
-        else:
-            msgs, c2c = 2, 0
-            reply = self._msg(home, pe_id) + params.local_mem
-            if home != pe_id:
-                reply = self.machine.memory.remote_latency(pe_id, reply)
-            cost += reply
-        self._add_sharer(entry, pe_id)
-        self._set_state(pe_id, line_addr, "S")
-        pe.stats.dir_requests += 1
-        pe.stats.dir_messages += msgs
-        pe.stats.dir_stall_cycles += stall
-        pe.stats.priority_bypasses += bypass
-        tracer = self.machine.tracer
-        if tracer is not None:
-            tracer.emit(("dir_req", pe_id, "rd", line_addr, home, msgs,
-                         c2c, bypass))
-        return cost
-
-    def write(self, pe_id: int, name: str, flat: int, line_addr: int,
-              owner: int, cacheable: bool = True) -> float:
-        pe = self.machine.pes[pe_id]
-        params = self.params
-        state = self._state(pe_id, line_addr)
-        if state == "M":
-            # Owner write: directory-silent, like a MESI M hit.
-            return params.write_local
-        home = self.home_of.setdefault(line_addr, owner)
-        entry = self._entry(line_addr)
-        stall, bypass = self._home_grant(home, pe.clock)
-        msgs = 2  # request + terminal data/ack
-        cost = stall + self._msg(pe_id, home) + params.dir_proc
-        c2c = 0
-        dirty_owner = self._live_dirty_owner(entry, line_addr, pe_id)
-        if state == "I" and dirty_owner is not None:
-            # Owner flushes the line to the requester before dying.
-            msgs += 2
-            c2c = 1
-            cost += (self._msg(home, dirty_owner)
-                     + self._msg(dirty_owner, pe_id) + self.lw)
-            pe.stats.c2c_transfers += 1
-        # Invalidation round: precise sharers, or everyone on overflow.
-        if entry.bcast:
-            targets = [q for q in range(self.n_pes) if q != pe_id]
-            pe.stats.dir_broadcasts += 1
-            tracer = self.machine.tracer
-            if tracer is not None:
-                tracer.emit(("dir_bcast", pe_id, line_addr,
-                             self.n_pes - 1))
-        else:
-            targets = sorted(entry.sharers - {pe_id})
-        if targets:
-            msgs += 2 * len(targets)
-            out = max(self._msg(home, q) for q in targets)
-            ack = max(self._msg(q, home) for q in targets)
-            # The round is parallel: pay the slowest invalidate and (in
-            # the base protocol) the slowest ack.  Phase-priority trusts
-            # the phase barrier to collect acks off the critical path.
-            cost += out if self.phase_priority else out + ack
-        count = self._invalidate_copies(pe_id, line_addr, targets)
-        if state == "I" and dirty_owner is None:
+            if not write:
+                self.st[dirty][line % self.nl] = line << 2 | S
+                self._emit_wb(dirty, line, "downgrade")
+                entry.owner = -1
+        count = 0
+        if write:
+            # Invalidation round: precise sharers, or everyone on overflow.
+            if entry.bcast:
+                targets = ((1 << self.n_pes) - 1) & ~(1 << pe_id)
+                pe.stats.dir_broadcasts += 1
+                tracer = self.machine.tracer
+                if tracer is not None:
+                    tracer.emit(("dir_bcast", pe_id, line, self.n_pes - 1))
+            else:
+                targets = entry.sharers & ~(1 << pe_id)
+            if targets:
+                msgs += 2 * targets.bit_count()
+                out = max(from_home[q] for q in bits(targets))
+                # The round is parallel: pay the slowest invalidate and
+                # (in the base protocol) the slowest ack.  Phase-priority
+                # trusts the phase barrier to collect acks off the
+                # critical path.
+                cost += out if self.phase_priority else out + out
+            count = self._invalidate_copies(line, targets)
+        if data and dirty is None:
             # The home's memory supplies the line with the data reply.
-            reply = self._msg(home, pe_id) + params.local_mem
+            reply = from_home[pe_id] + params.local_mem
             if home != pe_id:
                 reply = self.machine.memory.remote_latency(pe_id, reply)
             cost += reply
-        elif state == "S":
-            cost += self._msg(home, pe_id)  # upgrade ack
-        op = "rdx" if state == "I" else "upgr"
-        if state == "I":
-            self._evict_victim(pe_id, line_addr)
-            if cacheable:
-                self.machine._install_line(pe, name, line_addr)
-        entry.sharers = {pe_id}
-        entry.dirty = True
-        entry.owner = pe_id
-        entry.bcast = False
-        self._set_state(pe_id, line_addr, "M")
-        pe.stats.dir_requests += 1
-        pe.stats.dir_messages += msgs
-        pe.stats.dir_stall_cycles += stall
-        pe.stats.priority_bypasses += bypass
+        elif not data:
+            cost += from_home[pe_id]  # upgrade ack
+        if write:
+            if data:
+                self._retire(pe_id, line)
+            entry.sharers = 1 << pe_id
+            entry.owner = pe_id
+            entry.bcast = False
+        else:
+            entry.sharers |= 1 << pe_id
+            if (self.limited_ptrs and not entry.bcast
+                    and entry.sharers.bit_count() > params.dir_ptr_limit):
+                entry.bcast = True
+        self._set(pe_id, line, nxt)
+        stats = pe.stats
+        stats.dir_requests += 1
+        stats.dir_messages += msgs
+        stats.dir_stall_cycles += stall
+        stats.priority_bypasses += bypass
         tracer = self.machine.tracer
         if tracer is not None:
-            tracer.emit(("dir_req", pe_id, op, line_addr, home, msgs,
-                         c2c, bypass))
-        self._account_inval(pe_id, line_addr, count)
-        return cost + params.write_local
-
-    def reset(self) -> None:
-        super().reset()
-        self.entries.clear()
-        self.home_of.clear()
-        self.free_at = [0.0] * self.n_pes
+            tracer.emit(("dir_req", pe_id, op, line, home, msgs, c2c,
+                         bypass))
+        self._account_inval(pe_id, line, count)
+        return cost
 
 
 __all__ = ["DirEntry", "DirectoryProtocol"]

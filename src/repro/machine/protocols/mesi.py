@@ -1,12 +1,12 @@
 """Snooping MESI on a shared bus.
 
-Processor events (PrRd hit, PrRd miss, PrWr) drive the classic
-four-state machine; every transition that needs other caches' attention
-becomes one bus transaction (BusRd, BusRdX, BusUpgr) serialised by
-:class:`~repro.machine.bus.SnoopBus`.  The transition table (states ×
-events, with the snoop side-effects on every other cache) is written
-out in DESIGN.md §8 and exercised cell-by-cell by
-``tests/machine/test_protocol_litmus.py``.
+Processor events (PrRd miss, PrWr) drive the classic four-state machine
+through :attr:`MESIProtocol.table`; every transition that needs other
+caches' attention becomes one bus transaction (BusRd, BusRdX, BusUpgr)
+serialised by :class:`~repro.machine.bus.SnoopBus`.  The snoop side of
+each transaction (DESIGN.md §8) is exercised cell-by-cell by
+``tests/machine/test_protocol_litmus.py``, and every reachable state of
+small machines by ``tests/machine/test_protocol_explore.py``.
 
 Cost model (cycles):
 
@@ -27,106 +27,71 @@ Cost model (cycles):
 from __future__ import annotations
 
 from ..bus import SnoopBus
-from .base import CoherenceProtocol
+from .base import E, M, S, CoherenceProtocol
+
+#: bus op -> the requester's PEStats counter
+_OP_STAT = {"busrd": "bus_rd", "busrdx": "bus_rdx", "busupgr": "bus_upgr"}
 
 
 class MESIProtocol(CoherenceProtocol):
     kind = "mesi"
+    #: table[state] = (PrRd miss, PrWr); a BusRd finding other live
+    #: copies enters S instead of E.
+    table = (
+        ((E, "busrd", True), (M, "busrdx", True)),  # I
+        (None, (M, "busupgr", False)),               # S
+        (None, (M, None, False)),                    # E: silent upgrade
+        (None, (M, None, False)),                    # M: owner write
+    )
 
     def __init__(self, machine) -> None:
         super().__init__(machine)
         self.bus = SnoopBus(machine.params.bus_cycle)
 
-    def _supply(self, pe_id: int, line_addr: int, owner: int, others):
-        """(cycles, c2c, dirty_owner) for one line supply on the bus."""
-        dirty_owner = next(
-            (q for q in others if self.states[q].get(line_addr) == "M"),
-            None)
-        if dirty_owner is not None:
-            self.machine.pes[pe_id].stats.c2c_transfers += 1
-            return 4 * self.lw + self.n_pes + 1, 1, dirty_owner
-        machine = self.machine
-        cycles = machine.read_latency(pe_id, owner)
-        if owner != pe_id:
-            cycles = machine.memory.remote_latency(pe_id, cycles)
-        return cycles, 0, None
-
-    def read_miss(self, pe_id: int, name: str, flat: int, line_addr: int,
-                  owner: int) -> float:
-        pe = self.machine.pes[pe_id]
-        self._evict_victim(pe_id, line_addr)
-        others = self._live_others(pe_id, line_addr)
-        _, stall = self.bus.acquire(pe.clock,
-                                    self.params.bus_cycle + self.lw)
-        supply, c2c, dirty_owner = self._supply(pe_id, line_addr, owner,
-                                                others)
-        if dirty_owner is not None:
+    def _transact(self, pe_id, line, owner, clock, nxt, op, data):
+        pe = self.pes[pe_id]
+        params = self.params
+        if data:
+            self._retire(pe_id, line)
+        others = self._live_others(pe_id, line)
+        _, stall = self.bus.acquire(
+            clock, params.bus_cycle + self.lw if data else params.bus_cycle)
+        cost = stall + params.bus_cycle
+        c2c = 0
+        s = line % self.nl
+        dirty = next((q for q in others if self.st[q][s] & 3 == M), None)
+        if data:
+            if dirty is not None:
+                pe.stats.c2c_transfers += 1
+                c2c = 1
+                cost += 4 * self.lw + self.n_pes + 1
+            else:
+                supply = self.machine.read_latency(pe_id, owner)
+                if owner != pe_id:
+                    supply = self.machine.memory.remote_latency(pe_id, supply)
+                cost += supply
+        count = 0
+        if nxt == M:
+            # BusRdX / BusUpgr: every other copy dies.
+            count = self._invalidate_copies(line, ~(1 << pe_id))
+        elif dirty is not None:
             # BusRd snooped by the modified owner: sharing writeback.
-            self.states[dirty_owner][line_addr] = "S"
-            self._emit_wb(dirty_owner, line_addr, "downgrade")
+            self.st[dirty][s] = line << 2 | S
+            self._emit_wb(dirty, line, "downgrade")
         else:
             for q in others:
-                if self.states[q].get(line_addr) == "E":
-                    self.states[q][line_addr] = "S"
-        self._set_state(pe_id, line_addr, "S" if others else "E")
-        pe.stats.bus_rd += 1
-        pe.stats.bus_stall_cycles += stall
+                if self.st[q][s] & 3 == E:
+                    self.st[q][s] = line << 2 | S
+        self._set(pe_id, line, S if others and nxt != M else nxt)
+        stats = pe.stats
+        attr = _OP_STAT[op]
+        setattr(stats, attr, getattr(stats, attr) + 1)
+        stats.bus_stall_cycles += stall
         tracer = self.machine.tracer
         if tracer is not None:
-            tracer.emit(("bus_tx", pe_id, "busrd", line_addr, c2c))
-        return stall + self.params.bus_cycle + supply
-
-    def write(self, pe_id: int, name: str, flat: int, line_addr: int,
-              owner: int, cacheable: bool = True) -> float:
-        pe = self.machine.pes[pe_id]
-        params = self.params
-        state = self._state(pe_id, line_addr)
-        if state == "M":
-            return params.write_local
-        if state == "E":
-            # Silent E→M upgrade: exclusivity means no bus transaction.
-            self.states[pe_id][line_addr] = "M"
-            pe.stats.silent_upgrades += 1
-            tracer = self.machine.tracer
-            if tracer is not None:
-                tracer.emit(("silent_upgrade", pe_id, line_addr))
-            return params.write_local
-        if state == "S":
-            # BusUpgr: address-only transaction killing the other copies.
-            _, stall = self.bus.acquire(pe.clock, params.bus_cycle)
-            count = self._invalidate_copies(
-                pe_id, line_addr, self._live_others(pe_id, line_addr))
-            self.states[pe_id][line_addr] = "M"
-            pe.stats.bus_upgr += 1
-            pe.stats.bus_stall_cycles += stall
-            tracer = self.machine.tracer
-            if tracer is not None:
-                tracer.emit(("bus_tx", pe_id, "busupgr", line_addr, 0))
-            self._account_inval(pe_id, line_addr, count)
-            return stall + params.bus_cycle + params.write_local
-        # I: BusRdX — fetch the line with intent to modify (the one
-        # write-allocate path in the machine; memory already holds the
-        # new value, so the install below picks it up).
-        self._evict_victim(pe_id, line_addr)
-        others = self._live_others(pe_id, line_addr)
-        _, stall = self.bus.acquire(pe.clock, params.bus_cycle + self.lw)
-        supply, c2c, _dirty_owner = self._supply(pe_id, line_addr, owner,
-                                                 others)
-        count = self._invalidate_copies(pe_id, line_addr, others)
-        self._set_state(pe_id, line_addr, "M")
-        if cacheable:
-            self.machine._install_line(pe, name, line_addr)
-        pe.stats.bus_rdx += 1
-        pe.stats.bus_stall_cycles += stall
-        tracer = self.machine.tracer
-        if tracer is not None:
-            tracer.emit(("bus_tx", pe_id, "busrdx", line_addr, c2c))
-        self._account_inval(pe_id, line_addr, count)
-        return stall + params.bus_cycle + supply + params.write_local
-
-    def reset(self) -> None:
-        super().reset()
-        self.bus.reset()
+            tracer.emit(("bus_tx", pe_id, op, line, c2c))
+        self._account_inval(pe_id, line, count)
+        return cost
 
 
 __all__ = ["MESIProtocol"]

@@ -10,7 +10,7 @@ measure wrap-around Manhattan distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -56,16 +56,18 @@ class Torus:
         x_dim, y_dim, z_dim = self.shape
         return (pe % x_dim, (pe // x_dim) % y_dim, pe // (x_dim * y_dim))
 
+    @cached_property
+    def _hop_rows(self):
+        """:meth:`hop_matrix` as nested lists, built once per torus."""
+        return self.hop_matrix().tolist()
+
     def hops(self, src: int, dst: int) -> int:
         """Wrap-around Manhattan distance between two PEs."""
-        if src == dst:
-            return 0
-        a, b = self.coords(src), self.coords(dst)
-        total = 0
-        for ai, bi, dim in zip(a, b, self.shape):
-            delta = abs(ai - bi)
-            total += min(delta, dim - delta)
-        return total
+        n = self.n_pes
+        if not (0 <= src < n and 0 <= dst < n):
+            bad = dst if 0 <= src < n else src
+            raise ValueError(f"PE {bad} out of range 0..{n - 1}")
+        return self._hop_rows[src][dst]
 
     def hop_matrix(self) -> np.ndarray:
         """(n_pes, n_pes) matrix of hop counts (vectorised-engine input)."""

@@ -55,9 +55,10 @@ hazard, falling back before anything is mutated.
 Chunks under a hardware coherence protocol (MESI, directory) keep the
 value pass and swap the timing pass for :meth:`_protocol_timing_pass`:
 one Python pass over the chunk's events in program order charges read
-hits and private accesses inline and hands every shared miss and write
-to the protocol's own ``read_miss``/``write``, with the PE clock set to
-the event's exact pre-event value.  This is exact because a DOALL epoch
+hits, private accesses and owner writes (the protocol table's silent
+entry) inline and hands every other shared miss and write to the
+protocol's own ``read_miss``/``write`` at the event's exact pre-event
+clock.  This is exact because a DOALL epoch
 runs PE by PE: while one PE's chunk runs, no other PE touches the state
 tables, the bus or the home horizons.  Traced runs and chunks with
 prefetch or vector state fall back.
@@ -2083,20 +2084,22 @@ class BatchedInterpreter(Interpreter):
 
         One Python pass over the chunk's events in program order, against
         a list copy of the tags.  Read hits, private misses and private
-        writes are charged inline.  Every shared read miss and every
-        cacheable shared write (a write in state I allocates) goes to the
-        protocol's own ``read_miss``/``write``, which also answers the
-        silent owner writes, with the PE clock and the event's cache set
-        restored to their exact pre-event values.  Only this PE acts until
-        the chunk ends, so no other PE's table, the bus or the home
-        horizons can move between two of its events."""
+        writes are charged inline, and so are owner writes: the protocol
+        table's silent entry, read off the protocol's per-set state.
+        Every shared read miss and every other cacheable shared write
+        goes to the protocol's own ``read_miss``/``write`` at the event's
+        exact pre-event clock, with the event's cache set restored to its
+        pre-event tag.  A write in state I allocates: the pass sets the
+        tag, and the chunk-end refill brings in the data.  Only this PE
+        acts until the chunk ends, so no other PE's state, the bus or the
+        home horizons can move between two of its events."""
         params = self.params
         proto = self.machine.protocol
         cache = pe_obj.cache
         rows = plan.protocol_rows
         if rows is None:
             rows = plan.protocol_rows = self._protocol_rows(plan)
-        base_row, kinds, costs, names, extras = rows
+        base_row, kinds, costs, extras = rows
         n_slots = plan.n_events
         flat = np.stack(flats, axis=1)
         addr = (flat + base_row).ravel()
@@ -2106,15 +2109,17 @@ class BatchedInterpreter(Interpreter):
         tl = tags.tolist()
         nl = cache.n_lines
         ch = float(params.cache_hit)
+        wl = params.write_local
         read_miss = proto.read_miss
         write = proto.write
+        st = proto.st[pe]
+        owned = proto.owner_state
         clock0 = pe_obj.clock
         off = 0.0  # cycles since the chunk began
         hits = lf = 0
-        for si, p, f, line, h in zip(
+        for si, p, line, h in zip(
                 list(range(n_slots)) * Tt, pre.ravel().tolist(),
-                flat.ravel().tolist(), lines.tolist(),
-                self._addr_owners()[addr].tolist()):
+                lines.tolist(), self._addr_owners()[addr].tolist()):
             off += p
             s = line % nl
             kind = kinds[si]
@@ -2129,13 +2134,14 @@ class BatchedInterpreter(Interpreter):
                 else:
                     lf += h == pe
                     tags[s] = tl[s]
-                    pe_obj.clock = clock0 + off
-                    off += read_miss(pe, names[si], f, line, h) + extras[si]
+                    off += read_miss(pe, line, h, clock0 + off) + extras[si]
                 tl[s] = line
             elif kind == INSTALL:
+                if tl[s] == line and st[s] == line << 2 | owned:
+                    off += wl
+                    continue
                 tags[s] = tl[s]
-                pe_obj.clock = clock0 + off
-                off += write(pe, names[si], f, line, h)
+                off += write(pe, line, h, clock0 + off)
                 tl[s] = line
             else:
                 off += costs[si]
@@ -2156,8 +2162,8 @@ class BatchedInterpreter(Interpreter):
         """Per-slot constants of :meth:`_protocol_timing_pass`: word-address
         bases, event kinds (cached reads READ, cacheable shared writes
         INSTALL, private writes WRITE), the static cost of a private miss
-        or write (0 where the protocol prices the event), array names, and
-        the CRAFT extra of each read (None for writes)."""
+        or write (0 where the protocol prices the event), and the CRAFT
+        extra of each read (None for writes)."""
         p = self.params
         slots = plan.slots
         return (
@@ -2167,7 +2173,6 @@ class BatchedInterpreter(Interpreter):
             [0.0 if s.shared else float(
                 p.local_mem if s.role == "cr" else p.write_local)
              for s in slots],
-            [s.array for s in slots],
             [s.extra if s.role == "cr" else None for s in slots])
 
     def _addr_owners(self) -> np.ndarray:

@@ -125,3 +125,27 @@ class TestProfile:
         captured = capsys.readouterr()
         assert "--pe -1 is out of range" in captured.err
         assert "PE -1" not in captured.out
+
+
+class TestPeCountValidation:
+    """A zero or negative ``--pes`` is a usage error (exit 2), not a
+    MachineParams traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "mxm", "--n", "8", "--pes", "0"],
+        ["run", "mxm", "--n", "8", "--pes=-2"],
+        ["trace", "mxm", "--n", "8", "--pes", "0"],
+        ["fuzz", "--seeds", "1", "--pes=-1"],
+        ["table1", "--workloads", "mxm", "--n", "8", "--pes", "1,0"],
+        ["table2", "--workloads", "mxm", "--n", "8", "--pes=-4"],
+        ["table3", "--workloads", "mxm", "--n", "8", "--pes", "0"],
+        ["report", "--workloads", "mxm", "--n", "8", "--pes=2,-1"],
+        ["table1", "--workloads", "mxm", "--n", "8", "--pes", "two"],
+    ])
+    def test_non_positive_pes_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "PE count must be a positive integer" in err
+        assert "Traceback" not in err

@@ -430,7 +430,7 @@ def _d_i_prrd():
     assert p.events == [("dir_req", 0, "rd", ln, 0, 2, 0, 0)]
     assert p.cost == (2 * msg(m, 0, 0) + m.params.dir_proc
                       + m.params.local_mem)
-    assert m.protocol.entries[ln].sharers == {0}
+    assert m.protocol.entries[ln].sharers == 0b1
     assert not m.protocol.entries[ln].dirty
 
 
@@ -446,7 +446,7 @@ def _d_i_prwr():
     assert p.cost == (2 * msg(m, 0, 0) + m.params.dir_proc
                       + m.params.local_mem + m.params.write_local)
     entry = m.protocol.entries[ln]
-    assert entry.dirty and entry.owner == 0 and entry.sharers == {0}
+    assert entry.dirty and entry.owner == 0 and entry.sharers == 0b1
     assert m.read(0, "a", 0) == 1.5  # write-allocated
 
 
@@ -503,7 +503,7 @@ def _d_s_prwr():
                       + msg(m, 0, 1) + msg(m, 1, 0)
                       + m.params.write_local)
     entry = m.protocol.entries[ln]
-    assert entry.dirty and entry.owner == 0 and entry.sharers == {0}
+    assert entry.dirty and entry.owner == 0 and entry.sharers == 0b1
 
 
 @dir_cell("S", "RemoteRd")
@@ -513,7 +513,7 @@ def _d_s_remoterd():
     m.read(2, "a", 0)
     for pe in (0, 1, 2):
         assert m.protocol.state(pe, line(m, 0)) == "S"
-    assert m.protocol.entries[line(m, 0)].sharers == {0, 1, 2}
+    assert m.protocol.entries[line(m, 0)].sharers == 0b111
 
 
 @dir_cell("S", "RemoteWr")
@@ -538,7 +538,7 @@ def _d_s_evict():
     to_S(m, 0, 1, 0)
     m.read(0, "a", 16)  # evicts PE0's copy of line 1, directory unaware
     assert m.protocol.state(0, ln) == "I"
-    assert m.protocol.entries[ln].sharers == {0, 1}  # stale superset
+    assert m.protocol.entries[ln].sharers == 0b11  # stale superset
     p = Probe(m, 1)
     m.write(1, "a", 0, 9.0)
     event = [e for e in p.events if e[0] == "dir_req"][0]
@@ -586,7 +586,7 @@ def _d_m_remoterd():
                       + msg(m, 0, 0) + msg(m, 0, 1)
                       + m.params.line_words)
     entry = m.protocol.entries[ln]
-    assert not entry.dirty and entry.sharers == {0, 1}
+    assert not entry.dirty and entry.sharers == 0b11
     assert m.pes[1].stats.c2c_transfers == 1
 
 
@@ -722,20 +722,23 @@ def test_dir_home_assignment_is_sticky():
     assert m.protocol.home_of[ln] == 1
 
 
-def test_protocol_reset_restores_cold_state():
-    m = make("mesi")
-    m.write(0, "a", 0, 1.0)
-    m.read(1, "a", 0)
-    m.protocol.reset()
-    assert m.protocol.holders == {}
-    assert m.protocol.bus.free_at == 0.0 and m.protocol.bus.transactions == 0
-    d = make("dir-lp", n_pes=8)
-    for pe in range(6):
-        d.read(pe, "a", 0)
-    d.write(7, "a", 0, 1.0)
-    d.protocol.reset()
-    assert d.protocol.entries == {} and d.protocol.home_of == {}
-    assert d.protocol.free_at == [0.0] * 8
+@pytest.mark.parametrize("protocol", ["mesi", "dir", "dir-lp"])
+def test_sharing_past_64_pes(protocol):
+    """Holder and sharer bitmasks are not capped at 64 PEs: 65 readers
+    share a line, and PE 64's write kills the 64 other copies."""
+    m = make(protocol, n_pes=65)
+    ln = line(m, 0)
+    for pe in range(65):
+        m.read(pe, "a", 0)
+    everyone = (1 << 65) - 1
+    assert m.protocol.holders[ln] == everyone
+    if protocol != "mesi":
+        assert m.protocol.entries[ln].sharers == everyone
+    m.write(64, "a", 0, 1.0)
+    assert m.pes[64].stats.coh_invalidations == 64
+    assert m.protocol.holders[ln] == 1 << 64
+    assert m.protocol.state(64, ln) == "M"
+    assert all(m.protocol.state(pe, ln) == "I" for pe in range(64))
 
 
 def test_fault_eviction_reconciles_lazily():

@@ -51,11 +51,16 @@ class TestHops:
                     assert torus.hops(a, c) <= torus.hops(a, b) + torus.hops(b, c)
 
     def test_hop_matrix_matches_scalar(self):
-        torus = torus_for(8)
+        torus = torus_for(12)
         matrix = torus.hop_matrix()
-        for a in range(8):
-            for b in range(8):
-                assert matrix[a, b] == torus.hops(a, b)
+        for a in range(12):
+            for b in range(12):
+                # wrap-around Manhattan distance, straight from coords
+                want = sum(min(abs(x - y), dim - abs(x - y))
+                           for x, y, dim in zip(torus.coords(a),
+                                                torus.coords(b),
+                                                torus.shape))
+                assert matrix[a, b] == torus.hops(a, b) == want
 
     def test_mean_hops_positive(self):
         assert torus_for(1).mean_hops() == 0.0
@@ -64,6 +69,13 @@ class TestHops:
     def test_out_of_range_pe(self):
         with pytest.raises(ValueError):
             torus_for(4).coords(4)
+
+    @pytest.mark.parametrize("src,dst", [(4, 0), (0, 4), (-1, 0), (0, -1),
+                                         (-1, -1), (4, 4)])
+    def test_hops_out_of_range_raises(self, src, dst):
+        """The hop table must not wrap a negative PE to the last row."""
+        with pytest.raises(ValueError):
+            torus_for(4).hops(src, dst)
 
 
 class TestAddressMap:

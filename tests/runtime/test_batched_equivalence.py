@@ -266,6 +266,19 @@ def test_protocol_bit_exact(name, version, n_pes):
     assert report.stats_batched["writebacks"] > 0
 
 
+@pytest.mark.parametrize("version", [Version.MESI, Version.DIR,
+                                     Version.DIR_LP])
+def test_protocol_bit_exact_past_64_pes(version):
+    """65 PEs: holder and sharer bitmasks need bits past 63 (VPENTA at
+    n=65 gives PE 64 shared lines), and the batched run must still match
+    the reference in every protocol record."""
+    report = check_workload("vpenta", t3d(65, cache_bytes=256), version,
+                            n=65)
+    assert report.exact, report.summary()
+    assert report.coverage >= 0.9, report.coverage
+    assert report.batch_fallbacks == 0
+
+
 @pytest.mark.parametrize("version", [Version.MESI, Version.DIR])
 @pytest.mark.parametrize("mode", ["traced", "oracle", "faulted"])
 def test_protocol_fallbacks_stay_exact(mode, version):
