@@ -62,18 +62,23 @@ from .tables import (TABLE3_VERSIONS, format_table1, format_table2,
 DEFAULT_FARM_RETRIES = 2
 
 
-def _pe_count(text: str) -> int:
-    """argparse type of a ``--pes`` count: a positive integer, so a bad
-    count is a usage error (exit 2) instead of a MachineParams
-    traceback."""
-    try:
-        count = int(text)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(
-            f"PE count must be a positive integer, got {text!r}")
-    return count
+def _positive(what: str):
+    """argparse type of a positive integer count, so a bad count is a
+    usage error (exit 2) instead of a traceback further in."""
+    def parse(text: str) -> int:
+        try:
+            count = int(text)
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be a positive integer, got {text!r}")
+        return count
+    return parse
+
+
+#: ``--pes``: a bad count would otherwise raise inside MachineParams
+_pe_count = _positive("PE count")
 
 
 def _pe_counts(text: str) -> List[int]:
@@ -375,7 +380,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p = sub.add_parser("fuzz", help="differential conformance fuzzing "
                                     "(versions x backends x oracle x verifier)")
-    p.add_argument("--seeds", type=int, default=25, metavar="N",
+    p.add_argument("--seeds", type=_positive("seed count"), default=25,
+                   metavar="N",
                    help="number of generator seeds to run")
     p.add_argument("--start", type=int, default=0, metavar="S",
                    help="first seed (cells run seeds S .. S+N-1)")

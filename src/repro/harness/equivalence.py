@@ -16,13 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from dataclasses import fields as dc_fields
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
 from ..machine.params import MachineParams
 from ..runtime.exec_config import ExecutionConfig, Version
-from ..runtime.interp import make_interpreter
+from ..runtime.interp import RunResult, make_interpreter
+
+if TYPE_CHECKING:
+    from ..obs import Tracer
 
 
 @dataclass
@@ -39,6 +42,10 @@ class EquivalenceReport:
     coverage: float = 0.0      #: fraction of refs the batched run bulk-served
     stats_batched: dict = field(default_factory=dict)  #: batched-run stats
     trace_events: int = 0      #: events compared (0 unless trace=True)
+    #: the reference run itself, so a caller that also needs its final
+    #: state or event stream does not simulate the program a third time
+    result_ref: Optional[RunResult] = None    #: reference-backend run
+    tracer_ref: Optional["Tracer"] = None     #: its tracer (trace=True)
 
     @property
     def exact(self) -> bool:
@@ -69,6 +76,10 @@ def compare_backends(program, params: MachineParams, version: str,
     the per-epoch metrics timelines are diffed element by element — the
     batched backend synthesises events, so this is the strongest
     backend-equivalence check available.
+
+    The report carries the reference run (:attr:`~EquivalenceReport.
+    result_ref`, plus :attr:`~EquivalenceReport.tracer_ref` when traced)
+    for callers that check more than backend agreement on it.
     """
     from ..obs import Tracer
 
@@ -109,7 +120,7 @@ def compare_backends(program, params: MachineParams, version: str,
         fault_fallbacks=getattr(bat, "fault_fallbacks", 0),
         coverage=res_bat.batched_coverage,
         stats_batched=bat.machine.stats.as_dict(),
-        trace_events=trace_events)
+        trace_events=trace_events, result_ref=res_ref, tracer_ref=tracer_ref)
 
 
 def check_workload(name: str, params: MachineParams, version: str,

@@ -39,6 +39,9 @@ exact too:
 * all event costs are integral, which makes bulk cycle summation exact
   (adding integers to a float clock is associative below 2**53);
 * race checking and read tracing are off (those need per-event order).
+  This one, like fault injection, the oracle and a traced protocol
+  run, holds for the whole run or not at all: a run that fails it
+  compiles no plan (:meth:`BatchedInterpreter._run_fallback_reason`).
 
 Chunks whose events can interact with prefetch state — they contain
 ``PrefetchLine`` statements, or leftover prefetch-queue entries /
@@ -60,12 +63,13 @@ entry) inline and hands every other shared miss and write to the
 protocol's own ``read_miss``/``write`` at the event's exact pre-event
 clock.  This is exact because a DOALL epoch
 runs PE by PE: while one PE's chunk runs, no other PE touches the state
-tables, the bus or the home horizons.  Traced runs and chunks with
-prefetch or vector state fall back.
+tables, the bus or the home horizons.  Traced protocol runs plan
+nothing; chunks with prefetch or vector state fall back.
 
 Chunks containing ``PrefetchVector``/``InvalidateLines`` statements,
 ``If``s, calls or nested loops are never planned; they run on the
-reference path unchanged.
+reference path unchanged (each ``PrefetchVector`` execution is counted
+as a ``vector_prefetch`` skip).
 """
 
 from __future__ import annotations
@@ -79,7 +83,8 @@ import numpy as np
 from ..analysis.affine import AffineForm, affine_ref
 from ..ir.expr import (ArrayRef, BinOp, Expr, FloatConst, IntConst,
                        IntrinsicCall, RefMode, SymConst, UnaryOp, VarRef)
-from ..ir.stmt import Assign, Loop, LoopKind, PrefetchLine, Stmt
+from ..ir.stmt import (Assign, Loop, LoopKind, PrefetchLine,
+                       PrefetchVector, Stmt)
 from ..machine.batchops import (INSTALL, OUT_HIT, RE_COST, RE_PF, RE_READ,
                                 RE_WRITE, READ, REC_EXTRACT, REC_HIT,
                                 REC_KILL_FLAG, REC_MISS, REC_NONE,
@@ -89,7 +94,7 @@ from ..machine.batchops import (INSTALL, OUT_HIT, RE_COST, RE_PF, RE_READ,
                                 uncached_read_latency_table,
                                 write_latency_table)
 from ..machine.prefetchq import PrefetchEntry
-from .interp import Interpreter
+from .interp import Interpreter, RunResult
 
 #: Minimum chunk size (iterations x memory events) worth the bind overhead.
 MIN_BATCH_EVENTS = 16
@@ -346,6 +351,12 @@ def _integral(*costs: float) -> bool:
     return all(float(c).is_integer() for c in costs)
 
 
+def _straight_line(loop: Loop) -> bool:
+    """True when ``loop``'s body could form a chunk: only assignments
+    and line prefetches (the shape every plan needs)."""
+    return all(isinstance(s, (Assign, PrefetchLine)) for s in loop.body)
+
+
 class BatchedInterpreter(Interpreter):
     """Interpreter whose innermost loops execute as bulk batched chunks.
 
@@ -380,12 +391,60 @@ class BatchedInterpreter(Interpreter):
         #: partial sums, so bus and directory costs must be integral too
         self._protocol_costs_ok = _integral(p.bus_cycle, p.dir_msg_base,
                                             p.dir_proc)
+        #: reason code when every chunk of the run must take the reference
+        #: path (set by :meth:`run`); then no plan is ever compiled
+        self._forced: Optional[str] = None
+
+    def run(self) -> RunResult:
+        # Decided once, before any statement compiles, so a race check
+        # armed on the machine after construction is seen too.
+        self._forced = self._run_fallback_reason()
+        return super().run()
+
+    def _run_fallback_reason(self) -> Optional[str]:
+        """Reason code when this machine sends every chunk to the
+        reference path, else None.  Race checking and address tracing
+        need per-event order; the protocol timing pass emits no tracer
+        events and needs integral bus/directory costs; fault injection
+        and the oracle are defined over the reference event order."""
+        machine = self.machine
+        if machine.race_check or machine.trace_enabled:
+            return "trace_or_race"
+        if machine.protocol is not None and (
+                machine.tracer is not None or not self._protocol_costs_ok):
+            return "protocol"
+        if machine.faults is not None or machine.oracle is not None:
+            return "fault_oracle"
+        return None
+
+    def _forced_fall(self) -> None:
+        """Count one chunk a run-wide fallback sends to the reference
+        path, under the run-wide reason code."""
+        self._fall(self._forced)
+        if self._forced == "fault_oracle":
+            self.fault_fallbacks += 1
+            if self.machine.faults is not None:
+                self.machine.faults.stats.batch_fallbacks += 1
+
     # ------------------------------------------------------------------
     # integration points
     # ------------------------------------------------------------------
     def _build_stmt(self, stmt: Stmt):
+        if isinstance(stmt, PrefetchVector):
+            return self._noted_vector(super()._build_stmt(stmt))
         if not (isinstance(stmt, Loop) and stmt.kind == LoopKind.SERIAL):
             return super()._build_stmt(stmt)
+        if self._forced is not None:
+            ref_fn = super()._build_stmt(stmt)
+            if not _straight_line(stmt):
+                return ref_fn
+            fall = self._forced_fall
+
+            def run_forced_loop(env: dict, pe: int) -> None:
+                fall()
+                ref_fn(env, pe)
+
+            return run_forced_loop
         # Compile-time context the reference body closures see (captured
         # before super() pushes the loop's own register context).
         outer_ctxs = list(self._reg_stack)
@@ -418,8 +477,26 @@ class BatchedInterpreter(Interpreter):
 
         return run_batched_loop
 
+    def _noted_vector(self, ref_fn):
+        """Wrap a ``PrefetchVector`` closure so each execution is recorded
+        as a ``vector_prefetch`` skip: vector prefetches are never planned,
+        and coverage (which counts refs) cannot show their cost."""
+        reasons = self.fallback_reasons
+
+        def run_vector(env: dict, pe: int) -> None:
+            reasons["vector_prefetch"] = reasons.get("vector_prefetch", 0) + 1
+            ref_fn(env, pe)
+
+        return run_vector
+
     def _iterate_doall(self, loop: Loop, env_p: dict, pe: int,
                        values: Sequence[int], run_iteration) -> None:
+        if self._forced is not None:
+            if values and _straight_line(loop):
+                self._forced_fall()
+            for value in values:
+                run_iteration(env_p, pe, value)
+            return
         # Fused path: a doall whose body is exactly one planned serial loop
         # runs all of this PE's (outer, inner) iterations as ONE bulk trace.
         entry = self._fused_entry(loop)
@@ -1399,25 +1476,15 @@ class BatchedInterpreter(Interpreter):
     def _chunk_guards(self, plan: _Plan, env: dict, pe_obj,
                       skip: Optional[str] = None) -> Optional[str]:
         """None when every chunk-level guard passes, else the reason code."""
-        machine = self.machine
-        if machine.race_check or machine.trace_enabled:
-            return "trace_or_race"
-        if machine.protocol is not None and (
-                machine.tracer is not None or not plan.protocol_bulk
-                or not self._protocol_costs_ok or pe_obj.queue.entries
+        # Run-wide reasons never reach here: such a run has no plans
+        # (see :meth:`_run_fallback_reason`).
+        if self.machine.protocol is not None and (
+                not plan.protocol_bulk or pe_obj.queue.entries
                 or pe_obj.dropped_lines or self._inflight(pe_obj)):
-            # Outside the protocol timing pass: traced runs (it emits no
-            # events), prefetch or uncached slots, leftover prefetch or
-            # vector state, fractional bus/directory costs.  Those
-            # chunks take the exact reference closures.
+            # Outside the protocol timing pass: prefetch or uncached
+            # slots, leftover prefetch or vector state.  Those chunks
+            # take the exact reference closures.
             return "protocol"
-        if machine.faults is not None or machine.oracle is not None:
-            # Fault injection and the oracle are defined over the reference
-            # event order; faulted chunks always take the exact fallback.
-            self.fault_fallbacks += 1
-            if machine.faults is not None:
-                machine.faults.stats.batch_fallbacks += 1
-            return "fault_oracle"
         for name in plan.env_vars:
             if name != skip and type(env.get(name)) is not int:
                 return "env_nonint"

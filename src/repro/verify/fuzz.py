@@ -10,8 +10,8 @@ repo promises about that program:
    batched backend is bit-exact against the reference interpreter —
    stats, memory, full machine-event traces and metrics timelines —
    with the shadow coherence oracle armed on both;
-3. a traced reference run's event stream folds back to the machine's
-   live counters (:func:`repro.obs.fold.reconcile`);
+3. that traced reference run's event stream folds back to the
+   machine's live counters (:func:`repro.obs.fold.reconcile`);
 4. final shared arrays agree bit-exactly across seq and every coherent
    parallel version — base, ccdp, mesi and dir (seq runs on one PE,
    per the harness convention) — each of which records zero stale
@@ -40,7 +40,7 @@ import numpy as np
 from ..coherence import CCDPConfig, ccdp_transform
 from ..ir.program import Program
 from ..machine.params import t3d
-from ..runtime import SCHEMES, Version, run_program
+from ..runtime import SCHEMES, Version
 from .gen import GenChoices, generate_with_choices
 from .minimize import minimize_program
 from .safety import verify_transform
@@ -92,7 +92,6 @@ def check_program(program: Program, n_pes: int = DEFAULT_PES,
     receives side-channel observations (naive stale hits, trace sizes)
     for reporting."""
     from ..harness.equivalence import compare_backends
-    from ..obs import Tracer
     from ..obs.fold import reconcile
 
     failures: List[str] = []
@@ -114,20 +113,19 @@ def check_program(program: Program, n_pes: int = DEFAULT_PES,
         # i.e. naive — and stale by design).
         params_v = t3d(1 if version == Version.SEQ else n_pes)
 
+        # One simulation per backend: the fold, value and stale checks
+        # read the traced, oracle-armed reference run the diff used.
         eq = compare_backends(prog_v, params_v, version,
                               oracle=True, trace=True)
         for mismatch in eq.mismatches:
             failures.append(f"backend[{version}]: {mismatch}")
         trace_events += eq.trace_events
 
-        tracer = Tracer()
-        result = run_program(prog_v, params_v, version,
-                             oracle=True, tracer=tracer)
-        for mismatch in reconcile(tracer.events, result.machine):
+        machine = eq.result_ref.machine
+        for mismatch in reconcile(eq.tracer_ref.events, machine):
             failures.append(f"fold[{version}]: {mismatch}")
-        finals[version] = {name: values.copy() for name, values
-                          in result.machine.memory.values.items()}
-        stale[version] = result.machine.stats.total().stale_hits
+        finals[version] = machine.memory.values
+        stale[version] = machine.stats.total().stale_hits
 
     for version in COHERENT_FUZZ:
         if stale[version]:

@@ -149,3 +149,17 @@ class TestPeCountValidation:
         err = capsys.readouterr().err
         assert "PE count must be a positive integer" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3", "many"])
+def test_fuzz_non_positive_seeds_exits_2(seeds, capsys):
+    """``fuzz --seeds 0`` used to reach the start banner with no seeds
+    and die on ``seeds[0]``; a non-positive count is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", f"--seeds={seeds}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"ccdp fuzz: error: argument --seeds: seed count must be a "
+        f"positive integer, got {seeds!r}"]
+    assert "Traceback" not in err

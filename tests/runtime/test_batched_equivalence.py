@@ -304,3 +304,98 @@ def test_generated_programs_protocol_bit_exact(seed):
     for version in (Version.MESI, Version.DIR):
         report = compare_backends(program, t3d(4, cache_bytes=256), version)
         assert report.exact, f"{choices.describe()}: {report.summary()}"
+
+
+def _no_plans(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("plan compiled for a run that must fall back")
+    monkeypatch.setattr(BatchedInterpreter, "_compile_plan", refuse)
+
+
+@pytest.mark.parametrize("version, extra, reason", [
+    (Version.CCDP, {"oracle": True}, "fault_oracle"),
+    (Version.CCDP, {"fault_plan": parse_fault_plan("light", seed=3)},
+     "fault_oracle"),
+    (Version.MESI, {"trace": True}, "protocol"),
+    (Version.DIR, {"oracle": True, "trace": True}, "protocol"),
+])
+def test_run_wide_fallback_compiles_no_plan(monkeypatch, version, extra,
+                                            reason):
+    """A machine that sends every chunk to the reference path builds no
+    plan at all, stays exact, and still counts each straight-line chunk
+    under the run-wide reason code."""
+    _no_plans(monkeypatch)
+    report = check_workload("mxm", t3d(4, cache_bytes=256), version, n=12,
+                            **extra)
+    assert report.exact, report.summary()
+    assert report.batch_chunks == 0
+    assert report.batch_fallbacks > 0
+    if reason == "fault_oracle":
+        assert report.fault_fallbacks == report.batch_fallbacks
+
+
+def test_race_checked_run_compiles_no_plan(monkeypatch):
+    """Race checking armed on the machine after construction (as the
+    race tests do) still makes the run plan-free, and exact."""
+    from repro.coherence import CCDPConfig, ccdp_transform
+    from repro.workloads import workload
+
+    _no_plans(monkeypatch)
+    params = t3d(4, cache_bytes=2048)
+    program, _ = ccdp_transform(workload("mxm").build(n=12),
+                                CCDPConfig(machine=params))
+    results = {}
+    for backend in ("reference", "batched"):
+        interp = make_interpreter(program, params, ExecutionConfig.for_version(
+            Version.CCDP, backend=backend))
+        interp.machine.race_check = True
+        results[backend] = interp.run()
+    ref, bat = results["reference"], results["batched"]
+    assert bat.elapsed == ref.elapsed
+    assert bat.machine.stats.as_dict() == ref.machine.stats.as_dict()
+    assert bat.machine.races == ref.machine.races
+    for name, values in ref.machine.memory.values.items():
+        assert np.array_equal(values, bat.machine.memory.values[name])
+    assert bat.batch_chunks == 0
+    assert bat.fallback_reasons["trace_or_race"] == bat.batch_fallbacks > 0
+
+
+def test_traced_ccdp_run_keeps_planning(monkeypatch):
+    """Counter-guard: a tracer alone is not a run-wide fallback.  A traced
+    CCDP SWIM run (the trace-replay record run) compiles plans and keeps
+    its bulk coverage."""
+    compiled = []
+    real = BatchedInterpreter._compile_plan
+
+    def counting(self, *args, **kwargs):
+        plan = real(self, *args, **kwargs)
+        compiled.append(plan)
+        return plan
+
+    monkeypatch.setattr(BatchedInterpreter, "_compile_plan", counting)
+    report = check_workload("swim", t3d(4, cache_bytes=2048), Version.CCDP,
+                            n=16, trace=True)
+    assert report.exact, report.summary()
+    assert any(plan is not None for plan in compiled)
+    assert report.coverage >= 0.95, report.coverage
+    assert report.batch_fallbacks == 0
+
+
+def test_vector_prefetches_are_recorded_as_skips():
+    """Every ``PrefetchVector`` runs on the reference path; each execution
+    shows up as a ``vector_prefetch`` skip, never as a fallback."""
+    from repro.coherence import CCDPConfig, ccdp_transform
+    from repro.ir.stmt import PrefetchVector
+    from repro.ir.visitor import find_statements
+    from repro.workloads import workload
+
+    params = t3d(4, cache_bytes=2048)
+    program, _ = ccdp_transform(workload("mxm").build(n=16),
+                                CCDPConfig(machine=params))
+    assert find_statements(program.entry_proc.body,
+                           lambda s: isinstance(s, PrefetchVector))
+    result = run_program(program, params, Version.CCDP, backend="batched")
+    assert result.fallback_reasons["vector_prefetch"] > 0
+    assert result.batch_fallbacks == 0
+    issued = sum(pe.vectors.issued for pe in result.machine.pes)
+    assert result.fallback_reasons["vector_prefetch"] >= issued > 0
