@@ -47,6 +47,7 @@ from ..coherence import CCDPConfig, ccdp_transform
 from ..farm import FarmConfig, FarmError
 from ..faults import FaultPlanError, parse_fault_plan, PRESETS
 from ..ir.printer import format_program
+from ..ir.validate import ValidationError
 from ..machine.params import t3d
 from ..runtime import Backend, Version, run_program
 from ..workloads import all_workloads, workload
@@ -96,6 +97,26 @@ def _size_args(args: argparse.Namespace) -> Dict[str, int]:
     if getattr(args, "steps", None) is not None:
         out["steps"] = args.steps
     return out
+
+
+def _workload_program(parser: argparse.ArgumentParser, name: str,
+                      args: argparse.Namespace):
+    """``(spec, program)`` for a workload named on the command line, built
+    at the ``--n``/``--steps`` sizes it takes (others are ignored).  An
+    unknown name or a size its builder rejects is a usage error (exit 2),
+    not a traceback.  The program is memoised, so later builds at the
+    same sizes reuse it."""
+    try:
+        spec = workload(name.strip())
+    except KeyError:
+        valid = ", ".join(s.name for s in all_workloads())
+        parser.error(f"unknown workload {name.strip()!r} (valid: {valid})")
+    sizes = {**spec.default_args, **_size_args(args)}
+    sizes = {k: v for k, v in sizes.items() if k in spec.default_args}
+    try:
+        return spec, progcache.get_program(spec, sizes)
+    except (ValueError, ValidationError) as exc:
+        parser.error(f"{spec.name}: {exc}")
 
 
 def _farm_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
@@ -149,7 +170,7 @@ def _sweeps(args: argparse.Namespace, parser: argparse.ArgumentParser):
                 parser.error(f"--versions: unknown version {version!r} "
                              f"(registered schemes: {scheme_names()})")
     sweep_kwargs = {} if versions is None else {"versions": tuple(versions)}
-    specs = [SweepSpec.create(workload(name.strip()).name,
+    specs = [SweepSpec.create(_workload_program(parser, name, args)[0].name,
                               size_args=_size_args(args),
                               pe_counts=pe_counts,
                               check=not args.no_check,
@@ -438,9 +459,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "compile":
-        spec = workload(args.workload)
-        sizes = _size_args(args)
-        program = spec.build(**{**spec.default_args, **sizes})
+        spec, program = _workload_program(parser, args.workload, args)
         config = CCDPConfig(machine=t3d(args.pes))
         transformed, report = ccdp_transform(program, config)
         print(report.summary())
@@ -495,10 +514,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not 0 <= args.pe < n_pes:
             parser.error(f"--pe {args.pe} is out of range: --pes {n_pes} "
                          f"has PEs 0..{n_pes - 1}")
-        spec = workload(args.workload)
-        sizes = {**spec.default_args, **_size_args(args)}
-        sizes = {k: v for k, v in sizes.items() if k in spec.default_args}
-        program = spec.build(**sizes)
+        spec, program = _workload_program(parser, args.workload, args)
         params = t3d(n_pes, cache_bytes=SCALED_CACHE_BYTES)
         if args.version == Version.CCDP:
             transformed, _ = ccdp_transform(program, CCDPConfig(machine=params))
@@ -537,10 +553,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .experiment import SCALED_CACHE_BYTES
         from .report import timeline_table
 
-        spec = workload(args.workload)
-        sizes = {**spec.default_args, **_size_args(args)}
-        sizes = {k: v for k, v in sizes.items() if k in spec.default_args}
-        program = spec.build(**sizes)
+        spec, program = _workload_program(parser, args.workload, args)
         n_pes = args.pes
         params = t3d(n_pes, cache_bytes=SCALED_CACHE_BYTES)
         if args.version == Version.CCDP:
@@ -588,12 +601,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                              f"(registered schemes: {scheme_names()})")
         config = CCDPConfig(machine=t3d(args.pes,
                                         cache_bytes=SCALED_CACHE_BYTES))
+        built = [_workload_program(parser, name, args) for name in names]
         bad = 0
-        for name in names:
-            spec = workload(name.strip())
-            sizes = {**spec.default_args, **_size_args(args)}
-            sizes = {k: v for k, v in sizes.items() if k in spec.default_args}
-            program = spec.build(**sizes)
+        for spec, program in built:
             for version in versions:
                 report = verify_program(program, version, config=config)
                 print(f"{spec.name}/{version}: {report.summary()}")
@@ -805,7 +815,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             fault_plan = parse_fault_plan(args.faults, seed=args.fault_seed)
         except FaultPlanError as exc:
             parser.error(f"--faults: {exc}")
-        spec = workload(args.workload)
+        spec, _ = _workload_program(parser, args.workload, args)
         runner = ExperimentRunner(spec, _size_args(args), check=not args.no_check)
         record = runner.run_version(args.version, args.pes,
                                     backend=args.backend,

@@ -7,10 +7,13 @@ This backend recognises *batchable chunks* — innermost loops (serial inner
 loops and innermost DOALL chunks) whose bodies are straight-line affine
 assignments — and services each whole chunk in two passes:
 
-1. a **value pass**: a lean sequential Python loop that computes every
-   right-hand side and applies every memory write with *exactly* the
-   reference semantics (same operator lambdas, same register-promotion
-   dynamics, same write-through version bumps) but no machine bookkeeping;
+1. a **value pass** that computes every right-hand side and applies
+   every memory write with *exactly* the reference semantics but no
+   machine bookkeeping: whole-chunk NumPy statements when every operation
+   is provably bit-identical elementwise, else one generated Python
+   function per plan (``seq_fn``) holding the chunk's ``for`` loop, with
+   the reference's float operations in the reference's order, register
+   promotion as plain locals and write-through version bumps inline;
 2. a **timing pass**: vectorised NumPy over the chunk's affine address
    vectors — one warm :func:`~repro.machine.batchops.classify_events` call
    replays the chunk's read trace against the direct-mapped cache, latency
@@ -74,9 +77,8 @@ as a ``vector_prefetch`` skip).
 
 from __future__ import annotations
 
-import keyword
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -101,7 +103,7 @@ MIN_BATCH_EVENTS = 16
 
 
 def _seq_div(a, b):
-    """Division exactly as the reference value closures perform it."""
+    """Division exactly as the reference ``/`` closure performs it."""
     if isinstance(a, int) and isinstance(b, int):
         return int(a / b)  # Fortran integer division truncates
     return a / b
@@ -238,7 +240,7 @@ class _Slot:
 class _Plan:
     """Compiled batched form of one innermost loop."""
 
-    __slots__ = ("var", "registers", "final_clear", "value_fns", "slots",
+    __slots__ = ("var", "registers", "final_clear", "slots",
                  "cached_idx", "uncached_idx", "write_idx", "pf_idx",
                  "const_per_iter", "n_events", "env_vars",
                  "touches_shared_cache", "const_before", "tail_const",
@@ -247,21 +249,20 @@ class _Plan:
                  "protocol_rows")
 
     def __init__(self, var: str, registers: dict, final_clear: bool,
-                 value_fns: list, slots: List[_Slot],
+                 slots: List[_Slot],
                  const_per_iter: float, const_before: Sequence[float],
                  tail_const: float, assigned: Tuple[str, ...],
                  vec_stmts, reg_ops) -> None:
         self.var = var
         self.registers = registers
         self.final_clear = final_clear
-        self.value_fns = value_fns
         self.slots = slots
         self.const_before = np.asarray(const_before, dtype=np.float64)
         self.tail_const = tail_const
         self.assigned = assigned
         self.vec_stmts = vec_stmts  # vectorised statement ops, or None
         self.reg_ops = reg_ops      # register-state replay for the epilogue
-        self.seq_fn = None          # compiled scalar value pass, or None
+        self.seq_fn = None          # scalar value pass, set once compiled
         # Same-array (write, other) slot pairs that the bind-time alias
         # check must prove elementwise-identical or fully disjoint before
         # the vectorised value pass may run.  Pairs with identical affine
@@ -330,15 +331,9 @@ class _Ineligible(Exception):
     """Raised during plan compilation when the loop cannot be batched."""
 
 
-class _SeqIneligible(Exception):
-    """Raised while generating the compiled scalar value pass when a
-    construct is not expressible; the plan stays valid and the chunk runs
-    the closure-chain value pass instead."""
-
-
 class _VecIneligible(Exception):
     """Raised when a body cannot use the vectorised value pass (the
-    sequential value pass still applies)."""
+    generated scalar pass still applies)."""
 
 
 def _to_float(x):
@@ -524,8 +519,8 @@ class BatchedInterpreter(Interpreter):
             inner = self._serial_plans.get(loop.body[0].uid)
             if inner is not None:
                 plan, _, _, _, bound_vars = inner
-                # Vector value pass only (the sequential pass would need
-                # per-group register churn), no prefetch slots (replay is
+                # Vector value pass only (the scalar pass would need
+                # per-row register churn), no prefetch slots (replay is
                 # per-chunk), and the inner bounds must not depend on
                 # scalars the body itself assigns.
                 if (plan.vec_stmts is not None and not plan.pf_idx
@@ -537,91 +532,33 @@ class BatchedInterpreter(Interpreter):
     def _exec_fused(self, loop: Loop, entry, env: dict, pe: int,
                     values: Sequence[int]) -> bool:
         """Run every (outer j, inner i) iteration of this PE's chunk as one
-        bulk trace.  False means nothing was mutated and the caller must
-        take the per-iteration path (whose inner chunks may still batch)."""
+        bulk trace.  Fused chunks need rectangular rows: every row shares
+        one inner (lo, hi, step), so the whole box binds with one
+        :meth:`_Slot.bind2` call per slot.  False means nothing was mutated
+        and the caller must take the per-iteration path (whose inner
+        chunks may still batch, one row at a time)."""
         plan, lo_fn, hi_fn, step_fn, _ = entry
-        machine = self.machine
-        pe_obj = machine.pes[pe]
+        pe_obj = self.machine.pes[pe]
         n_outer = len(values)
         if n_outer == 0:
             return False
         outer_var = loop.var
         if self._chunk_guards(plan, env, pe_obj, skip=outer_var) is not None:
             return False
-        overhead = float(self.params.loop_overhead)
-        # Row bounds are array-free pure closures; evaluate them all first.
-        # When every row shares the same bounds (the common rectangular
-        # case) the whole (outer, inner) box binds in ONE bind2 call per
-        # slot instead of one bind per (slot, row).
-        bounds = []
+        # Row bounds are array-free pure closures, so evaluating them
+        # charges nothing.
+        row_bounds = None
         for j in values:
             env[outer_var] = j
-            bounds.append((int(lo_fn(env, pe)), int(hi_fn(env, pe)),
-                           int(step_fn(env, pe))))
-        if all(b == bounds[0] for b in bounds):
-            return self._exec_fused_uniform(plan, env, pe, pe_obj, values,
-                                            outer_var, bounds[0], overhead)
-        flat_groups: List[List[np.ndarray]] = [[] for _ in plan.slots]
-        v_rows: List[np.ndarray] = []
-        o_rows: List[np.ndarray] = []
-        row_marks: List[Tuple[int, float]] = []
-        pending = 0.0  # outer overheads awaiting the next non-empty group
-        total_iters = 0
-        for j, (lo, hi, step) in zip(values, bounds):
-            env[outer_var] = j
-            vals_j = range(lo, hi + (1 if step > 0 else -1), step)
-            pending += overhead
-            tj = len(vals_j)
-            if tj == 0:
-                continue
-            vj = np.arange(vals_j.start, vals_j.stop, vals_j.step,
-                           dtype=np.int64)
-            bound, _ = self._bind_slots(plan, env, vj)
-            if bound is None:
-                return False  # out of bounds: reference raises exactly
-            for s_i, f in enumerate(bound):
-                flat_groups[s_i].append(f)
-            v_rows.append(vj)
-            o_rows.append(np.full(tj, j, dtype=np.int64))
-            row_marks.append((total_iters, pending))
-            pending = 0.0
-            total_iters += tj
-        if total_iters == 0 or total_iters * plan.n_events < MIN_BATCH_EVENTS:
-            return False
-        flats = [np.concatenate(g) for g in flat_groups]
-        if ((pe_obj.queue.entries or pe_obj.dropped_lines)
-                and not self._prefetch_disjoint(plan, pe_obj, flats)):
-            return False  # per-iteration path: inner chunks replay exactly
-        if self._stale_overlap(plan, pe_obj, flats):
-            return self._fall("stale_overlap")
-        if not self._vector_safe(plan, flats):
-            return False  # per-group chunks may still vectorise alone
-        V = np.concatenate(v_rows)
-        O = np.concatenate(o_rows)
-        extra_rows = np.zeros(total_iters, dtype=np.float64)
-        for row, val in row_marks:
-            extra_rows[row] += val
-        const_total = (overhead * n_outer
-                       + plan.const_per_iter * total_iters)
-        self.batch_chunks += 1
-        vecs = {plan.var: V, outer_var: O}
-        self._vector_value_pass(plan, env, pe, flats, vecs)
-        env[plan.var] = int(V[-1])
-        # env[outer_var] already holds values[-1] from the binding sweep.
-        self._timing_pass(plan, pe_obj, pe, total_iters, flats, const_total,
-                          (extra_rows, pending), self._inflight(pe_obj))
-        return True
-
-    def _exec_fused_uniform(self, plan: _Plan, env: dict, pe: int, pe_obj,
-                            values: Sequence[int], outer_var: str,
-                            row_bounds: Tuple[int, int, int],
-                            overhead: float) -> bool:
-        """Fused chunk whose rows all share (lo, hi, step): bind the whole
-        box with one :meth:`_Slot.bind2` call per slot."""
+            bounds = (int(lo_fn(env, pe)), int(hi_fn(env, pe)),
+                      int(step_fn(env, pe)))
+            if row_bounds is None:
+                row_bounds = bounds
+            elif bounds != row_bounds:
+                return False  # non-rectangular: per-row chunks instead
         lo, hi, step = row_bounds
         rng = range(lo, hi + (1 if step > 0 else -1), step)
         tj = len(rng)
-        n_outer = len(values)
         total_iters = n_outer * tj
         if tj == 0 or total_iters * plan.n_events < MIN_BATCH_EVENTS:
             return False
@@ -650,7 +587,8 @@ class BatchedInterpreter(Interpreter):
         if self._stale_overlap(plan, pe_obj, flats):
             return self._fall("stale_overlap")
         if not self._vector_safe(plan, flats):
-            return False  # per-group chunks may still vectorise alone
+            return False  # per-row chunks may still vectorise alone
+        overhead = float(self.params.loop_overhead)
         extra_rows = np.zeros(total_iters, dtype=np.float64)
         extra_rows[::tj] += overhead
         const_total = overhead * n_outer + plan.const_per_iter * total_iters
@@ -660,7 +598,7 @@ class BatchedInterpreter(Interpreter):
         env[plan.var] = int(V[-1])
         # env[outer_var] already holds values[-1] from the bounds sweep.
         self._timing_pass(plan, pe_obj, pe, total_iters, flats, const_total,
-                          (extra_rows, 0.0), self._inflight(pe_obj))
+                          extra_rows, self._inflight(pe_obj))
         return True
 
     # ------------------------------------------------------------------
@@ -689,7 +627,6 @@ class BatchedInterpreter(Interpreter):
                          params.loop_overhead):
             raise _Ineligible  # fractional costs: bulk summation inexact
         slots: List[_Slot] = []
-        value_fns: list = []
         const_before: List[float] = []  # const cycles preceding each event
         accbox = [float(params.loop_overhead)]  # running const accumulator
         live: Set[tuple] = set()  # register keys live within one iteration
@@ -720,18 +657,14 @@ class BatchedInterpreter(Interpreter):
             if not _integral(arith):
                 raise _Ineligible
             accbox[0] += arith
-            rhs_fn = self._compile_value_expr(stmt.rhs, ctx, loop_vars)
             if isinstance(stmt.lhs, VarRef):
                 if stmt.lhs.name not in assigned:
                     assigned.append(stmt.lhs.name)
-                value_fns.append(self._value_scalar_assign(stmt.lhs.name,
-                                                          rhs_fn))
                 vec_meta.append(("sca", stmt.lhs.name, stmt.rhs))
                 continue
-            write_fn, pops_outer = self._plan_write(
-                stmt.lhs, rhs_fn, ctx, outer_ctxs, loop.var, live, slots,
+            pops_outer = self._plan_write(
+                stmt.lhs, ctx, outer_ctxs, loop.var, live, slots,
                 const_before, accbox, reg_ops)
-            value_fns.append(write_fn)
             vec_meta.append(("arr", len(slots) - 1, stmt.rhs, pops_outer))
         if not slots:
             raise _Ineligible  # pure scalar loop: nothing worth batching
@@ -748,7 +681,7 @@ class BatchedInterpreter(Interpreter):
         const_per_iter = float(sum(const_before) + accbox[0])
         vec_stmts = self._compile_vec_stmts(vec_meta, node_slot, loop.var,
                                             assigned)
-        plan = _Plan(loop.var, ctx.values, final_clear, value_fns, slots,
+        plan = _Plan(loop.var, ctx.values, final_clear, slots,
                      const_per_iter, const_before, accbox[0], tuple(assigned),
                      vec_stmts, reg_ops)
         plan.seq_fn = self._compile_seq_fn(plan, loop, ctx, outer_ctxs,
@@ -815,8 +748,11 @@ class BatchedInterpreter(Interpreter):
             key_slot[key] = len(slots) - 1
             reg_ops.append(("set", key, len(slots) - 1))
 
-    def _plan_write(self, lhs: ArrayRef, rhs_fn, ctx, outer_ctxs, var, live,
-                    slots, const_before, accbox, reg_ops):
+    def _plan_write(self, lhs: ArrayRef, ctx, outer_ctxs, var, live, slots,
+                    const_before, accbox, reg_ops) -> list:
+        """Add the write's slot and return the outer-context register
+        evictions it causes, ``[(registers, keys), ...]``; the loop's own
+        evictions go to ``reg_ops`` in program order."""
         decl = self.program.array(lhs.array)
         shared = decl.is_shared
         cacheable = self.config.cache_shared if shared else True
@@ -827,178 +763,32 @@ class BatchedInterpreter(Interpreter):
         write_aref = affine_ref(lhs, decl)
         # Register evictions, exactly as the reference assign closure does:
         # pop may-alias keys in every active context.
-        pops = []
         pops_outer = []
-        for c in list(outer_ctxs) + [ctx]:
+        for c in outer_ctxs:
             keys = c.drop_keys_for_write(lhs, write_aref)
             if keys:
-                pops.append((c.values, keys))
-                if c is not ctx:
-                    pops_outer.append((c.values, keys))
+                pops_outer.append((c.values, keys))
         own_drops = ctx.drop_keys_for_write(lhs, write_aref)
         live.difference_update(own_drops)
         if own_drops:
             reg_ops.append(("drop", tuple(own_drops)))
-        flat_fn = self._compile_flat_index(lhs)
-        memory = self.machine.memory
-        if shared:
-            vals = memory.values[lhs.array]
-            vers = memory.versions[lhs.array]
-
-            def write_shared(env: dict, pe: int) -> None:
-                value = rhs_fn(env, pe)
-                flat = flat_fn(env, pe)
-                vals[flat] = value
-                vers[flat] += 1
-                for registers, keys in pops:
-                    for key in keys:
-                        registers.pop(key, None)
-
-            return write_shared, pops_outer
-        pvals = memory.private_values[lhs.array]
-
-        def write_private(env: dict, pe: int) -> None:
-            value = rhs_fn(env, pe)
-            flat = flat_fn(env, pe)
-            pvals[pe, flat] = value
-            for registers, keys in pops:
-                for key in keys:
-                    registers.pop(key, None)
-
-        return write_private, pops_outer
-
-    @staticmethod
-    def _value_scalar_assign(name: str, rhs_fn):
-        def assign_scalar(env: dict, pe: int) -> None:
-            env[name] = rhs_fn(env, pe)
-
-        return assign_scalar
-
-    # ------------------------------------------------------------------
-    # value-plane expression compilation
-    # ------------------------------------------------------------------
-    # These mirror Interpreter._build_expr exactly, minus machine calls:
-    # the same Python operator expressions over the same Python floats, so
-    # a committed chunk computes bit-identical values to the reference.
-    _BIN_FNS = {
-        "+": lambda l, r: lambda env, pe: l(env, pe) + r(env, pe),
-        "-": lambda l, r: lambda env, pe: l(env, pe) - r(env, pe),
-        "*": lambda l, r: lambda env, pe: l(env, pe) * r(env, pe),
-        "**": lambda l, r: lambda env, pe: l(env, pe) ** r(env, pe),
-        "mod": lambda l, r: lambda env, pe: math.fmod(l(env, pe), r(env, pe)),
-        "min": lambda l, r: lambda env, pe: min(l(env, pe), r(env, pe)),
-        "max": lambda l, r: lambda env, pe: max(l(env, pe), r(env, pe)),
-        "<": lambda l, r: lambda env, pe: l(env, pe) < r(env, pe),
-        "<=": lambda l, r: lambda env, pe: l(env, pe) <= r(env, pe),
-        ">": lambda l, r: lambda env, pe: l(env, pe) > r(env, pe),
-        ">=": lambda l, r: lambda env, pe: l(env, pe) >= r(env, pe),
-        "==": lambda l, r: lambda env, pe: l(env, pe) == r(env, pe),
-        "!=": lambda l, r: lambda env, pe: l(env, pe) != r(env, pe),
-    }
-    _INTR_FNS = {
-        "sqrt": lambda fns: lambda env, pe: math.sqrt(fns[0](env, pe)),
-        "abs": lambda fns: lambda env, pe: abs(fns[0](env, pe)),
-        "exp": lambda fns: lambda env, pe: math.exp(fns[0](env, pe)),
-        "log": lambda fns: lambda env, pe: math.log(fns[0](env, pe)),
-        "sin": lambda fns: lambda env, pe: math.sin(fns[0](env, pe)),
-        "cos": lambda fns: lambda env, pe: math.cos(fns[0](env, pe)),
-        "int": lambda fns: lambda env, pe: int(fns[0](env, pe)),
-        "real": lambda fns: lambda env, pe: float(fns[0](env, pe)),
-        "min": lambda fns: lambda env, pe: min(fns[0](env, pe), fns[1](env, pe)),
-        "max": lambda fns: lambda env, pe: max(fns[0](env, pe), fns[1](env, pe)),
-        "mod": lambda fns: lambda env, pe: math.fmod(fns[0](env, pe),
-                                                     fns[1](env, pe)),
-        "sign": lambda fns: lambda env, pe: math.copysign(
-            abs(fns[0](env, pe)), fns[1](env, pe)),
-    }
-
-    def _compile_value_expr(self, expr: Expr, ctx, loop_vars) -> Callable:
-        if isinstance(expr, IntConst):
-            ivalue = expr.value
-            return lambda env, pe: ivalue
-        if isinstance(expr, FloatConst):
-            fvalue = expr.value
-            return lambda env, pe: fvalue
-        if isinstance(expr, SymConst):
-            bound = self.program.sym_value(expr.name)
-            return lambda env, pe: bound
-        if isinstance(expr, VarRef):
-            name = expr.name
-            return lambda env, pe: env[name]
-        if isinstance(expr, ArrayRef):
-            return self._value_array_read(expr, ctx, loop_vars)
-        if isinstance(expr, UnaryOp):
-            inner = self._compile_value_expr(expr.operand, ctx, loop_vars)
-            if expr.op == "-":
-                return lambda env, pe: -inner(env, pe)
-            if expr.op == "not":
-                return lambda env, pe: not inner(env, pe)
-            return inner
-        if isinstance(expr, IntrinsicCall):
-            fns = [self._compile_value_expr(a, ctx, loop_vars)
-                   for a in expr.args]
-            return self._INTR_FNS[expr.name](fns)
-        if isinstance(expr, BinOp):
-            left = self._compile_value_expr(expr.left, ctx, loop_vars)
-            right = self._compile_value_expr(expr.right, ctx, loop_vars)
-            if expr.op == "/":
-                def divide(env, pe):
-                    a = left(env, pe)
-                    b = right(env, pe)
-                    if isinstance(a, int) and isinstance(b, int):
-                        return int(a / b)  # Fortran integer division truncates
-                    return a / b
-
-                return divide
-            builder = self._BIN_FNS.get(expr.op)
-            if builder is None:
-                raise _Ineligible  # and/or reach here only via nesting
-            return builder(left, right)
-        raise _Ineligible
-
-    def _value_array_read(self, ref: ArrayRef, ctx, loop_vars) -> Callable:
-        decl = self.program.array(ref.array)
-        flat_fn = self._compile_flat_index(ref)
-        memory = self.machine.memory
-        if decl.is_shared:
-            vals = memory.values[ref.array]
-
-            def raw(env: dict, pe: int) -> float:
-                return float(vals[flat_fn(env, pe)])
-        else:
-            pvals = memory.private_values[ref.array]
-
-            def raw(env: dict, pe: int) -> float:
-                return float(pvals[pe, flat_fn(env, pe)])
-
-        key = ref.key()
-        if (key in ctx.reads
-                and all(s.free_vars() <= loop_vars for s in ref.subscripts)):
-            registers = ctx.values
-
-            def read_promoted(env: dict, pe: int) -> float:
-                value = registers.get(key)
-                if value is None:
-                    value = raw(env, pe)
-                    registers[key] = value
-                return value
-
-            return read_promoted
-        return raw
+        return pops_outer
 
     # ------------------------------------------------------------------
     # compiled scalar value pass
     # ------------------------------------------------------------------
-    # When the vector pass is refused (true loop-carried recurrences, e.g.
-    # VPENTA's forward elimination), the chunk's values were computed by
-    # chaining per-event closures — correct but closure-dispatch-bound.
-    # Generate instead ONE Python function per plan containing the whole
+    # Every plan's value pass, used whenever the vector pass is refused
+    # (true loop-carried recurrences, e.g. VPENTA's forward elimination).
+    # ONE generated Python function per plan contains the whole
     # ``for v in values:`` loop with everything statically resolved:
     # register promotion becomes plain locals (the per-iteration
     # ``registers.clear()`` plus compile-time ``drop_keys_for_write`` sets
     # make the dict dynamics fully static), flat indices are inlined
     # arithmetic with no bounds checks (``_bind_slots`` already validated
     # the whole chunk), and env scalars live in locals written back once.
+    # Program names never become Python identifiers: each scalar and loop
+    # variable maps to a generated ``_s<k>`` local, so any name the IR
+    # admits (``__pf_i``, ``_x``, a Python keyword) compiles alike.
     # Bit-exactness: identical float operations in identical order —
     # ``float()`` materialisation on loads, the reference's int/int
     # division rule, ``math.fmod``/``copysign`` intrinsics — only the
@@ -1014,25 +804,11 @@ class BatchedInterpreter(Interpreter):
     _SEQ_BIN = frozenset(("+", "-", "*", "**", "<", "<=", ">", ">=",
                           "==", "!="))
 
-    def _compile_seq_fn(self, plan, loop, ctx, outer_ctxs,
-                        loop_vars) -> Optional[Callable]:
-        try:
-            return self._compile_seq_fn_inner(plan, loop, ctx, outer_ctxs,
-                                              loop_vars)
-        except _SeqIneligible:
-            return None
-
-    def _compile_seq_fn_inner(self, plan, loop, ctx, outer_ctxs, loop_vars):
+    def _compile_seq_fn(self, plan, loop, ctx, outer_ctxs, loop_vars):
+        """Generate ``plan``'s scalar value pass, ``fn(values, env, pe)``.
+        A construct it cannot express raises :class:`_Ineligible`, so the
+        loop is not planned and runs on the reference path."""
         var = loop.var
-
-        def ok_name(n: str) -> bool:
-            # Program identifiers become Python locals verbatim; reserved
-            # generated names all start with "_" so they can never clash.
-            return (n.isidentifier() and not keyword.iskeyword(n)
-                    and not n.startswith("_"))
-
-        if not ok_name(var):
-            raise _SeqIneligible
         int_names = set(plan.env_vars) | {var}  # guard-checked ints
         program = self.program
         memory = self.machine.memory
@@ -1049,6 +825,13 @@ class BatchedInterpreter(Interpreter):
         counters = {"t": 0, "d": 0}
         outer_pop_lines: List[str] = []
         outer_seen: Set[tuple] = set()
+        local: Dict[str, str] = {}  # program scalar / loop variable -> local
+
+        def local_of(name: str) -> str:
+            s = local.get(name)
+            if s is None:
+                s = local[name] = f"_s{len(local)}"
+            return s
 
         def sym(kind: str, aname: str) -> str:
             k = (kind, aname)
@@ -1070,13 +853,12 @@ class BatchedInterpreter(Interpreter):
             return f"_t{counters['t']}"
 
         def scalar(name: str) -> str:
-            if not ok_name(name):
-                raise _SeqIneligible
+            s = local_of(name)
             if name != var and name not in assigned_now \
                     and name not in loaded:
                 loaded.add(name)
-                head.append(f"{name} = _env[{name!r}]")
-            return name
+                head.append(f"{s} = _env[{name!r}]")
+            return s
 
         def provably_int(e) -> bool:
             if isinstance(e, IntConst):
@@ -1093,8 +875,6 @@ class BatchedInterpreter(Interpreter):
 
         def flat_src(ref: ArrayRef, pre: List[str]) -> str:
             decl = program.array(ref.array)
-            if not ref.subscripts:
-                raise _SeqIneligible
             terms = []
             for s, stride in zip(ref.subscripts, decl.strides()):
                 src = emit(s, pre)
@@ -1104,7 +884,7 @@ class BatchedInterpreter(Interpreter):
                 if stride != 1:
                     term = f"{term} * {stride}"
                 terms.append(term)
-            return " + ".join(terms)
+            return " + ".join(terms) or "0"
 
         def read_src(ref: ArrayRef, pre: List[str]) -> str:
             decl = program.array(ref.array)
@@ -1133,7 +913,7 @@ class BatchedInterpreter(Interpreter):
                 v = program.sym_value(e.name)
                 if type(v) in (int, float):
                     return f"({v!r})"
-                raise _SeqIneligible
+                raise _Ineligible
             if isinstance(e, VarRef):
                 return scalar(e.name)
             if isinstance(e, ArrayRef):
@@ -1149,7 +929,7 @@ class BatchedInterpreter(Interpreter):
                 tmpl = self._SEQ_INTR.get(e.name)
                 if tmpl is None \
                         or len(e.args) != self._SEQ_INTR_ARITY.get(e.name, 1):
-                    raise _SeqIneligible
+                    raise _Ineligible
                 return tmpl.format(*(emit(a, pre) for a in e.args))
             if isinstance(e, BinOp):
                 left = emit(e.left, pre)
@@ -1162,8 +942,8 @@ class BatchedInterpreter(Interpreter):
                     return f"{e.op}({left}, {right})"
                 if e.op in self._SEQ_BIN:
                     return f"({left} {e.op} {right})"
-                raise _SeqIneligible
-            raise _SeqIneligible
+                raise _Ineligible
+            raise _Ineligible
 
         for stmt in loop.body:
             if isinstance(stmt, PrefetchLine):
@@ -1172,15 +952,13 @@ class BatchedInterpreter(Interpreter):
             rhs = emit(stmt.rhs, pre)
             if isinstance(stmt.lhs, VarRef):
                 name = stmt.lhs.name
-                if not ok_name(name):
-                    raise _SeqIneligible
                 body.extend(pre)
-                body.append(f"{name} = {rhs}")
+                body.append(f"{local_of(name)} = {rhs}")
                 assigned_now.add(name)
                 continue
             lhs = stmt.lhs
             decl = program.array(lhs.array)
-            # Value before address, as the write closures evaluate them.
+            # Value before address, as the reference assign evaluates them.
             body.extend(pre)
             tv = temp()
             body.append(f"{tv} = {rhs}")
@@ -1214,22 +992,21 @@ class BatchedInterpreter(Interpreter):
                         kn = f"{dn}k{ki}"
                         ns[kn] = key
                         outer_pop_lines.append(f"{dn}.pop({kn}, None)")
-        if not body:
-            raise _SeqIneligible
         src = ["def _chunk(_values, _env, _pe):"]
         src.extend("    " + h for h in head)
-        src.append(f"    for {var} in _values:")
-        src.extend("        " + b for b in body)
-        src.append(f"    _env[{var!r}] = {var}")
-        src.extend(f"    _env[{name!r}] = {name}" for name in plan.assigned)
+        src.append(f"    for {local_of(var)} in _values:")
+        src.extend("        " + b for b in body or ["pass"])
+        src.append(f"    _env[{var!r}] = {local_of(var)}")
+        src.extend(f"    _env[{name!r}] = {local_of(name)}"
+                   for name in plan.assigned)
         src.extend("    " + p for p in outer_pop_lines)
         exec(compile("\n".join(src), "<batched-seq-fn>", "exec"), ns)
         return ns["_chunk"]
 
     def _register_residue(self, plan: _Plan, pe: int,
                           flats: List[np.ndarray]) -> None:
-        """Leave ``plan.registers`` exactly as the sequential closure pass
-        would have: cleared, then — unless the plan ends with a clear —
+        """Leave ``plan.registers`` exactly as the reference per-iteration
+        path would have: cleared, then — unless the plan ends with a clear —
         the last iteration's surviving promotions rebuilt.  A surviving
         key was never aliased by a chunk write after its load
         (``drop_keys_for_write`` is conservative), so re-gathering from
@@ -1265,7 +1042,7 @@ class BatchedInterpreter(Interpreter):
     # and where()-based min/max); anything with a rounding or dynamic-type
     # hazard (exp/log/sin/cos SIMD paths, int**int, comparisons, scalars
     # of unknown runtime type in a division) rejects the vector pass and
-    # the chunk runs the sequential value pass instead.
+    # the chunk runs the generated scalar pass instead.
     def _compile_vec_stmts(self, vec_meta, node_slot, loop_var, assigned):
         try:
             defined: Set[str] = set()
@@ -1564,20 +1341,9 @@ class BatchedInterpreter(Interpreter):
         if plan.vec_stmts is not None and self._vector_safe(plan, flats):
             self._vector_value_pass(plan, env, pe, flats, {plan.var: V})
             env[plan.var] = int(V[-1])
-        elif plan.seq_fn is not None:
+        else:
             plan.seq_fn(values, env, pe)
             self._register_residue(plan, pe, flats)
-        else:
-            registers = plan.registers
-            var = plan.var
-            fns = plan.value_fns
-            for v in values:
-                env[var] = v
-                registers.clear()
-                for fn in fns:
-                    fn(env, pe)
-            if plan.final_clear:
-                registers.clear()
 
         if outcome is None:
             self._timing_pass(plan, pe_obj, pe, T, flats,
@@ -1925,8 +1691,8 @@ class BatchedInterpreter(Interpreter):
     def _vector_value_pass(self, plan: _Plan, env: dict, pe: int,
                            flats: List[np.ndarray], vecs: dict) -> None:
         """Statement-at-a-time vectorised value pass, plus an epilogue that
-        reconstructs the environment/register state the sequential pass
-        would have left behind."""
+        reconstructs the environment/register state the reference
+        per-iteration path would have left behind."""
         memory = self.machine.memory
         for op in plan.vec_stmts:
             if op[0] == "arr":
@@ -2139,9 +1905,7 @@ class BatchedInterpreter(Interpreter):
         if Tt > 1:
             pre[1:, 0] += tail
         if row_extra is not None:
-            extra_rows, tail_extra = row_extra
-            pre[:, 0] += extra_rows
-            tail = tail + tail_extra
+            pre[:, 0] += row_extra
         return pre, tail
 
     def _protocol_timing_pass(self, plan: _Plan, pe_obj, pe: int, Tt: int,

@@ -75,10 +75,62 @@ class TestTables:
         assert "# EXPERIMENTS" in text
 
 
+_UNKNOWN = ("ccdp: error: unknown workload 'nosuch' "
+            "(valid: mxm, swim, tomcatv, vpenta)")
+_MXM_SIZE = "ccdp: error: mxm: MXM size must be a multiple of 4, got 6"
+#: (argv, the one expected ``error:`` line) for a bad workload or size
+_BAD_WORKLOAD_ARGS = [
+    (["run", "nosuch"], _UNKNOWN),
+    (["compile", "nosuch"], _UNKNOWN),
+    (["trace", "nosuch"], _UNKNOWN),
+    (["profile", "nosuch"], _UNKNOWN),
+    (["verify", "--workloads", "mxm,nosuch"], _UNKNOWN),
+    (["table1", "--workloads", "nosuch", "--pes", "4"], _UNKNOWN),
+    (["table2", "--workloads", "nosuch", "--pes", "4"], _UNKNOWN),
+    (["table3", "--workloads", "nosuch", "--pes", "4"], _UNKNOWN),
+    (["report", "--workloads", "mxm,nosuch", "--pes", "4"], _UNKNOWN),
+    (["run", "mxm", "--n", "6"], _MXM_SIZE),
+    (["compile", "mxm", "--n", "6"], _MXM_SIZE),
+    (["trace", "mxm", "--n", "6"], _MXM_SIZE),
+    (["profile", "mxm", "--n", "6"], _MXM_SIZE),
+    (["table1", "--workloads", "mxm", "--n", "6", "--pes", "4"],
+     _MXM_SIZE),
+    (["report", "--workloads", "mxm", "--n", "6", "--pes", "4"],
+     _MXM_SIZE),
+    (["run", "swim", "--steps", "0"],
+     "ccdp: error: swim: main: Loop: loop 'step' has zero trip count "
+     "(1..0 step 1)"),
+]
+
+
 class TestErrors:
-    def test_unknown_workload(self):
-        with pytest.raises(KeyError):
+    def test_unknown_workload(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["run", "linpack"])
+        assert exc.value.code == 2
+        assert "unknown workload 'linpack'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", _BAD_WORKLOAD_ARGS,
+                             ids=[" ".join(a) for a, _ in _BAD_WORKLOAD_ARGS])
+    def test_bad_workload_or_size_is_a_usage_error(self, argv, message,
+                                                   capsys):
+        """An unknown workload or a size its builder rejects exits 2 with
+        one ``error:`` line, before any cell runs, not a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert [line for line in captured.err.splitlines()
+                if "error:" in line] == [message]
+        assert "Traceback" not in captured.err
+        assert "running" not in captured.err
+        assert captured.out == ""
+
+    def test_size_keys_a_workload_lacks_are_ignored(self, capsys):
+        """``--steps`` means nothing to MXM, which has no time loop;
+        ``compile`` ignores it like ``run`` does."""
+        assert main(["compile", "mxm", "--n", "8", "--steps", "3"]) == 0
+        assert "case" in capsys.readouterr().out
 
     def test_missing_command(self):
         with pytest.raises(SystemExit):

@@ -42,19 +42,34 @@ def test_workload_bit_exact(name, version):
 
 @pytest.mark.parametrize("name", sorted(SIZES))
 @pytest.mark.parametrize("version", [Version.SEQ, Version.BASE, Version.CCDP])
-def test_transformed_prefetch_replay_bit_exact(name, version):
+def test_transformed_prefetch_replay_bit_exact(monkeypatch, name, version):
     """The prefetch *replay* path under real traffic: CCDP-transform every
     workload with the vector-prefetch generator disabled, so the schedule
     leans on line prefetches, and run the transformed program under each
     version's semantics.  SEQ/CCDP must show nonzero prefetch traffic
     (the queue scan/replay machinery is actually exercised); BASE's CRAFT
-    semantics no-op prefetches, and must stay exact doing so."""
+    semantics no-op prefetches, and must stay exact doing so.  Every
+    serial and doall plan compiled on the way, the software pipeliner's
+    ``__pf_<var>`` prologue loops included, has a generated scalar pass."""
+    compiled = []
+    real = BatchedInterpreter._compile_plan
+
+    def collecting(self, *args, **kwargs):
+        plan = real(self, *args, **kwargs)
+        if plan is not None:
+            compiled.append(plan)
+        return plan
+
+    monkeypatch.setattr(BatchedInterpreter, "_compile_plan", collecting)
     params = t3d(4, cache_bytes=2048)
     report = check_workload(name, params, version, n=SIZES[name],
                             transform=True, trace=True,
                             ccdp_overrides={"enable_vpg": False})
     assert report.exact, report.summary()
     assert report.batch_chunks > 0
+    assert compiled
+    missing = sorted(p.var for p in compiled if p.seq_fn is None)
+    assert not missing, f"plans without a scalar pass: {missing}"
     issued = report.stats_batched.get("prefetch_issued", 0)
     if version == Version.BASE:
         assert issued == 0  # CRAFT: shared data uncached, prefetches no-op
@@ -162,36 +177,87 @@ def test_fused_time_loop_bit_exact(name, version):
     assert report.batch_chunks > 0
 
 
-def test_recurrence_chunk_compiles_scalar_pass():
+@pytest.mark.parametrize("var, scalar", [
+    ("i", None),
+    ("__pf_i", None),   # the software pipeliner's prologue-loop naming
+    ("i", "_x"),
+    ("i", "lambda"),
+], ids=["i", "__pf_i", "_x", "lambda"])
+def test_recurrence_chunk_compiles_scalar_pass(monkeypatch, var, scalar):
     """A distance-1 loop-carried recurrence defeats the vectorised value
     pass at the aliasing check; the chunk must instead run through the
     generated scalar function (``plan.seq_fn``) and stay bit-exact —
-    including the final register residue the next statements observe."""
+    including the final register residue the next statements observe.
+    Program names never become Python identifiers in that function, so
+    a ``__pf_``-prefixed loop variable, a ``_``-prefixed scalar and a
+    Python keyword compile like any other name."""
     b = ir.ProgramBuilder("recur")
     b.shared("a", (64,))
     b.shared("b", (64,))
+    if scalar is not None:
+        b.scalar(scalar)
     with b.proc("main"):
         with b.doall("j", 1, 1, label="init", align="a"):
             with b.do("i", 1, 64):
                 b.assign(b.ref("a", "i"), ir.E("i") * 1.5)
                 b.assign(b.ref("b", "i"), ir.E("i") + 2.0)
         with b.doall("j", 1, 1, label="scan", align="a"):
-            with b.do("i", 2, 64):
-                b.assign(b.ref("a", "i"),
-                         b.ref("a", ir.E("i") - 1) * 0.5 + b.ref("b", "i"))
+            with b.do(var, 2, 64):
+                rhs = b.ref("a", ir.E(var) - 1) * 0.5 + b.ref("b", var)
+                if scalar is not None:
+                    b.assign(b.var(scalar), rhs)
+                    rhs = b.var(scalar) * 1.0
+                b.assign(b.ref("a", var), rhs)
     program = b.finish()
     params = t3d(1, cache_bytes=1024)
     report = compare_backends(program, params, Version.SEQ, trace=True)
     assert report.exact, report.summary()
+    # The register-residue epilogue follows every scalar-pass chunk.
+    scalar_chunks = []
+    residue = BatchedInterpreter._register_residue
+
+    def counting(self, plan, *args):
+        scalar_chunks.append(plan.var)
+        return residue(self, plan, *args)
+
+    monkeypatch.setattr(BatchedInterpreter, "_register_residue", counting)
     interp = make_interpreter(
         program, params,
         ExecutionConfig.for_version(Version.SEQ, backend="batched"))
-    interp.run()
-    plans = [p for entry in interp._serial_plans.values()
-             for p in entry[:1] if p is not None]
-    assert plans, "no serial plan compiled"
-    assert all(p.seq_fn is not None for p in plans), \
+    result = interp.run()
+    plans = {p.var: p for entry in interp._serial_plans.values()
+             for p in entry[:1] if p is not None}
+    assert var in plans, "recurrence loop not planned"
+    assert all(p.seq_fn is not None for p in plans.values()), \
         "compiled scalar value pass missing"
+    assert result.batch_chunks >= 2
+    assert var in scalar_chunks, "recurrence chunk skipped the scalar pass"
+
+
+def test_non_rectangular_fused_region_runs_per_row():
+    """A doall whose body is one serial loop with row-dependent bounds
+    (``do i = 1, j``) cannot fuse: fused chunks need rectangular rows.
+    Each row's inner loop then runs as its own bulk chunk, bit-exact
+    under a full event trace."""
+    b = ir.ProgramBuilder("triangle")
+    b.shared("a", (32, 32))
+    b.shared("c", (32, 32))
+    with b.proc("main"):
+        with b.doall("j", 1, 32, label="init", align="a"):
+            with b.do("i", 1, 32):
+                b.assign(b.ref("a", "i", "j"), ir.E("i") * 0.5 + ir.E("j"))
+        with b.doall("j", 1, 32, label="triangle", align="c"):
+            with b.do("i", 1, "j"):
+                b.assign(b.ref("c", "i", "j"),
+                         b.ref("a", "i", "j") * 2.0 + 1.0)
+    program = b.finish()
+    params = t3d(4, cache_bytes=2048)
+    report = compare_backends(program, params, Version.BASE, trace=True)
+    assert report.exact, report.summary()
+    assert report.trace_events > 0
+    # One fused chunk per PE for the rectangular init, plus one chunk per
+    # non-tiny triangle row.
+    assert report.batch_chunks > 4 + params.n_pes
 
 
 #: Small sizes keep a 64-PE example affordable while still producing
