@@ -2,10 +2,11 @@
 
 An engineering benchmark for the trace frontend (DESIGN.md §9).  A
 block-partitioned synthetic text trace — each PE walking its own slice,
-so the batched bulk path can service every run — is replayed on both
-backends, and the golden MXM CCDP trace (prefetch-heavy, so largely
-reference-path) gives the mixed-stream number.  Results land next to
-the interpreter's own throughput numbers in ``BENCH_throughput.json``.
+so the batched bulk path can service every op — is replayed on both
+backends, and the golden MXM CCDP trace (a recorded stream whose vector
+prefetches each end a bulk segment and take the reference path) gives
+the mixed-stream number.  Results land next to the interpreter's own
+throughput numbers in ``BENCH_throughput.json``.
 
 ``REPRO_BENCH_QUICK=1`` shrinks the synthetic trace from 1M to 100k
 accesses for CI perf smoke.

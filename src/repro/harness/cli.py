@@ -345,7 +345,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="PE count (default: the trace's own geometry)")
     p.add_argument("--backend", default=Backend.REFERENCE,
                    choices=list(Backend.ALL),
-                   help="replay path (batched = bulk classify planes, "
+                   help="replay path (batched = exact bulk scans, "
                         "bit-exact vs reference)")
     p.add_argument("--oracle", action="store_true",
                    help="arm the shadow coherence oracle during replay")
@@ -669,7 +669,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         from ..machine.oracle import StaleReadViolation
         from ..trace import DEFAULT_CHUNK_OPS, TraceError, sniff_format
         from ..trace.cells import (build_program, replay_failure,
-                                   replay_key, run_replay_cell)
+                                   replay_key, replay_record,
+                                   run_replay_cell)
         from .experiment import SCALED_CACHE_BYTES
 
         versions = [v.strip() for v in args.versions.split(",")
@@ -712,9 +713,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             c = record["counters"]
             if record["backend"] != Backend.REFERENCE:
                 share = c["bulk_ops"] / c["ops"] if c["ops"] else 0.0
+                why = ", ".join(f"{reason}={n:,}" for reason, n
+                                in sorted(c.get("reasons", {}).items()))
                 print(f"  bulk: {c['bulk_ops']:,}/{c['ops']:,} ops "
                       f"({share:.1%}) in {c['bulk_runs']} run(s), "
-                      f"{c['fallbacks']} fallback(s)")
+                      f"{c['fallbacks']} fallback(s); reference path: "
+                      f"{why or 'none'}")
             if record["oracle"]:
                 print(f"  {record['oracle']}")
             if record["conform"] is not None:
@@ -754,50 +758,22 @@ def main(argv: Optional[List[str]] = None) -> int:
                         ok = show(outcome.result) and ok
                 return 0 if ok else 1
 
+            def epoch_cb(row):
+                print(f"  epoch {row['index']:>3} "
+                      f"{row['label']:<24.24s} "
+                      f"reads={row['reads']:>9,} "
+                      f"hits={row['hits']:>9,} "
+                      f"misses={row['misses']:>8,} "
+                      f"stale={row['stale']:>5,} "
+                      f"clock={row['clock']:>14,.0f}",
+                      file=sys.stderr)
+
             program = build_program(payloads[0])
             ok = True
             for payload in payloads:
-                params = t3d(program.n_pes, cache_bytes=cache_bytes)
-
-                def epoch_cb(row):
-                    print(f"  epoch {row['index']:>3} "
-                          f"{row['label']:<24.24s} "
-                          f"reads={row['reads']:>9,} "
-                          f"hits={row['hits']:>9,} "
-                          f"misses={row['misses']:>8,} "
-                          f"stale={row['stale']:>5,} "
-                          f"clock={row['clock']:>14,.0f}",
-                          file=sys.stderr)
-
                 print(f"replaying {args.trace} under "
                       f"{payload['version']} ...", file=sys.stderr)
-                result = program.replay(params, payload["version"],
-                                        backend=args.backend,
-                                        oracle=args.oracle,
-                                        epoch_cb=epoch_cb)
-                record = {"trace": str(args.trace),
-                          "version": result.version,
-                          "backend": result.backend,
-                          "pes": program.n_pes,
-                          "elapsed": result.elapsed,
-                          "stats": result.machine.stats.as_dict(),
-                          "counters": {
-                              "ops": result.counters.ops,
-                              "bulk_ops": result.counters.bulk_ops,
-                              "bulk_runs": result.counters.bulk_runs,
-                              "fallbacks": result.counters.fallbacks},
-                          "oracle": result.machine.oracle.summary()
-                          if result.machine.oracle else None,
-                          "conform": None}
-                if args.conform:
-                    from ..obs.fold import (TIMING_DEPENDENT_FIELDS,
-                                            reconcile)
-                    from ..trace import read_jsonl_events
-                    record["conform"] = reconcile(
-                        (event for _, event
-                         in read_jsonl_events(args.trace)),
-                        result.machine, skip=TIMING_DEPENDENT_FIELDS)
-                ok = show(record) and ok
+                ok = show(replay_record(program, payload, epoch_cb)) and ok
             return 0 if ok else 1
         except TraceError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -54,6 +54,7 @@ class AddressMap:
             self.decls[decl.name] = decl
         self.bases, self.total_words = layout_bases(decls, params.line_words)
         self._owner_cache: Dict[str, np.ndarray] = {}
+        self._owner_plane: Optional[np.ndarray] = None
 
     # -- address arithmetic ---------------------------------------------------
     def base(self, name: str) -> int:
@@ -89,6 +90,18 @@ class AddressMap:
         owners = owners.astype(np.int16)
         self._owner_cache[name] = owners
         return owners
+
+    def owner_plane(self) -> np.ndarray:
+        """Home PE of every global word address (cached); -1 outside
+        shared arrays."""
+        if self._owner_plane is None:
+            plane = np.full(self.total_words, -1, dtype=np.int16)
+            for name, decl in self.decls.items():
+                if decl.is_shared:
+                    base = self.bases[name]
+                    plane[base:base + decl.size] = self.owner_table(name)
+            self._owner_plane = plane
+        return self._owner_plane
 
     def owner(self, name: str, flat: int) -> int:
         return int(self.owner_table(name)[flat])

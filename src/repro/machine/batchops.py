@@ -20,6 +20,12 @@ occupancy/coalescing/reclaim, capacity-drop → bypass-fetch degradation
 without touching the live machine.  The batched runtime commits its outcome
 wholesale, or discards it untouched when the scan flags a hazard.
 
+:func:`protocol_scan` is the same idea under a hardware protocol: one pass
+over a PE's events in program order, read hits and owner writes charged
+inline, every other shared miss or write priced by the protocol itself at
+the event's exact clock.  The batched backend's protocol chunks and trace
+replay under mesi/dir both run it.
+
 :func:`classify_events` takes ``initial_tags`` so a trace can be classified
 against a *warm* cache — this is what lets the batched backend splice bulk
 chunks into the middle of a simulation without touching per-word state.
@@ -253,7 +259,8 @@ def replay_chunk(kinds: np.ndarray, pre: np.ndarray, cost: np.ndarray,
                  dropped0, transfers: Sequence[tuple],
                  cache_hit: float, extract_cost: float,
                  reclaim_lag: float,
-                 record: Optional[list] = None) -> ReplayOutcome:
+                 record: Optional[list] = None,
+                 busy0: float = 0.0) -> ReplayOutcome:
     """Exact scan of one chunk's replay events against shadow PE state.
 
     Mirrors ``Machine.read`` / ``Machine.prefetch_line`` event by event —
@@ -272,20 +279,16 @@ def replay_chunk(kinds: np.ndarray, pre: np.ndarray, cost: np.ndarray,
     ``REC_NONE``) is supplied, the scan writes one ``REC_*`` code per
     RE_READ / RE_PF event so the caller can synthesise the exact machine
     events the reference path would have emitted.
+
+    Per-event inputs may be arrays or sequences.  ``busy0`` seeds the busy
+    sum, so a caller that passes the PE's live busy cycles gets them back
+    added in event order.
     """
     n = len(kinds)
-    kl = kinds.tolist()
-    prel = pre.tolist()
-    costl = cost.tolist()
-    linel = lines.tolist()
-    missl = misscost.tolist()
-    uncl = unccost.tolist()
-    locl = localf.tolist()
-    shrl = sharedf.tolist()
-    filll = fill.tolist()
-    homel = home.tolist()
-    invl = invalf.tolist()
-    slotl = slot_of.tolist()
+    kl, prel, costl, linel, missl, uncl, locl, shrl, filll, homel, invl, \
+        slotl = (a.tolist() if isinstance(a, np.ndarray) else a
+                 for a in (kinds, pre, cost, lines, misscost, unccost,
+                           localf, sharedf, fill, home, invalf, slot_of))
 
     tags = tags0.tolist()
     queue = list(queue0)
@@ -302,7 +305,7 @@ def replay_chunk(kinds: np.ndarray, pre: np.ndarray, cost: np.ndarray,
     q_hw = len(queue)
     rec = record is not None
     clock = clock0
-    busy = 0.0
+    busy = busy0
 
     for i in range(n):
         p = prel[i]
@@ -448,6 +451,68 @@ def replay_chunk(kinds: np.ndarray, pre: np.ndarray, cost: np.ndarray,
             "prefetch_issued": pf_issued, "pf_dropped": pf_dropped,
             "invalidations": invalidations,
         })
+
+
+def protocol_scan(proto, pe: int, clock: float, busy: float,
+                  pre: Sequence[float], kinds: Sequence[int],
+                  lines: Sequence[int], homes: Sequence[int],
+                  costs: Sequence[float]) -> tuple:
+    """Exact scan of one PE's events under a hardware protocol; returns
+    ``(clock, busy, hits, local_fills)`` after the last event.
+
+    Events run in order against a list copy of the tags.  ``pre[i]`` is
+    charged before event *i*.  A READ hit costs ``cache_hit``; a READ
+    miss on a private line (``homes[i] < 0``) costs ``costs[i]``, and a
+    shared miss costs the protocol's ``read_miss`` plus ``costs[i]`` (the
+    CRAFT extra).  An INSTALL is a cacheable shared write: inline when
+    this PE owns the line (the table's silent owner entry), otherwise the
+    protocol's ``write``; either way the line ends resident.  Any other
+    kind is a fixed cost, ``costs[i]``.  Each protocol call sees the
+    event's exact clock with the event's set restored to its pre-event
+    tag.  Only this PE acts during the scan, so no other PE's state, the
+    bus or the home horizons can move between two of its events.  The
+    caller refills the data of touched lines and counts the rest.
+    """
+    tags = proto.tags[pe]
+    tl = tags.tolist()
+    nl = proto.nl
+    ch = proto.params.cache_hit
+    wl = proto.params.write_local
+    read_miss = proto.read_miss
+    write = proto.write
+    st = proto.st[pe]
+    owned = proto.owner_state
+    hits = lf = 0
+    for p, k, line, h, c in zip(pre, kinds, lines, homes, costs):
+        if p:
+            clock += p
+            busy += p
+        if k == READ:
+            s = line % nl
+            if tl[s] == line:
+                clock += ch
+                busy += ch
+                hits += 1
+                continue
+            if h < 0:
+                lf += 1
+            else:
+                lf += h == pe
+                tags[s] = tl[s]
+                c += read_miss(pe, line, h, clock)
+            tl[s] = line
+        elif k == INSTALL:
+            s = line % nl
+            if tl[s] == line and st[s] == line << 2 | owned:
+                c = wl
+            else:
+                tags[s] = tl[s]
+                c = write(pe, line, h, clock)
+                tl[s] = line
+        clock += c
+        busy += c
+    tags[:] = tl
+    return clock, busy, hits, lf
 
 
 # -- latency tables ----------------------------------------------------------
@@ -601,7 +666,7 @@ __all__ = [
     "REC_NONE", "REC_HIT", "REC_EXTRACT", "REC_MISS", "REC_DROP_BYPASS",
     "REC_PF_ISSUE", "REC_PF_COALESCE", "REC_PF_DROP", "REC_KILL_FLAG",
     "EventClassification", "classify_events",
-    "ReplayOutcome", "replay_chunk",
+    "ReplayOutcome", "replay_chunk", "protocol_scan",
     "read_latency_table", "write_latency_table", "uncached_read_latency_table",
     "bulk_fill_lines", "bulk_update_words", "stale_lines", "stale_words",
 ]

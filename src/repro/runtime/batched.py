@@ -59,13 +59,14 @@ write-through into a line ghosted by an in-chunk invalidation — as a
 hazard, falling back before anything is mutated.
 
 Chunks under a hardware coherence protocol (MESI, directory) keep the
-value pass and swap the timing pass for :meth:`_protocol_timing_pass`:
-one Python pass over the chunk's events in program order charges read
-hits, private accesses and owner writes (the protocol table's silent
-entry) inline and hands every other shared miss and write to the
-protocol's own ``read_miss``/``write`` at the event's exact pre-event
-clock.  This is exact because a DOALL epoch
-runs PE by PE: while one PE's chunk runs, no other PE touches the state
+value pass and swap the timing pass for :meth:`_protocol_timing_pass`,
+which runs :func:`~repro.machine.batchops.protocol_scan` (trace replay
+runs the same scan): one Python pass over the chunk's events in program
+order charges read hits, private accesses and owner writes (the
+protocol table's silent entry) inline and hands every other shared miss
+and write to the protocol's own ``read_miss``/``write`` at the event's
+exact pre-event clock.  This is exact because a DOALL epoch runs PE by
+PE: while one PE's chunk runs, no other PE touches the state
 tables, the bus or the home horizons.  Traced protocol runs plan
 nothing; chunks with prefetch or vector state fall back.
 
@@ -92,7 +93,8 @@ from ..machine.batchops import (INSTALL, OUT_HIT, RE_COST, RE_PF, RE_READ,
                                 REC_KILL_FLAG, REC_MISS, REC_NONE,
                                 REC_PF_COALESCE, REC_PF_ISSUE, STALL_VECTOR,
                                 WRITE, bulk_fill_lines, classify_events,
-                                read_latency_table, replay_chunk, stale_lines,
+                                protocol_scan, read_latency_table,
+                                replay_chunk, stale_lines,
                                 uncached_read_latency_table,
                                 write_latency_table)
 from ..machine.prefetchq import PrefetchEntry
@@ -365,7 +367,6 @@ class BatchedInterpreter(Interpreter):
         self._doall_plans: Dict[int, Optional[_Plan]] = {}
         self._fused_plans: Dict[int, Optional[tuple]] = {}
         self._lat: Dict[tuple, np.ndarray] = {}
-        self._owners: Optional[np.ndarray] = None
         #: chunks serviced in bulk / chunks that fell back at bind time
         self.batch_chunks = 0
         self.batch_fallbacks = 0
@@ -1911,112 +1912,47 @@ class BatchedInterpreter(Interpreter):
     def _protocol_timing_pass(self, plan: _Plan, pe_obj, pe: int, Tt: int,
                               flats: List[np.ndarray],
                               row_extra) -> None:
-        """:meth:`_timing_pass` for a chunk under a hardware protocol.
-
-        One Python pass over the chunk's events in program order, against
-        a list copy of the tags.  Read hits, private misses and private
-        writes are charged inline, and so are owner writes: the protocol
-        table's silent entry, read off the protocol's per-set state.
-        Every shared read miss and every other cacheable shared write
-        goes to the protocol's own ``read_miss``/``write`` at the event's
-        exact pre-event clock, with the event's cache set restored to its
-        pre-event tag.  A write in state I allocates: the pass sets the
-        tag, and the chunk-end refill brings in the data.  Only this PE
-        acts until the chunk ends, so no other PE's state, the bus or the
-        home horizons can move between two of its events."""
-        params = self.params
-        proto = self.machine.protocol
-        cache = pe_obj.cache
+        """:meth:`_timing_pass` for a chunk under a hardware protocol: the
+        chunk's events, in program order, through
+        :func:`~repro.machine.batchops.protocol_scan`."""
         rows = plan.protocol_rows
         if rows is None:
             rows = plan.protocol_rows = self._protocol_rows(plan)
-        base_row, kinds, costs, extras = rows
-        n_slots = plan.n_events
-        flat = np.stack(flats, axis=1)
-        addr = (flat + base_row).ravel()
-        lines = addr // params.line_words
+        base_row, kinds, costs = rows
+        addr = (np.stack(flats, axis=1) + base_row).ravel()
         pre, tail = self._pre_offsets(plan, Tt, row_extra)
-        tags = cache.tags
-        tl = tags.tolist()
-        nl = cache.n_lines
-        ch = float(params.cache_hit)
-        wl = params.write_local
-        read_miss = proto.read_miss
-        write = proto.write
-        st = proto.st[pe]
-        owned = proto.owner_state
-        clock0 = pe_obj.clock
-        off = 0.0  # cycles since the chunk began
-        hits = lf = 0
-        for si, p, line, h in zip(
-                list(range(n_slots)) * Tt, pre.ravel().tolist(),
-                lines.tolist(), self._addr_owners()[addr].tolist()):
-            off += p
-            s = line % nl
-            kind = kinds[si]
-            if kind == READ:
-                if tl[s] == line:
-                    off += ch
-                    hits += 1
-                    continue
-                if h < 0:  # private: a local fill
-                    lf += 1
-                    off += costs[si]
-                else:
-                    lf += h == pe
-                    tags[s] = tl[s]
-                    off += read_miss(pe, line, h, clock0 + off) + extras[si]
-                tl[s] = line
-            elif kind == INSTALL:
-                if tl[s] == line and st[s] == line << 2 | owned:
-                    off += wl
-                    continue
-                tags[s] = tl[s]
-                off += write(pe, line, h, clock0 + off)
-                tl[s] = line
-            else:
-                off += costs[si]
+        st = pe_obj.stats
+        clock, busy, hits, lf = protocol_scan(
+            self.machine.protocol, pe, pe_obj.clock, st.busy_cycles,
+            pre.ravel().tolist(), kinds * Tt,
+            (addr // self.params.line_words).tolist(),
+            self.machine.addr_map.owner_plane()[addr].tolist(), costs * Tt)
         n_reads = len(plan.cached_idx)
         n_writes = len(plan.write_idx)
         misses = Tt * n_reads - hits
-        total = off + tail
-        pe_obj.stats.add_bulk(
-            reads=Tt * n_reads, writes=Tt * n_writes, cache_hits=hits,
-            cache_misses=misses, local_fills=lf, remote_fills=misses - lf,
-            busy_cycles=total)
+        st.add_bulk(reads=Tt * n_reads, writes=Tt * n_writes,
+                    cache_hits=hits, cache_misses=misses, local_fills=lf,
+                    remote_fills=misses - lf)
+        st.busy_cycles = busy + tail
         self.batch_refs += Tt * (n_reads + n_writes)
-        pe_obj.clock = clock0 + total
-        tags[:] = tl
-        self._refill_touched(plan, cache, pe, flats, {})
+        pe_obj.clock = clock + tail
+        self._refill_touched(plan, pe_obj.cache, pe, flats, {})
 
     def _protocol_rows(self, plan: _Plan) -> tuple:
         """Per-slot constants of :meth:`_protocol_timing_pass`: word-address
         bases, event kinds (cached reads READ, cacheable shared writes
-        INSTALL, private writes WRITE), the static cost of a private miss
-        or write (0 where the protocol prices the event), and the CRAFT
-        extra of each read (None for writes)."""
+        INSTALL, private writes WRITE) and each slot's cost in the scan
+        (a shared read's CRAFT extra, a private miss or write's fixed
+        cost)."""
         p = self.params
         slots = plan.slots
         return (
             np.array([s.base for s in slots], dtype=np.int64),
             [READ if s.role == "cr" else INSTALL if s.shared else WRITE
              for s in slots],
-            [0.0 if s.shared else float(
-                p.local_mem if s.role == "cr" else p.write_local)
-             for s in slots],
-            [s.extra if s.role == "cr" else None for s in slots])
-
-    def _addr_owners(self) -> np.ndarray:
-        """Home PE of every global word address; -1 outside shared arrays."""
-        if self._owners is None:
-            amap = self.machine.addr_map
-            owners = np.full(amap.total_words, -1, dtype=np.int16)
-            for name, decl in amap.decls.items():
-                if decl.is_shared:
-                    base = amap.base(name)
-                    owners[base:base + decl.size] = amap.owner_table(name)
-            self._owners = owners
-        return self._owners
+            [s.extra if s.shared and s.role == "cr" else 0.0 if s.shared
+             else float(p.local_mem if s.role == "cr" else p.write_local)
+             for s in slots])
 
     def _synth_timing_events(self, plan: _Plan, pe: int, Tt: int,
                              flats: List[np.ndarray], hit_cols, eq_cols,

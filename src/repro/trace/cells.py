@@ -11,7 +11,8 @@ payload, as :func:`repro.farm.run_farm` requires.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional
+from dataclasses import asdict
+from typing import Callable, Dict, Optional
 
 from .format import TraceError
 from .program import TraceProgram
@@ -94,15 +95,18 @@ def build_program(payload: Dict) -> TraceProgram:
                                    chunk_ops=chunk_ops)
 
 
-def run_replay_cell(payload: Dict) -> Dict:
-    """Execute one replay cell; returns a JSON-able result record."""
+def replay_record(program: TraceProgram, payload: Dict,
+                  epoch_cb: Optional[Callable[[dict], None]] = None) -> Dict:
+    """Replay ``program`` under the payload's scheme and backend; returns
+    the JSON-able result record, with the ``--conform`` diff against the
+    source events when the payload asks for it."""
     from ..machine.params import t3d
 
-    program = build_program(payload)
     params = t3d(program.n_pes, cache_bytes=payload["cache_bytes"])
     result = program.replay(params, payload["version"],
                             backend=payload["backend"],
-                            oracle=bool(payload.get("oracle")))
+                            oracle=bool(payload.get("oracle")),
+                            epoch_cb=epoch_cb)
     machine = result.machine
     record = {
         "trace": str(payload["trace"]),
@@ -112,10 +116,7 @@ def run_replay_cell(payload: Dict) -> Dict:
         "elapsed": result.elapsed,
         "stats": machine.stats.as_dict(),
         "epochs": result.epochs,
-        "counters": {"ops": result.counters.ops,
-                     "bulk_ops": result.counters.bulk_ops,
-                     "bulk_runs": result.counters.bulk_runs,
-                     "fallbacks": result.counters.fallbacks},
+        "counters": asdict(result.counters),
         "oracle": machine.oracle.summary() if machine.oracle else None,
         "conform": None,
     }
@@ -127,6 +128,11 @@ def run_replay_cell(payload: Dict) -> Dict:
     return record
 
 
+def run_replay_cell(payload: Dict) -> Dict:
+    """Execute one replay cell; returns a JSON-able result record."""
+    return replay_record(build_program(payload), payload)
+
+
 def replay_failure(record: Dict) -> Optional[str]:
     """Farm ``failure_of`` hook: a conformance mismatch is a failure."""
     mismatches = record.get("conform")
@@ -136,4 +142,4 @@ def replay_failure(record: Dict) -> Optional[str]:
 
 
 __all__ = ["trace_digest", "replay_key", "replay_decls", "build_program",
-           "run_replay_cell", "replay_failure"]
+           "replay_record", "run_replay_cell", "replay_failure"]

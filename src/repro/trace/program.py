@@ -12,7 +12,22 @@ under the scheme that recorded it reproduces the source run's
 :class:`PEStats` / interconnect counters exactly (the conformance
 contract: ``repro.obs.fold.reconcile`` of source events against the
 replayed machine is empty) — on both the reference per-access path and
-the batched bulk path (:mod:`repro.trace.batch`).
+the batched path.
+
+The batched path (:class:`_BulkReplay`) runs the scans the batched
+execution backend already trusts.  Each ops chunk splits into maximal
+*segments* of ops those scans model: shared reads (hint ``hit``,
+``miss`` or none, bypass and uncached reads), shared writes, and the
+timing-noop prefetches of schemes whose prefetch machinery is dead.
+Without a protocol a segment lowers into
+:func:`~repro.machine.batchops.replay_chunk` (hits, misses, write costs
+and vector-transfer stalls against shadow state); under mesi/dir it
+runs :func:`~repro.machine.batchops.protocol_scan`.  Any other op ends
+the segment and runs through :func:`_apply_op`: live line or vector
+prefetches, ``extract``/``drop`` hints, explicit invalidations,
+private arrays, reads of a line that was queued or dropped when the
+segment started, and reads or writes of a line that was stale when the
+chunk started.  The rest of the chunk stays in bulk.
 
 Out of the conformance contract, by design: cycle-class numbers.
 Replayed clocks carry memory-system costs only (the trace records no
@@ -26,6 +41,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..ir.arrays import ArrayDecl
+from ..machine.batchops import (INSTALL, RE_COST, RE_READ, READ, REC_HIT,
+                                REC_MISS, REC_NONE, WRITE, bulk_fill_lines,
+                                protocol_scan, read_latency_table,
+                                replay_chunk, stale_lines,
+                                uncached_read_latency_table,
+                                write_latency_table)
 from ..machine.machine import Machine
 from ..machine.params import MachineParams
 from ..runtime.exec_config import Backend, SCHEMES, scheme_names
@@ -40,8 +61,13 @@ class ReplayCounters:
 
     ops: int = 0            #: ops applied in total
     bulk_ops: int = 0       #: ops serviced by the batched bulk path
-    bulk_runs: int = 0      #: bulk runs committed
-    fallbacks: int = 0      #: eligible runs that fell back to per-op
+    bulk_runs: int = 0      #: bulk segments committed
+    fallbacks: int = 0      #: chunks a run-wide reason sent to per-op
+    #: ops sent to the reference path, per reason: ``vector``,
+    #: ``prefetch``, ``queue_hint``, ``invalidate``, ``private``,
+    #: ``stale``, ``bounds`` (an index or op the reference rejects), and
+    #: the run-wide ``traced_protocol``
+    reasons: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -159,10 +185,8 @@ class TraceProgram:
                 (not shared) or (spec.cache_shared
                                  and spec.protocol is None),
             )
-        bulk = None
-        if backend == Backend.BATCHED:
-            from .batch import BulkReplayer
-            bulk = BulkReplayer(machine, spec, flags)
+        bulk = _BulkReplay(machine, spec, flags) \
+            if backend == Backend.BATCHED else None
         state = _ReplayState()
         snap = _totals(machine)
         open_epoch: Optional[tuple] = None
@@ -287,6 +311,249 @@ def _apply_op(machine: Machine, flags: Dict[str, tuple], pe: int,
         machine.invalidate(pe, op[1], op[2], op[3])
     else:
         raise TraceError(f"unknown replay op {kind!r}")
+
+
+# Stat codes of lowered ops (one per op in a segment).
+_S_READ, _S_BYPASS, _S_ULOCAL, _S_UREMOTE, _S_WLOCAL, _S_WREMOTE, \
+    _S_NOOP = range(7)
+
+
+class _BulkReplay:
+    """Batched replay bound to one machine and scheme (see the module
+    docstring).  Segments commit exactly: only this PE acts while a
+    chunk replays, no segment read touches a line the scans cannot
+    price, and every touched line still resident at the end holds final
+    memory, so the commit scatters the writes and refills those lines."""
+
+    def __init__(self, machine: Machine, spec, flags: Dict[str, tuple]
+                 ) -> None:
+        self.machine = machine
+        self.flags = flags
+        self.proto = machine.protocol
+        # A protocol emits its own events mid-transaction, which a
+        # post-scan emission cannot interleave.
+        self.forced = "traced_protocol" if (
+            self.proto is not None and machine.tracer is not None) else None
+        params = machine.params
+        amap = machine.addr_map
+        self.lw = params.line_words
+        self.own = amap.owner_plane().tolist()
+        self.extra = float(params.craft_shared_ref_overhead) \
+            if spec.craft_overheads else 0.0
+        #: shared array -> (base, size, cacheable, pf_live)
+        self.pol = {name: (amap.base(name), machine.memory.decls[name].size,
+                           f[1], f[3])
+                    for name, f in flags.items() if f[0]}
+        self._tables: Dict[int, tuple] = {}
+
+    def _costs(self, pe: int) -> tuple:
+        """Per-home (read miss, write, uncached read) costs of one PE,
+        CRAFT extra included; under a protocol the read column is the
+        extra alone (the protocol prices the miss)."""
+        t = self._tables.get(pe)
+        if t is None:
+            m, x = self.machine, self.extra
+            t = self._tables[pe] = (
+                [x] * m.params.n_pes if self.proto is not None
+                else read_latency_table(m.params, m.torus, pe, x),
+                write_latency_table(m.params, m.torus, pe, x),
+                uncached_read_latency_table(m.params, m.torus, pe, x))
+        return t
+
+    def _hazards(self, pe_obj, stale: Dict[int, str]) -> Dict[int, str]:
+        """Line -> reason for every line a segment read must not touch:
+        stale, queued or dropped."""
+        queue = pe_obj.queue.entries
+        if not (queue or pe_obj.dropped_lines):
+            return stale
+        out = dict.fromkeys(pe_obj.dropped_lines, "queue_hint")
+        out.update((e.line_addr, "queue_hint") for e in queue)
+        out.update(stale)
+        return out
+
+    def chunk(self, pe: int, ops: list, state: "_ReplayState",
+              counters: ReplayCounters) -> None:
+        """Apply one chunk of a PE's ops, segment by segment."""
+        machine, flags = self.machine, self.flags
+        reasons = counters.reasons
+        if self.forced is not None:
+            for op in ops:
+                _apply_op(machine, flags, pe, op, state)
+            counters.fallbacks += 1
+            reasons[self.forced] = reasons.get(self.forced, 0) + len(ops)
+            return
+        pe_obj = machine.pes[pe]
+        stale = dict.fromkeys(stale_lines(
+            pe_obj.cache, machine.memory.versions_flat).tolist(), "stale")
+        hazard = self._hazards(pe_obj, stale)
+        rcost, wcost, ucost = self._costs(pe)
+        pol, own, lw = self.pol, self.own, self.lw
+        if self.proto is not None:
+            k_read, k_write, k_cost = READ, INSTALL, WRITE
+        else:
+            k_read, k_write, k_cost = RE_READ, RE_COST, RE_COST
+        noop = {"p": (k_cost, -1, -1, float(machine.params.prefetch_issue),
+                      _S_NOOP),
+                "v": (k_cost, -1, -1, float(machine.params.vector_startup),
+                      _S_NOOP)}
+        # One (scan kind, line or -1, home, cost, stat code) per op.
+        events: list = []
+        add = events.append
+        writes: list = []
+        i0 = 0
+        for i, op in enumerate(ops):
+            k = op[0]
+            p = pol.get(op[1])
+            reason = None
+            if p is None:
+                reason = "invalidate" if k == "i" else "private"
+            elif k == "r" or k == "w":
+                base, size, cacheable, pf_live = p
+                flat = op[2]
+                addr = base + flat
+                h = own[addr] if 0 <= flat < size else None
+                if h is None:
+                    reason = "bounds"
+                elif k == "w":
+                    line = addr // lw if cacheable else -1
+                    if line in stale:
+                        reason = "stale"
+                    else:
+                        add((k_write if cacheable else k_cost, line, h,
+                             wcost[h], _S_WLOCAL if h == pe else _S_WREMOTE))
+                        state.counter += 1
+                        writes.append((op[1], flat, state.counter))
+                elif op[3] == "bypass":
+                    add((k_cost, -1, h, ucost[h], _S_BYPASS))
+                elif not cacheable:
+                    add((k_cost, -1, h, ucost[h],
+                         _S_ULOCAL if h == pe else _S_UREMOTE))
+                elif pf_live and (op[3] == "extract" or op[3] == "drop"):
+                    reason = "queue_hint"
+                else:
+                    line = addr // lw
+                    reason = hazard.get(line)
+                    if reason is None:
+                        add((k_read, line, h, rcost[h], _S_READ))
+            elif k == "p" or k == "v":
+                if p[3]:
+                    reason = "prefetch" if k == "p" else "vector"
+                else:
+                    add(noop[k])
+            else:
+                reason = "invalidate" if k == "i" else "bounds"
+            if reason is None:
+                continue
+            # ``op`` ends the segment and takes the reference path.
+            if events:
+                self._commit(pe_obj, pe, ops[i0:i], events, writes,
+                             counters)
+                events.clear()
+                writes.clear()
+            _apply_op(machine, flags, pe, op, state)
+            reasons[reason] = reasons.get(reason, 0) + 1
+            hazard = self._hazards(pe_obj, stale)
+            i0 = i + 1
+        if events:
+            self._commit(pe_obj, pe, ops[i0:], events, writes, counters)
+
+    def _commit(self, pe_obj, pe: int, seg: list, events: list,
+                writes: list, counters: ReplayCounters) -> None:
+        """Scan one segment and apply its outcome to the live machine."""
+        machine = self.machine
+        cache = pe_obj.cache
+        st = pe_obj.stats
+        n = len(events)
+        kinds, lines, homes, costs, codes = zip(*events)
+        n_reads = codes.count(_S_READ)
+        tr = machine.tracer
+        record = None
+        if self.proto is not None:
+            clock, busy, hits, lf = protocol_scan(
+                self.proto, pe, pe_obj.clock, st.busy_cycles, [0] * n,
+                kinds, lines, homes, costs)
+            misses = n_reads - hits
+            rf = misses - lf
+        else:
+            zeros = [0] * n
+            if tr is not None:
+                record = [REC_NONE] * n
+            out = replay_chunk(
+                kinds, zeros, costs, lines, costs, zeros,
+                [h == pe for h in homes], zeros, zeros, zeros, zeros,
+                zeros, (), cache.tags, cache.n_lines, pe_obj.clock, 0.0,
+                (), 0, (), [(t.line_lo, t.line_hi, t.completion)
+                            for t in pe_obj.vectors.transfers],
+                machine.params.cache_hit, 0.0, 0.0, record=record,
+                busy0=st.busy_cycles)
+            c = out.counters
+            clock, busy = out.clock, out.busy
+            hits, misses = c["cache_hits"], c["cache_misses"]
+            lf, rf = c["local_fills"], c["remote_fills"]
+            for _, stall in out.stalls:  # in order, as wait_until adds
+                st.idle_cycles += stall
+                st.vector_stall_cycles += stall
+            cache.tags[:] = out.tags
+        n_byp = codes.count(_S_BYPASS)
+        n_ul = codes.count(_S_ULOCAL)
+        n_ur = codes.count(_S_UREMOTE)
+        n_rw = codes.count(_S_WREMOTE)
+        st.reads += n_reads + n_byp + n_ul + n_ur
+        st.writes += len(writes)
+        st.cache_hits += hits
+        st.cache_misses += misses
+        st.local_fills += lf
+        st.remote_fills += rf
+        st.bypass_reads += n_byp
+        st.uncached_local_reads += n_ul
+        st.uncached_remote_reads += n_ur
+        if self.proto is None:
+            st.remote_writes += n_rw
+        st.busy_cycles = busy
+        pe_obj.clock = clock
+        memory = machine.memory
+        oracle = machine.oracle
+        if writes:
+            by_array: Dict[str, tuple] = {}
+            for name, flat, value in writes:
+                fl, vl = by_array.setdefault(name, ([], []))
+                fl.append(flat)
+                vl.append(value)
+            for name, (fl, vl) in by_array.items():
+                memory.scatter(name, fl, vl)
+                if oracle is not None:
+                    oracle.shadow[name][fl] = vl
+        if oracle is not None:
+            # Segment reads touch no stale line, so each returns the
+            # shadow value: checked without a per-value comparison.
+            oracle.checked_reads += n_reads + n_byp + n_ul + n_ur
+            oracle.checked_writes += len(writes)
+        touched = set(lines)
+        touched.discard(-1)
+        if touched:
+            bulk_fill_lines(cache, sorted(touched), memory.values_flat,
+                            memory.versions_flat)
+        if tr is not None:
+            self._emit(tr, pe, seg, record, homes)
+        counters.bulk_ops += n
+        counters.bulk_runs += 1
+
+    def _emit(self, tr, pe: int, seg: list, record: list,
+              homes: list) -> None:
+        """The machine events of one committed segment, in op order."""
+        for op, code, h in zip(seg, record, homes):
+            if op[0] == "r":
+                if code == REC_HIT:
+                    tr.emit(("read_hit", pe, op[1], op[2], 0))
+                elif code == REC_MISS:
+                    tr.emit(("read_miss", pe, op[1], op[2], int(h == pe)))
+                else:
+                    tr.emit(("bypass_fetch", pe, op[1], op[2],
+                             "bypass" if op[3] == "bypass"
+                             else "uncached_local" if h == pe
+                             else "uncached_remote"))
+            elif op[0] == "w":
+                tr.emit(("write", pe, op[1], op[2], 1, int(h != pe)))
 
 
 __all__ = ["TraceProgram", "TraceReplayResult", "ReplayCounters"]
