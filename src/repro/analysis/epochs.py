@@ -255,10 +255,6 @@ class _GraphBuilder:
             entry_ids.extend(targets)
 
 
-def _contains_doall(stmt: Stmt) -> bool:
-    return any(isinstance(s, Loop) and s.kind == LoopKind.DOALL for s in stmt.walk())
-
-
 def _range_of(loop: Loop) -> Optional[Tuple[int, int]]:
     lo = const_int_value(loop.lower)
     hi = const_int_value(loop.upper)

@@ -35,7 +35,7 @@ from ..ir.expr import ArrayRef
 from ..ir.program import Program
 from ..ir.stmt import Assign, CallStmt, Loop, LoopKind, Stmt
 from ..ir.visitor import const_int_value
-from .affine import AffineForm, AffineRef, affine_ref
+from .affine import AffineRef, affine_ref
 
 
 @dataclass
@@ -239,14 +239,13 @@ def _pair_conflict(loop: Loop, decl: ArrayDecl, write: Access, other: Access,
 
 
 def _delta_range(write: Access, other: Access,
-                 par_var: str = "") -> Tuple[int, int]:
+                 par_var: str) -> Tuple[int, int]:
     """Range of addr_other_variable_part - addr_write_variable_part over
     the inner-loop iteration spaces, with the parallel index excluded
     (its coefficients are handled by the GCD equation).  Unknown inner
     ranges widen to conservative infinity."""
     diff = other.aref.address - write.aref.address  # type: ignore[union-attr]
-    if par_var:
-        diff = diff.drop_var(par_var)
+    diff = diff.drop_var(par_var)
     lo = hi = diff.const
     ranges = {**write.inner_ranges, **other.inner_ranges}
     for name, coeff in diff.coeffs:
@@ -263,12 +262,6 @@ def _delta_range(write: Access, other: Access,
     if diff.sym_coeffs:
         return (-(1 << 30), 1 << 30)
     return (lo, hi)
-
-
-def _variable_part_may_intersect(write: Access, other: Access,
-                                 allow_equal: bool) -> bool:
-    lo, hi = _delta_range(write, other)
-    return lo <= 0 <= hi
 
 
 __all__ = ["Access", "Conflict", "ParCheckResult", "check_doall_independence"]

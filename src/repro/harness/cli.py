@@ -530,7 +530,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         def cold_pass(n_lines):
             """Per-read outcomes and hit rate against a cold cache."""
-            outcomes = classify_events(lines, None, n_lines).outcomes
+            outcomes = classify_events(lines, n_lines).outcomes
             hits = int(np.count_nonzero(outcomes == OUT_HIT))
             return outcomes, (hits / len(lines) if len(lines) else 0.0)
 

@@ -1,16 +1,11 @@
 """Bulk (vectorized) primitives for the batched execution backend.
 
 The heart of this module is :func:`classify_events`: an exact direct-mapped
-cache simulation over a whole event trace.  It runs as a handful of NumPy
-array operations using a *shifted comparison*: sort events by cache set
-(stable), then for every event the resident line beforehand is the line of
-the most recent earlier installing event in the same set — a prefix-maximum
-over positions, no Python loop.
-INVALIDATE events ride the same machinery: an invalidate *kills* iff its
-line equals the last-installed line of its set, and a set reads as empty
-whenever the most recent kill postdates the most recent install (a kill
-marked while the set was already empty is harmless — it clears to the same
-empty state the set was in).
+cache simulation over a whole read trace.  It runs as a handful of NumPy
+array operations using a *shifted comparison*: sort reads by cache set
+(stable); every read installs its line, so a read hits iff it repeats the
+previous line of its set-run, or the set's initial resident line at the
+start of a run.  No Python loop.
 
 :func:`replay_chunk` is the prefetch replay engine: an exact, allocation-free
 scan over one batched chunk's pre-classified events that reproduces the
@@ -35,8 +30,8 @@ cache sizes, and its most-conflicted sets.
 
 Also here: latency lookup tables (per-owner cost vectors that turn the
 machine's scalar cost model into O(1) list indexing inside scan loops) and
-bulk cache refill helpers used when committing a batched chunk's effects
-back into a :class:`~repro.machine.cache.DirectMappedCache`.
+the bulk cache refill and stale-line helpers used when committing a batched
+chunk's effects back into a :class:`~repro.machine.cache.DirectMappedCache`.
 """
 
 from __future__ import annotations
@@ -48,61 +43,42 @@ import numpy as np
 
 from .params import MachineParams
 
-# Event kinds.
+# Event kinds of protocol_scan.
 READ = 0
 WRITE = 1
 INSTALL = 2
-INVALIDATE = 3
 
-# Outcome codes per event.
+# Outcome codes per read.
 OUT_HIT = 0
 OUT_MISS = 1
-OUT_NA = 2  # not a READ (or invalidated/no outcome)
 
 
 @dataclass
 class EventClassification:
-    """Exact outcome of replaying an event trace against a direct-mapped cache.
+    """Exact outcome of replaying a read trace against a direct-mapped cache.
 
-    ``present[i]`` is True when event *i*'s line was resident immediately
-    before the event (for READs this equals HIT; for WRITEs it says whether a
-    write-through update lands in the cache).  ``changed_sets`` lists the
-    cache sets whose resident line after the trace differs from the initial
-    state, with ``changed_lines`` the new resident line per such set (-1 for
-    invalidated-empty)."""
+    ``changed_sets`` lists the cache sets whose resident line after the
+    trace differs from the initial state, with ``changed_lines`` the new
+    resident line per such set."""
 
-    outcomes: np.ndarray       # int8 per event: OUT_HIT / OUT_MISS / OUT_NA
-    present: np.ndarray        # bool per event: line resident before event
+    outcomes: np.ndarray       # int8 per read: OUT_HIT / OUT_MISS
     changed_sets: np.ndarray   # int64, sets whose final resident line changed
     changed_lines: np.ndarray  # int64, final resident line per changed set
 
 
-def classify_events(line_addrs: np.ndarray,
-                    kinds: Optional[np.ndarray],
-                    n_lines: int,
+def classify_events(line_addrs: np.ndarray, n_lines: int,
                     initial_tags: Optional[np.ndarray] = None) -> EventClassification:
-    """Replay ``(line_addrs, kinds)`` against a direct-mapped cache.
+    """Replay the reads of ``line_addrs`` against a direct-mapped cache.
 
-    ``kinds=None`` means all-READ.  ``initial_tags`` is the resident line per
-    set before the trace (-1 empty); ``None`` means a cold cache.  READ misses
-    and INSTALLs install their line; WRITEs never install (write-through,
-    no-allocate); INVALIDATEs empty the set iff the named line is resident.
+    ``initial_tags`` is the resident line per set before the trace (-1
+    empty); ``None`` means a cold cache.  Every read installs its line.
     """
     line_addrs = np.asarray(line_addrs, dtype=np.int64)
     n = line_addrs.shape[0]
-    all_reads = kinds is None
-    if all_reads:
-        kinds = np.zeros(n, dtype=np.int8)
-    else:
-        kinds = np.asarray(kinds, dtype=np.int8)
-        if kinds.shape != (n,):
-            raise ValueError("line_addrs and kinds must have equal length")
-        all_reads = bool((kinds == READ).all())
-    outcomes = np.full(n, OUT_NA, dtype=np.int8)
-    present = np.zeros(n, dtype=bool)
-    empty = np.empty(0, dtype=np.int64)
     if n == 0:
-        return EventClassification(outcomes, present, empty, empty.copy())
+        empty = np.empty(0, dtype=np.int64)
+        return EventClassification(np.empty(0, dtype=np.int8), empty,
+                                   empty.copy())
     sets = line_addrs % n_lines  # already int64 from the asarray above
     if initial_tags is None:
         init = np.full(n_lines, -1, dtype=np.int64)
@@ -117,83 +93,27 @@ def classify_events(line_addrs: np.ndarray,
     ss = sets[order]
     sl = line_addrs[order]
 
-    # Segment start per set-run (events of one set stay in trace order).
+    # Segment start per set-run (reads of one set stay in trace order).
     seg_start = np.empty(n, dtype=bool)
     seg_start[0] = True
     seg_start[1:] = ss[1:] != ss[:-1]
 
-    if all_reads:
-        # Every event installs its line, so an event hits iff it repeats
-        # the immediately preceding line in its set-run (or the initial
-        # resident line at a run start).  No install/invalidate chains.
-        hit = np.empty(n, dtype=bool)
-        hit[0] = True
-        np.equal(sl[1:], sl[:-1], out=hit[1:])
-        starts = np.flatnonzero(seg_start)
-        hit[starts] = init[ss[starts]] == sl[starts]
-        out_sorted = np.where(hit, np.int8(OUT_HIT), np.int8(OUT_MISS))
-        outcomes[order] = out_sorted
-        present[order] = hit
-        seg_last = np.empty(n, dtype=bool)
-        seg_last[-1] = True
-        seg_last[:-1] = seg_start[1:]
-        csets = ss[seg_last]
-        fin = sl[seg_last]
-        changed = fin != init[csets]
-        return EventClassification(outcomes, present, csets[changed],
-                                   fin[changed])
+    hit = np.empty(n, dtype=bool)
+    hit[0] = True
+    np.equal(sl[1:], sl[:-1], out=hit[1:])
+    starts = np.flatnonzero(seg_start)
+    hit[starts] = init[ss[starts]] == sl[starts]
+    outcomes = np.empty(n, dtype=np.int8)
+    outcomes[order] = np.where(hit, np.int8(OUT_HIT), np.int8(OUT_MISS))
 
-    sk = kinds[order]
-    pos = np.arange(n, dtype=np.int64)
-    seg0 = np.maximum.accumulate(np.where(seg_start, pos, np.int64(-1)))
-
-    # Installing events: READs (miss or hit, the line ends up resident
-    # either way) and explicit INSTALLs.
-    installs = (sk == READ) | (sk == INSTALL)
-    last_inst = np.maximum.accumulate(np.where(installs, pos, np.int64(-1)))
-    prev_inst = np.empty(n, dtype=np.int64)
-    prev_inst[0] = -1
-    prev_inst[1:] = last_inst[:-1]
-    has_prev = prev_inst >= seg0
-    before = np.where(has_prev, sl[np.maximum(prev_inst, 0)], init[ss])
-    hit = before == sl
-
-    # INVALIDATEs: one kills iff its line equals the set's last-installed
-    # line, and the set reads empty whenever the latest kill postdates the
-    # latest install.  A kill marked while the set was already empty is a
-    # no-op either way (it "clears" to the same empty state), so the
-    # install-line comparison alone is exact.
-    inval = sk == INVALIDATE
-    has_inval = bool(inval.any())
-    if has_inval:
-        kills = inval & hit
-        last_kill = np.maximum.accumulate(np.where(kills, pos, np.int64(-1)))
-        prev_kill = np.empty(n, dtype=np.int64)
-        prev_kill[0] = -1
-        prev_kill[1:] = last_kill[:-1]
-        cleared = (prev_kill >= seg0) & (prev_kill > prev_inst)
-        hit = hit & ~cleared
-
-    is_read = sk == READ
-    out_sorted = np.full(n, OUT_NA, dtype=np.int8)
-    out_sorted[is_read] = np.where(hit[is_read], OUT_HIT, OUT_MISS)
-    outcomes[order] = out_sorted
-    present[order] = hit
-
-    # Final resident line per touched set, from the last installing event.
+    # Final resident line per touched set: the last read of its run.
     seg_last = np.empty(n, dtype=bool)
     seg_last[-1] = True
-    seg_last[:-1] = ss[1:] != ss[:-1]
-    li = last_inst[seg_last]
-    has_final = li >= seg0[seg_last]
+    seg_last[:-1] = seg_start[1:]
     csets = ss[seg_last]
-    fin = np.where(has_final, sl[np.maximum(li, 0)], init[csets])
-    if has_inval:
-        lk = last_kill[seg_last]
-        killed = (lk >= seg0[seg_last]) & (lk > li)
-        fin = np.where(killed, np.int64(-1), fin)
+    fin = sl[seg_last]
     changed = fin != init[csets]
-    return EventClassification(outcomes, present, csets[changed], fin[changed])
+    return EventClassification(outcomes, csets[changed], fin[changed])
 
 
 # -- prefetch replay scan engine ---------------------------------------------
@@ -588,29 +508,6 @@ def bulk_fill_lines(cache, lines: Sequence[int],
             cache.vers[ix, :] = versions_flat[base:base + lw]
 
 
-def bulk_update_words(cache, addrs: Sequence[int],
-                      values_flat: np.ndarray, versions_flat: np.ndarray) -> None:
-    """Apply write-through word updates for resident lines, in bulk.
-
-    Duplicate addresses are fine: fancy assignment applies in order, and the
-    flat backing already holds each word's final value/version."""
-    if not len(addrs):
-        return
-    a = np.asarray(addrs, dtype=np.int64)
-    lw = cache.line_words
-    ln = a // lw
-    ix = ln % cache.n_lines
-    ok = cache.tags[ix] == ln
-    if not bool(ok.any()):
-        return
-    a = a[ok]
-    ln = ln[ok]
-    ix = ix[ok]
-    off = a - ln * lw
-    cache.data[ix, off] = values_flat[a]
-    cache.vers[ix, off] = versions_flat[a]
-
-
 _EMPTY_LINES = np.empty(0, dtype=np.int64)
 
 
@@ -633,34 +530,9 @@ def stale_lines(cache, versions_flat: np.ndarray) -> np.ndarray:
     return lines[mask]
 
 
-def stale_words(cache, versions_flat: np.ndarray):
-    """Words resident in ``cache`` whose cached version lags memory.
-
-    Returns ``{addr: (cached_value, cached_version, memory_version)}`` — the
-    batched scan patches these into gathered read values so a chunk sees
-    exactly what the scalar interpreter would have read."""
-    valid = cache.tags >= 0
-    if not bool(valid.any()):
-        return {}
-    lw = cache.line_words
-    lines = cache.tags[valid]
-    addrs = (lines[:, None] * lw + np.arange(lw, dtype=np.int64)).ravel()
-    cvers = cache.vers[valid].ravel()
-    mvers = versions_flat[addrs]
-    mask = cvers < mvers
-    if not bool(mask.any()):
-        return {}
-    vals = cache.data[valid].ravel()
-    out = {}
-    for a, v, cv, mv in zip(addrs[mask].tolist(), vals[mask].tolist(),
-                            cvers[mask].tolist(), mvers[mask].tolist()):
-        out[a] = (v, cv, mv)
-    return out
-
-
 __all__ = [
-    "READ", "WRITE", "INSTALL", "INVALIDATE",
-    "OUT_HIT", "OUT_MISS", "OUT_NA",
+    "READ", "WRITE", "INSTALL",
+    "OUT_HIT", "OUT_MISS",
     "RE_COST", "RE_READ", "RE_WRITE", "RE_PF",
     "STALL_VECTOR", "STALL_LATE",
     "REC_NONE", "REC_HIT", "REC_EXTRACT", "REC_MISS", "REC_DROP_BYPASS",
@@ -668,5 +540,5 @@ __all__ = [
     "EventClassification", "classify_events",
     "ReplayOutcome", "replay_chunk", "protocol_scan",
     "read_latency_table", "write_latency_table", "uncached_read_latency_table",
-    "bulk_fill_lines", "bulk_update_words", "stale_lines", "stale_words",
+    "bulk_fill_lines", "stale_lines",
 ]

@@ -123,17 +123,6 @@ class DirectMappedCache:
     def flush(self) -> None:
         self.tags[:] = -1
 
-    # -- machine-stacked storage ------------------------------------------------
-    def rebase(self, tags: np.ndarray, data: np.ndarray,
-               vers: np.ndarray) -> None:
-        """Re-back this cache's state onto caller-owned arrays (one row
-        of the machine's stacked ``(n_pes, ...)`` cache planes).  The
-        rows must already hold this cache's current contents; every
-        mutation in this class is in-place, so views stay coherent."""
-        self.tags = tags
-        self.data = data
-        self.vers = vers
-
     # -- introspection -----------------------------------------------------------------
     def occupancy(self) -> int:
         return int(np.count_nonzero(self.tags >= 0))

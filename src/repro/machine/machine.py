@@ -53,31 +53,6 @@ class Machine:
         self.memory = Memory(decls, params)
         self.torus = torus_for(params.n_pes)
         self.pes: List[PE] = [PE(i, params) for i in range(params.n_pes)]
-        # Stacked clock plane: every PE's clock is one slot of this
-        # (n_pes,) array, so barrier/elapsed/reset touch all clocks in
-        # single NumPy operations while pe.clock stays a plain float
-        # property for per-PE code.
-        self.clocks = np.zeros(params.n_pes, dtype=np.float64)
-        for pe in self.pes:
-            pe.rebase_clock(self.clocks, pe.pe_id)
-        # Stacked cache planes: every PE's direct-mapped cache state lives
-        # as one row of these (n_pes, ...) arrays, and each cache holds
-        # row views into them.  Per-PE code is unchanged (all cache
-        # mutations are in-place), while whole-machine consumers — the
-        # tracer's epoch snapshot — touch every cache in single NumPy
-        # operations.
-        self.cache_tags = np.full((params.n_pes, params.n_lines), -1,
-                                  dtype=np.int64)
-        self.cache_data = np.zeros(
-            (params.n_pes, params.n_lines, params.line_words),
-            dtype=np.float64)
-        self.cache_vers = np.zeros(
-            (params.n_pes, params.n_lines, params.line_words),
-            dtype=np.int64)
-        for pe in self.pes:
-            pe.cache.rebase(self.cache_tags[pe.pe_id],
-                            self.cache_data[pe.pe_id],
-                            self.cache_vers[pe.pe_id])
         self.stats = MachineStats(per_pe=[pe.stats for pe in self.pes])
         self.on_stale = on_stale
         self._lw = params.line_words
@@ -687,27 +662,22 @@ class Machine:
             self.protocol.on_barrier()
         if self.race_check:
             self._epoch_writers.clear()
-        clocks = self.clocks
-        latest = float(clocks.max())
-        cost = self.params.barrier_cost()
-        time = latest + cost
-        # Stall accounting runs only for PEs strictly behind the max —
-        # after a replayed uniform epoch there are none, and the whole
-        # barrier stays in vectorized code.  ``latest + cost`` is the
-        # same float every PE's ``clock = latest; clock += cost`` would
-        # produce.
-        behind = clocks < latest
-        if behind.any():
-            pes = self.pes
-            for i in np.flatnonzero(behind):
-                pes[i].stats.idle_cycles += latest - float(clocks[i])
-        clocks.fill(time)
+        pes = self.pes
+        latest = max(pe.clock for pe in pes)
+        time = latest + self.params.barrier_cost()
+        # Only PEs strictly behind the latest clock accrue idle time.
+        # ``latest + cost`` is the same float every PE's ``clock = latest;
+        # clock += cost`` would produce.
+        for pe in pes:
+            if pe.clock < latest:
+                pe.stats.idle_cycles += latest - pe.clock
+            pe.clock = time
         if self.tracer is not None:
             self.tracer.emit(("barrier", time))
         return time
 
     def elapsed(self) -> float:
-        return float(self.clocks.max())
+        return max(pe.clock for pe in self.pes)
 
     # ------------------------------------------------------------------
     # convenience

@@ -208,12 +208,8 @@ class Tracer:
         self._epoch_snap = None
         end = machine.elapsed()
         self.emit(("epoch_end", index, label, end))
-        # One stacked-plane copy, then per-PE row views: far cheaper
-        # than a tags.copy() per PE, and the rows are read-only once
-        # the timeline folds them.
-        tags = machine.cache_tags.copy()
         after = [(pe.pe_id, pe.metrics_snapshot(), pe.queue.high_water,
-                  tags[pe.pe_id]) for pe in machine.pes]
+                  pe.cache.tags.copy()) for pe in machine.pes]
         self._raw_rows.append((index, label, start, end, snap, after))
 
     @property

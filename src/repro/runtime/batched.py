@@ -1766,7 +1766,7 @@ class BatchedInterpreter(Interpreter):
                     line_cache[akey] = lines
                 line_mat[:, k] = lines
                 line_cols[i] = lines
-            cls = classify_events(line_mat.reshape(-1), None,
+            cls = classify_events(line_mat.reshape(-1),
                                   pe_obj.cache.n_lines,
                                   initial_tags=pe_obj.cache.tags)
             ncr = len(cidx)

@@ -252,11 +252,8 @@ class Interpreter:
             extra = params.epoch_start
             if self.config.craft_overheads:
                 extra += params.craft_epoch_overhead
-            # Vectorized pe.advance(extra): one add on the stacked
-            # clock plane, then the busy counters (still per-PE ints).
-            machine.clocks += extra
             for pe in machine.pes:
-                pe.stats.busy_cycles += extra
+                pe.advance(extra)
         tracer = machine.tracer
         epoch_label = loop.label or f"doall {loop.var}"
         if tracer is not None:
@@ -928,11 +925,6 @@ class Interpreter:
         loads = sum(1 for node in expr.walk() if isinstance(node, ArrayRef))
         return max(0.0, total - loads * self.params.cache_hit
                    - self.params.write_local * 0)
-
-
-def _contains_doall(stmt: Stmt) -> bool:
-    return any(isinstance(s, Loop) and s.kind == LoopKind.DOALL
-               for s in stmt.walk())
 
 
 def _callee_contains_doall(program: Program, call: CallStmt,

@@ -184,6 +184,7 @@ class TraceProgram:
                 # owns coherence.
                 (not shared) or (spec.cache_shared
                                  and spec.protocol is None),
+                decl.size,
             )
         bulk = _BulkReplay(machine, spec, flags) \
             if backend == Backend.BATCHED else None
@@ -277,7 +278,12 @@ def _apply_op(machine: Machine, flags: Dict[str, tuple], pe: int,
             f"trace references array {op[1]!r} absent from the replay "
             f"declarations ({', '.join(sorted(flags)) or 'none'}); pass "
             f"the workload the trace was recorded from") from None
-    shared, cacheable, craft, pf_live = info
+    shared, cacheable, craft, pf_live, size = info
+    if (kind == "r" or kind == "w") and not 0 <= op[2] < size:
+        raise TraceError(
+            f"trace accesses {op[1]}[{op[2]}] but {op[1]} is declared "
+            f"with {size} element(s); pass the workload size the trace "
+            f"was recorded from")
     if kind == "r":
         hint = op[3]
         if hint == "bypass" and shared:

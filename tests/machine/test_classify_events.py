@@ -4,22 +4,20 @@ and the cold-cache questions ``ccdp profile`` asks of it (hit rate,
 miss rate vs cache size, per-set conflict misses)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.machine.batchops import (INSTALL, INVALIDATE, OUT_HIT, OUT_MISS,
-                                    OUT_NA, READ, WRITE, classify_events)
+from repro.machine.batchops import OUT_HIT, OUT_MISS, classify_events
 from repro.machine.cache import DirectMappedCache
 from repro.machine.params import t3d
 
 PARAMS = t3d(1, cache_bytes=256)  # 8 sets x 4 words
 
 
-def classify(addrs, kinds=None, params=PARAMS, tags=None):
+def classify(addrs, params=PARAMS, tags=None):
     """Classify word addresses the way the batched backend and
     ``ccdp profile`` do: as line addresses against ``params``' cache."""
     lines = np.asarray(addrs, dtype=np.int64) // params.line_words
-    return classify_events(lines, kinds, params.n_lines, initial_tags=tags)
+    return classify_events(lines, params.n_lines, initial_tags=tags)
 
 
 def hits(cls) -> int:
@@ -30,30 +28,21 @@ def misses(cls) -> int:
     return int(np.count_nonzero(cls.outcomes == OUT_MISS))
 
 
-def reference_outcomes(addrs, kinds):
-    """Drive the reference DirectMappedCache event by event."""
+def reference_run(addrs, tags):
+    """Drive the reference DirectMappedCache read by read from resident
+    lines ``tags``: per-read outcomes and the final tags."""
     cache = DirectMappedCache(PARAMS)
+    cache.tags[:] = tags
     data = np.zeros(PARAMS.line_words)
     vers = np.zeros(PARAMS.line_words, dtype=np.int64)
     out = []
-    for addr, kind in zip(addrs, kinds):
-        line = addr // PARAMS.line_words
-        if kind == READ:
-            if cache.read(addr) is None:
-                out.append(OUT_MISS)
-                cache.install(line, data, vers)
-            else:
-                out.append(OUT_HIT)
-        elif kind == WRITE:
-            cache.write_through_update(addr, 0.0, 0)
-            out.append(OUT_NA)
-        elif kind == INSTALL:
-            cache.install(line, data, vers)
-            out.append(OUT_NA)
+    for addr in addrs:
+        if cache.read(addr) is None:
+            out.append(OUT_MISS)
+            cache.install(addr // PARAMS.line_words, data, vers)
         else:
-            cache.invalidate_line(line)
-            out.append(OUT_NA)
-    return np.array(out, dtype=np.int8)
+            out.append(OUT_HIT)
+    return out, cache.tags
 
 
 class TestExactness:
@@ -70,79 +59,38 @@ class TestExactness:
 
     def test_empty_trace(self):
         result = classify(np.array([], dtype=np.int64))
-        assert len(result.outcomes) == 0 and len(result.present) == 0
+        assert len(result.outcomes) == 0
         assert len(result.changed_sets) == 0
-
-    def test_writes_do_not_allocate(self):
-        result = classify(np.array([0, 0, 0]),
-                          np.array([WRITE, READ, READ], dtype=np.int8))
-        assert result.outcomes.tolist() == [OUT_NA, OUT_MISS, OUT_HIT]
-
-    def test_invalidate_forces_miss(self):
-        result = classify(np.array([0, 0, 0, 0]),
-                          np.array([READ, INVALIDATE, READ, READ],
-                                   dtype=np.int8))
-        assert result.outcomes.tolist() == [OUT_MISS, OUT_NA, OUT_MISS, OUT_HIT]
-
-    def test_invalidate_of_absent_line_is_noop(self):
-        # line 33 maps to set 1; set 0 keeps line 0 resident
-        result = classify(np.array([0, 33 * 4, 0], dtype=np.int64),
-                          np.array([READ, INVALIDATE, READ], dtype=np.int8))
-        assert result.outcomes[2] == OUT_HIT
-
-    def test_install_prefills(self):
-        result = classify(np.array([0, 0]),
-                          np.array([INSTALL, READ], dtype=np.int8))
-        assert result.outcomes[1] == OUT_HIT
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            classify(np.array([0, 1]), np.array([READ], dtype=np.int8))
 
     def test_warm_tags_hit_and_only_real_changes_are_reported(self):
         """A line resident before the trace hits on first touch; the final
         diff lists only sets whose resident line actually changed."""
         tags = np.full(PARAMS.n_lines, -1, dtype=np.int64)
-        tags[0], tags[1] = 0, 9          # set 1 holds line 9
-        result = classify(np.array([0, 4, 9 * 4, 2 * 4]),
-                          np.array([READ, READ, INVALIDATE, INSTALL],
-                                   dtype=np.int8), tags=tags)
-        # read line 0 (warm hit), read line 1 (evicts 9), invalidate
-        # line 9 (already gone), install line 2 into an empty set
-        assert result.outcomes.tolist() == [OUT_HIT, OUT_MISS, OUT_NA, OUT_NA]
-        assert result.present.tolist() == [True, False, False, False]
+        tags[0], tags[1], tags[2] = 0, 9, 2   # set 1 holds line 9
+        result = classify(np.array([0, 4, 10 * 4, 2 * 4]), tags=tags)
+        # read line 0 (warm hit), read line 1 (evicts 9), read line 10
+        # (evicts 2), read line 2 (evicts 10: set 2 ends as it started)
+        assert result.outcomes.tolist() == [OUT_HIT, OUT_MISS, OUT_MISS,
+                                            OUT_MISS]
         assert dict(zip(result.changed_sets.tolist(),
-                        result.changed_lines.tolist())) == {1: 1, 2: 2}
+                        result.changed_lines.tolist())) == {1: 1}
         assert tags[1] == 9, "classification must not mutate initial_tags"
-
-    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 127)),
-                    min_size=1, max_size=200))
-    @settings(max_examples=80, deadline=None)
-    def test_equivalence_with_reference(self, events):
-        kinds = np.array([k for k, _ in events], dtype=np.int8)
-        addrs = np.array([a for _, a in events], dtype=np.int64)
-        fast = classify(addrs, kinds)
-        ref = reference_outcomes(addrs, kinds)
-        assert fast.outcomes.tolist() == ref.tolist()
 
     @given(st.lists(st.integers(0, 127), min_size=1, max_size=200),
            st.lists(st.integers(-1, 4), min_size=8, max_size=8))
-    @settings(max_examples=60, deadline=None)
-    def test_pure_read_path_matches_general_path(self, raw, aliases):
-        """All-read traces take a shortcut; a trailing WRITE (which neither
-        installs nor changes any earlier outcome) forces the general
-        install/invalidate path.  Both must agree, from any warm start."""
+    @settings(max_examples=80, deadline=None)
+    def test_equivalence_with_reference(self, raw, aliases):
+        """From any warm start: per-read outcomes, and the tag diff the
+        batched backend commits, match the reference cache."""
         addrs = np.array(raw, dtype=np.int64)
         tags = np.array([-1 if k < 0 else s + PARAMS.n_lines * k
                          for s, k in enumerate(aliases)], dtype=np.int64)
-        fast = classify(addrs, None, tags=tags)
-        kinds = np.array([READ] * len(raw) + [WRITE], dtype=np.int8)
-        general = classify(np.append(addrs, 0), kinds, tags=tags)
-        n = len(raw)
-        assert fast.outcomes.tolist() == general.outcomes[:n].tolist()
-        assert fast.present.tolist() == general.present[:n].tolist()
-        assert fast.changed_sets.tolist() == general.changed_sets.tolist()
-        assert fast.changed_lines.tolist() == general.changed_lines.tolist()
+        fast = classify(addrs, tags=tags)
+        ref_out, ref_tags = reference_run(raw, tags)
+        assert fast.outcomes.tolist() == ref_out
+        changed = np.flatnonzero(ref_tags != tags)
+        assert fast.changed_sets.tolist() == changed.tolist()
+        assert fast.changed_lines.tolist() == ref_tags[changed].tolist()
 
 
 class TestAnalysisHelpers:

@@ -48,7 +48,8 @@ def state_key(m):
     """Tags, per-set states, holder masks and directory records."""
     p = m.protocol
     entries = getattr(p, "entries", {})
-    return (m.cache_tags.tobytes(), tuple(map(tuple, p.st)),
+    return (b"".join(pe.cache.tags.tobytes() for pe in m.pes),
+            tuple(map(tuple, p.st)),
             tuple(sorted(p.holders.items())),
             tuple(sorted((line, (e.sharers, e.owner, e.bcast))
                          for line, e in entries.items())))
@@ -56,8 +57,9 @@ def state_key(m):
 
 def snapshot(m):
     p = m.protocol
-    return (m.cache_tags.copy(), m.cache_data.copy(), m.cache_vers.copy(),
-            m.memory.values_flat.copy(), m.memory.versions_flat.copy(),
+    caches = [(pe.cache.tags.copy(), pe.cache.data.copy(),
+               pe.cache.vers.copy()) for pe in m.pes]
+    return (caches, m.memory.values_flat.copy(), m.memory.versions_flat.copy(),
             m.oracle.shadow["a"].copy(), [row[:] for row in p.st],
             dict(p.holders),
             [(line, (e.sharers, e.owner, e.bcast))
@@ -66,11 +68,11 @@ def snapshot(m):
 
 
 def restore(m, snap):
-    tags, data, vers, values, versions, shadow, st, holders, entries, \
-        home_of = snap
-    m.cache_tags[:] = tags
-    m.cache_data[:] = data
-    m.cache_vers[:] = vers
+    caches, values, versions, shadow, st, holders, entries, home_of = snap
+    for pe, (tags, data, vers) in zip(m.pes, caches):
+        pe.cache.tags[:] = tags
+        pe.cache.data[:] = data
+        pe.cache.vers[:] = vers
     m.memory.values_flat[:] = values
     m.memory.versions_flat[:] = versions
     m.oracle.shadow["a"][:] = shadow
@@ -100,9 +102,10 @@ def check_invariants(m, lines, path):
             assert len(live) == 1, f"E/M not exclusive, {where}"
         words = slice(line * lw, (line + 1) * lw)
         for q in live:
-            assert (m.cache_vers[q, s] == m.memory.versions_flat[words]).all(), \
+            cache = m.pes[q].cache
+            assert (cache.vers[s] == m.memory.versions_flat[words]).all(), \
                 f"PE{q} holds an old version, {where}"
-            assert (m.cache_data[q, s] == m.memory.values_flat[words]).all(), \
+            assert (cache.data[s] == m.memory.values_flat[words]).all(), \
                 f"PE{q} holds old data, {where}"
             assert p.holders.get(line, 0) >> q & 1, f"PE{q} not a holder, {where}"
         entry = getattr(p, "entries", {}).get(line)

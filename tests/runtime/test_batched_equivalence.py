@@ -465,3 +465,59 @@ def test_vector_prefetches_are_recorded_as_skips():
     assert result.batch_fallbacks == 0
     issued = sum(pe.vectors.issued for pe in result.machine.pes)
     assert result.fallback_reasons["vector_prefetch"] >= issued > 0
+
+
+def _vector_race_program(n=32):
+    """Each PE's preamble vector-prefetches column 1 of ``x`` and its
+    chunk reads that column at once, racing the transfer."""
+    from repro.ir.stmt import PrefetchVector
+
+    b = ir.ProgramBuilder("vector_race")
+    b.shared("x", (n, n))
+    b.shared("y", (n, n))
+    with b.proc("main"):
+        with b.doall("j", 1, n, align="x"):
+            with b.do("i", 1, n):
+                b.assign(b.ref("x", "i", "j"), ir.E("i") * 1.0)
+        with b.doall("j", 1, n, align="y") as loop:
+            with b.do("i", 1, n):
+                b.assign(b.ref("y", "i", "j"), b.ref("x", "i", 1))
+        loop.preamble.append(PrefetchVector(
+            "x", [ir.IntConst(1), ir.IntConst(1)], axis=0, length=n))
+    return b.finish()
+
+
+@pytest.mark.parametrize("version", [Version.CCDP, Version.MESI])
+def test_pe_clocks_stay_python_floats(monkeypatch, version):
+    """``PE.clock`` is a plain slot, so nothing coerces what the batched
+    commits, the vector-stall resolver and the protocol scan store into
+    it: after a run on either backend, and after a barrier, every clock
+    must be a Python ``float``."""
+    from repro.workloads import workload
+
+    stalls = []
+    real = BatchedInterpreter._stall_clock
+
+    def spying(self, *args, **kwargs):
+        clock, chunk_stalls = real(self, *args, **kwargs)
+        stalls.extend(chunk_stalls)
+        return clock, chunk_stalls
+
+    monkeypatch.setattr(BatchedInterpreter, "_stall_clock", spying)
+    params = t3d(4, cache_bytes=1024)
+    if version == Version.CCDP:
+        program = _vector_race_program()
+    else:
+        program = workload("mxm").build(n=8)
+    for backend in ("reference", "batched"):
+        interp = make_interpreter(
+            program, params,
+            ExecutionConfig.for_version(version, backend=backend))
+        interp.run()
+        machine = interp.machine
+        assert [type(pe.clock) for pe in machine.pes] == [float] * 4
+        machine.barrier()
+        assert [type(pe.clock) for pe in machine.pes] == [float] * 4
+    assert interp.batch_chunks > 0
+    if version == Version.CCDP:
+        assert stalls, "no chunk raced an in-flight vector transfer"

@@ -286,13 +286,9 @@ class TestCacheAgainstReference:
 
 from repro.machine import batchops
 
-event_kinds = st.sampled_from([batchops.READ, batchops.WRITE,
-                               batchops.INSTALL, batchops.INVALIDATE])
-
 #: 8 lines x 4 words of cache, addresses over 64 lines -> every set sees
 #: up to 8 aliasing lines, so conflict evictions are routine.
-fast_traces = st.lists(st.tuples(event_kinds, st.integers(0, 255)),
-                       min_size=1, max_size=100)
+fast_traces = st.lists(st.integers(0, 255), min_size=1, max_size=100)
 
 #: Per-set starting state: -1 empty, else which of the 8 aliasing lines
 #: is resident before the trace.
@@ -301,12 +297,11 @@ warm_starts = st.lists(st.integers(-1, 7), min_size=8, max_size=8)
 
 class TestClassifyTraceAgainstReference:
     """``batchops.classify_events`` (the batched backend's kernel) must
-    reproduce the reference ``DirectMappedCache`` for *any* interleaving
-    of READ/WRITE/INSTALL/INVALIDATE events from *any* resident state:
-    per-event outcome and presence, and the final tag diff the backend
-    commits."""
+    reproduce the reference ``DirectMappedCache`` for *any* read trace
+    from *any* resident state: per-read outcome, and the final tag diff
+    the backend commits."""
 
-    def _check(self, events, aliases, params):
+    def _check(self, addrs, aliases, params):
         from repro.machine.cache import DirectMappedCache
 
         dut = DirectMappedCache(params)
@@ -317,30 +312,17 @@ class TestClassifyTraceAgainstReference:
                 dut.install(set_index + params.n_lines * alias, zeros, zvers)
         initial = dut.tags.copy()
 
-        lines = np.array([addr // params.line_words for _, addr in events],
-                         dtype=np.int64)
-        kinds = np.array([kind for kind, _ in events], dtype=np.int8)
-        result = batchops.classify_events(lines, kinds, params.n_lines,
+        lines = np.array(addrs, dtype=np.int64) // params.line_words
+        result = batchops.classify_events(lines, params.n_lines,
                                           initial_tags=initial)
 
-        for i, (kind, addr) in enumerate(events):
-            line = addr // params.line_words
+        for i, addr in enumerate(addrs):
             resident = dut.probe(addr)
-            assert result.present[i] == resident, f"event {i}: presence"
-            if kind == batchops.READ:
-                expected = batchops.OUT_HIT if resident else batchops.OUT_MISS
-                assert result.outcomes[i] == expected, \
-                    f"event {i}: {'hit' if resident else 'miss'} expected"
-                if not resident:
-                    dut.install(line, zeros, zvers)  # read allocates
-            else:
-                assert result.outcomes[i] == batchops.OUT_NA
-                if kind == batchops.WRITE:
-                    dut.write_through_update(addr, 0.0, 0)  # no-allocate
-                elif kind == batchops.INSTALL:
-                    dut.install(line, zeros, zvers)
-                else:
-                    dut.invalidate_line(line)
+            expected = batchops.OUT_HIT if resident else batchops.OUT_MISS
+            assert result.outcomes[i] == expected, \
+                f"read {i}: {'hit' if resident else 'miss'} expected"
+            if not resident:
+                dut.install(addr // params.line_words, zeros, zvers)
 
         changed = np.flatnonzero(dut.tags != initial)
         assert sorted(result.changed_sets.tolist()) == changed.tolist()
@@ -350,23 +332,21 @@ class TestClassifyTraceAgainstReference:
 
     @given(fast_traces, warm_starts)
     @settings(max_examples=80)
-    def test_mixed_trace_equivalence(self, events, aliases):
-        self._check(events, aliases, t3d(1, cache_bytes=256))
+    def test_read_trace_equivalence(self, addrs, aliases):
+        self._check(addrs, aliases, t3d(1, cache_bytes=256))
 
     @given(st.integers(0, 7),
-           st.lists(st.tuples(event_kinds, st.integers(0, 7),
-                              st.integers(0, 3)),
+           st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3)),
                     min_size=1, max_size=60),
            warm_starts)
     @settings(max_examples=60)
     def test_single_set_aliasing(self, set_index, picks, aliases):
-        """Adversarial conflict traffic: every event lands in one cache
+        """Adversarial conflict traffic: every read lands in one cache
         set, cycling through its 8 aliasing lines."""
         params = t3d(1, cache_bytes=256)
-        events = [(kind, (set_index + params.n_lines * alias)
-                   * params.line_words + off)
-                  for kind, alias, off in picks]
-        self._check(events, aliases, params)
+        addrs = [(set_index + params.n_lines * alias) * params.line_words + off
+                 for alias, off in picks]
+        self._check(addrs, aliases, params)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ constant too.
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +190,26 @@ def test_cli_jsonl_non_object_line(tmp_path, capsys, line):
     assert rc == 2
     assert captured.err.startswith(f"error: {path}:1: ")
     assert captured.err.count("\n") == 1, "exactly one stderr line"
+
+
+@pytest.mark.parametrize("backend", ["reference", "batched"])
+def test_cli_index_past_declared_size(capsys, backend):
+    """Replaying the n=8 golden MXM trace against n=4 declarations: the
+    first access past an array's declared size is one usage-error line
+    naming the array, the index and the size, on either backend."""
+    from repro.harness.cli import main
+    trace = Path(__file__).parent.parent / "obs" / "golden" / \
+        "mxm_n8_ccdp.jsonl"
+    rc = main(["replay", "--trace", str(trace), "--workload", "mxm",
+               "--n", "4", "--version", "ccdp", "--backend", backend])
+    captured = capsys.readouterr()
+    assert rc == 2
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1, captured.err
+    assert errors[0].startswith("error: trace accesses a[16] but a is "
+                                "declared with 16 element(s)")
+    assert "Traceback" not in captured.err
 
 
 def test_grammar_docs_cover_the_surface():
