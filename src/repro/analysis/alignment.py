@@ -54,10 +54,6 @@ class Alignment:
     shift: int = 0  #: constant offset for SHIFTED accesses
 
     @property
-    def executor_is_owner(self) -> bool:
-        return self.klass == AccessClass.ALIGNED
-
-    @property
     def possibly_remote(self) -> bool:
         return self.klass != AccessClass.ALIGNED
 

@@ -51,10 +51,6 @@ class RefInfo:
     def uid(self) -> int:
         return self.ref.uid
 
-    @property
-    def innermost_loop(self) -> Optional[Loop]:
-        return self.loop_stack[-1] if self.loop_stack else None
-
     def describe(self) -> str:
         kind = "write" if self.is_write else "read"
         return f"{kind} {self.ref!r} [{self.alignment.klass}] in epoch {self.epoch_id}"
@@ -123,13 +119,6 @@ class EpochGraph:
 
     def parallel_epochs(self) -> List[Epoch]:
         return [e for e in self.epochs if e.is_parallel]
-
-    def all_refs(self) -> List[RefInfo]:
-        out: List[RefInfo] = []
-        for epoch in self.epochs:
-            out.extend(epoch.reads)
-            out.extend(epoch.writes)
-        return out
 
     def describe(self) -> str:
         lines = [e.describe() + f" -> {self.succs[e.id]}" for e in self.epochs]

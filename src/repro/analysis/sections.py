@@ -196,9 +196,6 @@ class SectionSet:
     def overlaps(self, section: Section) -> bool:
         return any(s.overlaps(section) for s in self.sections)
 
-    def overlaps_set(self, other: "SectionSet") -> bool:
-        return any(self.overlaps(s) for s in other.sections)
-
     @property
     def empty(self) -> bool:
         return not self.sections

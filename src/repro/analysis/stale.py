@@ -36,7 +36,7 @@ make the initial state empty, so first-touch reads are never stale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..ir.program import Program
 from .alignment import AccessClass
@@ -136,13 +136,6 @@ class StaleAnalysisResult:
     fresh_reads: Dict[int, RefInfo] = field(default_factory=dict)
     epoch_in_states: Dict[int, FlowState] = field(default_factory=dict)
     iterations: int = 0
-
-    @property
-    def stale_uids(self) -> Set[int]:
-        return set(self.stale_reads)
-
-    def is_stale(self, uid: int) -> bool:
-        return uid in self.stale_reads
 
     def stale_in_epoch(self, epoch_id: int) -> List[RefInfo]:
         return [info for info in self.stale_reads.values() if info.epoch_id == epoch_id]

@@ -115,10 +115,6 @@ class LSC:
     def is_loop(self) -> bool:
         return self.loop is not None
 
-    @property
-    def has_if_inside(self) -> bool:
-        return self.loop is not None and contains_if(self.loop)
-
     def describe(self) -> str:
         if self.loop is None:
             return f"serial segment ({len(self.stmts)} stmts)"

@@ -104,9 +104,6 @@ class Program:
         except KeyError:
             raise KeyError(f"undeclared array {name!r}") from None
 
-    def shared_arrays(self) -> List[ArrayDecl]:
-        return [a for a in self.arrays.values() if a.is_shared]
-
     def sym_value(self, name: str) -> int:
         try:
             return self.symbols[name]
@@ -120,10 +117,6 @@ class Program:
 
     def walk_entry(self) -> Iterator[Stmt]:
         yield from self.entry_proc.walk()
-
-    def all_array_refs(self) -> Iterator[ArrayRef]:
-        for proc in self.procedures.values():
-            yield from proc.array_refs()
 
     def callees(self, proc_name: str) -> List[str]:
         out = []

@@ -14,11 +14,24 @@ assignments — and services each whole chunk in two passes:
    function per plan (``seq_fn``) holding the chunk's ``for`` loop, with
    the reference's float operations in the reference's order, register
    promotion as plain locals and write-through version bumps inline;
-2. a **timing pass**: vectorised NumPy over the chunk's affine address
-   vectors — one warm :func:`~repro.machine.batchops.classify_events` call
-   replays the chunk's read trace against the direct-mapped cache, latency
-   tables turn hit/miss outcomes and owner vectors into cycle sums, and the
-   cache's final state is committed with bulk line refills.
+2. a **timing pass** that prices the chunk's events and commits them.
+   Plain reads and writes take the NumPy classify pass: one warm
+   :func:`~repro.machine.batchops.classify_events` call replays the read
+   trace against the direct-mapped cache, and latency tables turn
+   hit/miss outcomes and owner vectors into cycle sums.  Chunks whose
+   events can interact with prefetch state (``PrefetchLine`` statements,
+   or leftover queue entries / dropped-line marks aliasing a cacheable
+   read) take :func:`~repro.machine.batchops.replay_chunk` instead: an
+   exact scan against *shadow* copies of the PE's tags, queue and
+   dropped set (invalidate-before-prefetch, queue coalesce/capacity/
+   reclaim, capacity-drop → bypass-fetch degradation, extract and
+   vector-transfer stalls), which flags the one inexpressible case — a
+   write-through into a line ghosted by an in-chunk invalidation — as a
+   hazard before anything is mutated.  Both pricers read one per-chunk
+   gather cache (each slot's line, owner, locality and latency vectors)
+   and hand their counters, clock, stalls, tag diff and per-event
+   outcome codes to one commit, which refills the touched lines and
+   feeds the tracer through one event synthesizer.
 
 Exactness contract: a committed chunk leaves the machine in *bit-identical*
 state (array values, versions, cache tags/data, per-PE stats, clocks) to
@@ -45,18 +58,6 @@ exact too:
   This one, like fault injection, the oracle and a traced protocol
   run, holds for the whole run or not at all: a run that fails it
   compiles no plan (:meth:`BatchedInterpreter._run_fallback_reason`).
-
-Chunks whose events can interact with prefetch state — they contain
-``PrefetchLine`` statements, or leftover prefetch-queue entries /
-dropped-line marks alias the chunk's cacheable reads — route their timing
-through :func:`~repro.machine.batchops.replay_chunk`: an exact scan over
-the pre-bound event stream against *shadow* copies of the PE's tags,
-queue and dropped set, committed wholesale afterwards (invalidate-before-
-prefetch, queue coalesce/capacity/reclaim, capacity-drop → bypass-fetch
-degradation, extract and vector-transfer stalls all replayed
-bit-exactly).  The scan flags the one inexpressible case — a
-write-through into a line ghosted by an in-chunk invalidation — as a
-hazard, falling back before anything is mutated.
 
 Chunks under a hardware coherence protocol (MESI, directory) keep the
 value pass and swap the timing pass for :meth:`_protocol_timing_pass`,
@@ -156,22 +157,26 @@ class _Slot:
             out |= {n for n, _ in denv}
         return out
 
-    def bind(self, env: dict, values: np.ndarray,
-             vmin: int, vmax: int) -> Optional[np.ndarray]:
-        """Flat element vector for the chunk, or ``None`` when any subscript
-        leaves the array bounds (the reference path will raise exactly)."""
-        for dconst, denv, dcoeff, extent in self.dim_checks:
-            d0 = dconst
-            for name, c in denv:
-                d0 += c * env[name]
-            at_min = d0 + dcoeff * vmin
-            at_max = d0 + dcoeff * vmax
-            if not (1 <= at_min <= extent and 1 <= at_max <= extent):
-                return None
+    def bind(self, env: dict, box: tuple, V: np.ndarray,
+             O: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """Flat element vector over the chunk's loop vectors (``O`` is the
+        outer variable's, fused chunks only), or ``None`` when any
+        subscript leaves the array bounds (the reference path will raise
+        exactly)."""
+        if not self.in_box(env, box):
+            return None
+        outer = box[2]
         const = self.const0
+        ocoeff = 0
         for name, c in self.env_coeffs:
-            const += c * env[name]
-        return const + self.var_coeff * values
+            if name == outer:
+                ocoeff = c
+            else:
+                const += c * env[name]
+        flat = const + self.var_coeff * V
+        if ocoeff:
+            flat = flat + ocoeff * O
+        return flat
 
     def bind_pf(self, env: dict,
                 values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -194,12 +199,14 @@ class _Slot:
             flat = np.where(mask, flat, 0)
         return flat, mask
 
-    def bounds2(self, env: dict, outer: str, vmin: int, vmax: int,
-                omin: int, omax: int) -> bool:
-        """Box bounds check for a fused chunk.  The per-dimension forms are
-        affine in both loop variables, so checking the four box corners —
-        whose outer values are actual chunk members — decides exactly what
-        the per-row check decides."""
+    def in_box(self, env: dict, box: tuple) -> bool:
+        """True when every subscript stays inside its array bounds over
+        the chunk's loop box ``(vmin, vmax, outer, omin, omax)``: the inner
+        variable's range, plus the outer variable's for a fused chunk
+        (``outer`` is None otherwise).  The per-dimension forms are affine
+        in the loop variables, so the sign-aware box corners — actual
+        chunk members — decide exactly what a per-iteration check would."""
+        vmin, vmax, outer, omin, omax = box
         for dconst, denv, dcoeff, extent in self.dim_checks:
             d0 = dconst
             ocoeff = 0
@@ -217,26 +224,6 @@ class _Slot:
             if not (1 <= lo and hi <= extent):
                 return False
         return True
-
-    def bind2(self, env: dict, V: np.ndarray, O: np.ndarray, outer: str,
-              vmin: int, vmax: int, omin: int,
-              omax: int) -> Optional[np.ndarray]:
-        """Fused-chunk variant of :meth:`bind`: one bind over the whole
-        (outer, inner) iteration space when every outer row shares the same
-        inner bounds."""
-        if not self.bounds2(env, outer, vmin, vmax, omin, omax):
-            return None
-        const = self.const0
-        ocoeff = 0
-        for name, c in self.env_coeffs:
-            if name == outer:
-                ocoeff = c
-            else:
-                const += c * env[name]
-        flat = const + self.var_coeff * V
-        if ocoeff:
-            flat = flat + ocoeff * O
-        return flat
 
 
 class _Plan:
@@ -280,9 +267,12 @@ class _Plan:
         # Slots sharing (var_coeff, env_coeffs) bind to vectors that differ
         # only by the constant term under every environment: bind once per
         # group and add the delta.  Unrolled bodies collapse hard here.
+        # Prefetch slots bind alone (their out-of-bounds iterations mask).
         by_form: dict = {}
         for i, s in enumerate(slots):
-            by_form.setdefault((s.var_coeff, s.env_coeffs), []).append(i)
+            if s.role != "pf":
+                by_form.setdefault((s.var_coeff, s.env_coeffs),
+                                   []).append(i)
         self.bind_groups = [
             (idxs[0],
              [(j, slots[j].const0 - slots[idxs[0]].const0,
@@ -327,6 +317,63 @@ class _Plan:
             if any(slots[i].inval for i in self.pf_idx):
                 kinds.add("invalidate")
         self.event_kinds = frozenset(kinds)
+
+
+class _Gathers:
+    """Per-chunk memo of what the pricers, the commit, the synthesizer and
+    the overlap guards derive from the bound slot vectors: each slot's
+    line vector, owner vector, ``owner == pe`` mask and latency column
+    per ``(kind, extra)``.  Keys are input identities, so slots sharing
+    one flat vector (bind-group members with a zero delta) or one owner
+    vector share every derived gather."""
+
+    __slots__ = ("slots", "flats", "pe", "lw", "lat_table", "_memo")
+
+    def __init__(self, interp, plan: _Plan, flats: List[np.ndarray],
+                 pe: int) -> None:
+        self.slots = plan.slots
+        self.flats = flats
+        self.pe = pe
+        self.lw = interp.params.line_words
+        self.lat_table = interp._lat_table  # (pe, kind, extra) -> table
+        self._memo: dict = {}
+
+    def lines(self, i: int) -> np.ndarray:
+        """Line address per iteration (a prefetch slot's out-of-bounds
+        look-aheads, bound to flat 0, map to its base line)."""
+        base = self.slots[i].base
+        flat = self.flats[i]
+        key = ("line", base, id(flat))
+        lines = self._memo.get(key)
+        if lines is None:
+            lines = self._memo[key] = (base + flat) // self.lw
+        return lines
+
+    def owners(self, i: int) -> np.ndarray:
+        table = self.slots[i].owner_table
+        flat = self.flats[i]
+        key = ("owner", id(table), id(flat))
+        own = self._memo.get(key)
+        if own is None:
+            own = self._memo[key] = table[flat]
+        return own
+
+    def local(self, i: int) -> np.ndarray:
+        own = self.owners(i)
+        key = ("local", id(own))
+        eq = self._memo.get(key)
+        if eq is None:
+            eq = self._memo[key] = own == self.pe
+        return eq
+
+    def latency(self, i: int, kind: str, extra: float) -> np.ndarray:
+        table = self.lat_table(self.pe, kind, extra)
+        own = self.owners(i)
+        key = ("lat", id(table), id(own))
+        col = self._memo.get(key)
+        if col is None:
+            col = self._memo[key] = table[own]
+        return col
 
 
 class _Ineligible(Exception):
@@ -534,8 +581,8 @@ class BatchedInterpreter(Interpreter):
                     values: Sequence[int]) -> bool:
         """Run every (outer j, inner i) iteration of this PE's chunk as one
         bulk trace.  Fused chunks need rectangular rows: every row shares
-        one inner (lo, hi, step), so the whole box binds with one
-        :meth:`_Slot.bind2` call per slot.  False means nothing was mutated
+        one inner (lo, hi, step), so the whole box binds in one
+        :meth:`_bind_slots` call.  False means nothing was mutated
         and the caller must take the per-iteration path (whose inner
         chunks may still batch, one row at a time)."""
         plan, lo_fn, hi_fn, step_fn, _ = entry
@@ -566,26 +613,16 @@ class BatchedInterpreter(Interpreter):
         vj = np.arange(rng.start, rng.stop, rng.step, dtype=np.int64)
         V = np.tile(vj, n_outer)
         O = np.repeat(np.fromiter(values, dtype=np.int64, count=n_outer), tj)
-        vmin = int(vj.min())
-        vmax = int(vj.max())
-        omin = min(values)
-        omax = max(values)
-        flats: List[Optional[np.ndarray]] = [None] * plan.n_events
-        for rep, members in plan.bind_groups:
-            base = plan.slots[rep].bind2(env, V, O, outer_var,
-                                         vmin, vmax, omin, omax)
-            if base is None:
-                return False  # out of bounds: reference raises exactly
-            flats[rep] = base
-            for j, dc, need_bounds in members:
-                if need_bounds and not plan.slots[j].bounds2(
-                        env, outer_var, vmin, vmax, omin, omax):
-                    return False
-                flats[j] = base if dc == 0 else base + dc
+        box = (int(vj.min()), int(vj.max()), outer_var, min(values),
+               max(values))
+        flats, _ = self._bind_slots(plan, env, box, V, O)
+        if flats is None:
+            return False  # out of bounds: reference raises exactly
+        g = _Gathers(self, plan, flats, pe)
         if ((pe_obj.queue.entries or pe_obj.dropped_lines)
-                and not self._prefetch_disjoint(plan, pe_obj, flats)):
+                and not self._prefetch_disjoint(plan, pe_obj, g)):
             return False  # per-iteration path: inner chunks replay exactly
-        if self._stale_overlap(plan, pe_obj, flats):
+        if self._stale_overlap(plan, pe_obj, g):
             return self._fall("stale_overlap")
         if not self._vector_safe(plan, flats):
             return False  # per-row chunks may still vectorise alone
@@ -598,7 +635,7 @@ class BatchedInterpreter(Interpreter):
         self._vector_value_pass(plan, env, pe, flats, vecs)
         env[plan.var] = int(V[-1])
         # env[outer_var] already holds values[-1] from the bounds sweep.
-        self._timing_pass(plan, pe_obj, pe, total_iters, flats, const_total,
+        self._timing_pass(plan, pe_obj, g, total_iters, const_total,
                           extra_rows, self._inflight(pe_obj))
         return True
 
@@ -1240,8 +1277,7 @@ class BatchedInterpreter(Interpreter):
     # ------------------------------------------------------------------
     def _fall(self, reason: str) -> bool:
         self.batch_fallbacks += 1
-        fr = self.fallback_reasons
-        fr[reason] = fr.get(reason, 0) + 1
+        self._note_skip(reason)
         return False
 
     def _note_skip(self, reason: str) -> None:
@@ -1268,26 +1304,28 @@ class BatchedInterpreter(Interpreter):
                 return "env_nonint"
         return None
 
-    def _bind_slots(self, plan: _Plan, env: dict, V: np.ndarray):
-        """(flats, pf_masks): per-slot flat vectors plus, for prefetch
-        slots, the in-bounds mask.  (None, None) when a non-prefetch slot
-        leaves its array bounds (the reference raises exactly there)."""
-        vmin = int(V.min())
-        vmax = int(V.max())
-        flats: List[np.ndarray] = []
+    def _bind_slots(self, plan: _Plan, env: dict, box: tuple, V: np.ndarray,
+                    O: Optional[np.ndarray]):
+        """(flats, pf_masks) over the loop ``box`` (:meth:`_Slot.in_box`):
+        per-slot flat vectors, bind-group members as the rep's plus their
+        constant delta, and each prefetch slot's in-bounds mask.  (None,
+        None) when a non-prefetch slot leaves its array bounds."""
+        slots = plan.slots
+        flats: List[Optional[np.ndarray]] = [None] * plan.n_events
+        for rep, members in plan.bind_groups:
+            base = slots[rep].bind(env, box, V, O)
+            if base is None:
+                return None, None
+            flats[rep] = base
+            for j, dc, need_bounds in members:
+                if need_bounds and not slots[j].in_box(env, box):
+                    return None, None
+                flats[j] = base if dc == 0 else base + dc
         masks: Optional[Dict[int, np.ndarray]] = None
-        for i, slot in enumerate(plan.slots):
-            if slot.role == "pf":
-                flat, mask = slot.bind_pf(env, V)
-                if masks is None:
-                    masks = {}
-                masks[i] = mask
-                flats.append(flat)
-                continue
-            bound = slot.bind(env, V, vmin, vmax)
-            if bound is None:
-                return None, None  # out of bounds: reference raises exactly
-            flats.append(bound)
+        if plan.pf_idx:
+            masks = {}
+            for i in plan.pf_idx:
+                flats[i], masks[i] = slots[i].bind_pf(env, V)
         return flats, masks
 
     def _inflight(self, pe_obj) -> list:
@@ -1297,8 +1335,7 @@ class BatchedInterpreter(Interpreter):
     def _exec_chunk(self, plan: _Plan, env: dict, pe: int, values) -> bool:
         """Service one PE's chunk in bulk; False means the caller must run
         the reference per-iteration path (nothing was mutated)."""
-        machine = self.machine
-        pe_obj = machine.pes[pe]
+        pe_obj = self.machine.pes[pe]
         T = len(values)
         if T == 0:
             return False
@@ -1313,29 +1350,29 @@ class BatchedInterpreter(Interpreter):
                           dtype=np.int64)
         else:
             V = np.asarray(values, dtype=np.int64)
-        flats, pf_masks = self._bind_slots(plan, env, V)
+        flats, pf_masks = self._bind_slots(
+            plan, env, (int(V.min()), int(V.max()), None, 0, 0), V, None)
         if flats is None:
             return self._fall("oob_bind")
-        outcome = dtb_count = new_last = record = dtbF = None
-        if plan.pf_idx or pe_obj.queue.entries or pe_obj.dropped_lines:
-            if plan.pf_idx or not self._prefetch_disjoint(plan, pe_obj,
-                                                          flats):
-                if self._stale_overlap(plan, pe_obj, flats):
-                    # A stale line the chunk touches: stale read hits /
-                    # partial write-through refreshes need per-event order.
-                    return self._fall("stale_overlap")
-                if not self._replay_costs_ok:
-                    return self._fall("replay_costs")
-                if pe_obj.queue.squeeze is not None:
-                    return self._fall("queue_squeeze")
-                outcome, dtb_count, new_last, record, dtbF = \
-                    self._replay_scan(plan, pe_obj, pe, T, flats, pf_masks)
-                if outcome.hazard:
-                    return self._fall("replay_hazard")
-        if outcome is None and self._stale_overlap(plan, pe_obj, flats):
+        g = _Gathers(self, plan, flats, pe)
+        # Prefetch slots, or leftover prefetch state aliasing a cached
+        # read, route the chunk's timing through the exact scan.
+        scan = bool(plan.pf_idx) or (
+            bool(pe_obj.queue.entries or pe_obj.dropped_lines)
+            and not self._prefetch_disjoint(plan, pe_obj, g))
+        if self._stale_overlap(plan, pe_obj, g):
             # A stale line the chunk touches: stale read hits / partial
             # write-through refreshes need per-event order.
             return self._fall("stale_overlap")
+        if scan:
+            if not self._replay_costs_ok:
+                return self._fall("replay_costs")
+            if pe_obj.queue.squeeze is not None:
+                return self._fall("queue_squeeze")
+            outcome, new_last, record, dtbF = self._replay_scan(
+                plan, pe_obj, g, T, pf_masks)
+            if outcome.hazard:
+                return self._fall("replay_hazard")
         self.batch_chunks += 1
 
         # -- value pass ----------------------------------------------------
@@ -1346,17 +1383,19 @@ class BatchedInterpreter(Interpreter):
             plan.seq_fn(values, env, pe)
             self._register_residue(plan, pe, flats)
 
-        if outcome is None:
-            self._timing_pass(plan, pe_obj, pe, T, flats,
-                              plan.const_per_iter * T, None,
-                              self._inflight(pe_obj))
-        else:
-            self._replay_commit(plan, pe_obj, pe, T, flats, outcome,
-                                dtb_count, new_last, record, dtbF)
+        if not scan:
+            self._timing_pass(plan, pe_obj, g, T, plan.const_per_iter * T,
+                              None, self._inflight(pe_obj))
+            return True
+        tags = np.asarray(outcome.tags, dtype=np.int64)
+        changed = np.flatnonzero(tags != pe_obj.cache.tags)
+        self._commit(plan, pe_obj, g, T, outcome.counters, outcome.busy,
+                     outcome.clock, outcome.stalls, changed, tags[changed],
+                     record=record, dtbF=dtbF, outcome=outcome,
+                     new_last=new_last)
         return True
 
-    def _stale_overlap(self, plan: _Plan, pe_obj,
-                       flats: List[np.ndarray]) -> bool:
+    def _stale_overlap(self, plan: _Plan, pe_obj, g: _Gathers) -> bool:
         """True when a stale resident line intersects a line the chunk
         touches — a cached shared read (would return the stale cached value),
         a cacheable shared write (write-through refreshes only the written
@@ -1370,19 +1409,16 @@ class BatchedInterpreter(Interpreter):
         stale = stale_lines(pe_obj.cache, self.machine.memory.versions_flat)
         if not stale.size:
             return False
-        lw = self.params.line_words
         for i, slot in enumerate(plan.slots):
             if slot.role == "ur" or not (slot.shared and slot.cacheable):
                 continue
-            # pf flats hold a harmless 0 for out-of-bounds look-aheads; a
-            # spurious base-line match costs only an exact fallback.
-            lines = (slot.base + flats[i]) // lw
-            if np.isin(lines, stale).any():
+            # A prefetch slot's out-of-bounds look-aheads map to its base
+            # line; a spurious match costs only an exact fallback.
+            if np.isin(g.lines(i), stale).any():
                 return True
         return False
 
-    def _prefetch_disjoint(self, plan: _Plan, pe_obj,
-                           flats: List[np.ndarray]) -> bool:
+    def _prefetch_disjoint(self, plan: _Plan, pe_obj, g: _Gathers) -> bool:
         """True when leftover prefetch state (queued entries, dropped-line
         marks) cannot intersect any cacheable read of the chunk — then the
         plain fast timing path is exact despite a non-empty queue."""
@@ -1393,25 +1429,22 @@ class BatchedInterpreter(Interpreter):
             pend = np.concatenate([pend, dl]) if pend.size else dl
         if not pend.size:
             return True
-        lw = self.params.line_words
         for i in plan.cached_idx:
-            slot = plan.slots[i]
-            lines = (slot.base + flats[i]) // lw
-            if np.isin(lines, pend).any():
+            if np.isin(g.lines(i), pend).any():
                 return False
         return True
 
-    def _replay_scan(self, plan: _Plan, pe_obj, pe: int, Tt: int,
-                     flats: List[np.ndarray], pf_masks):
+    def _replay_scan(self, plan: _Plan, pe_obj, g: _Gathers, Tt: int,
+                     pf_masks):
         """Prepare the chunk's replay-event matrices and run the exact
         :func:`replay_chunk` scan against shadow PE state.  Returns
-        ``(outcome, dtb_count, new_last_prefetch_pe, record, dtbF)``,
-        where ``record``/``dtbF`` are the per-event outcome codes and
-        DTB-setup flags for event synthesis (``None`` unless a tracer
-        wants tuples); nothing live is mutated, so a hazard outcome
-        costs only the scan."""
+        ``(outcome, new_last_prefetch_pe, record, dtbF)``, where
+        ``record``/``dtbF`` are the per-event outcome codes and DTB-setup
+        flags for event synthesis (``None`` unless a tracer wants tuples)
+        and ``outcome.counters`` carries the chunk's DTB setups; nothing
+        live is mutated, so a hazard outcome costs only the scan."""
         params = self.params
-        lw = params.line_words
+        pe = g.pe
         n_slots = plan.n_events
         kind = np.zeros((Tt, n_slots), dtype=np.int8)
         cost = np.zeros((Tt, n_slots), dtype=np.float64)
@@ -1423,44 +1456,38 @@ class BatchedInterpreter(Interpreter):
         fill = np.zeros((Tt, n_slots), dtype=np.float64)
         home = np.zeros((Tt, n_slots), dtype=np.int64)
         inval = np.zeros((Tt, n_slots), dtype=bool)
-        slot_of = np.zeros((Tt, n_slots), dtype=np.int64)
         for i, slot in enumerate(plan.slots):
-            slot_of[:, i] = i
             role = slot.role
             if role == "cr":
                 kind[:, i] = RE_READ
-                line[:, i] = (slot.base + flats[i]) // lw
+                line[:, i] = g.lines(i)
                 if slot.shared:
-                    own = slot.owner_table[flats[i]]
-                    miss[:, i] = self._lat_table(pe, "r", slot.extra)[own]
-                    unc[:, i] = self._lat_table(pe, "u", slot.extra)[own]
-                    loc[:, i] = own == pe
+                    miss[:, i] = g.latency(i, "r", slot.extra)
+                    unc[:, i] = g.latency(i, "u", slot.extra)
+                    loc[:, i] = g.local(i)
                     shr[:, i] = True
                 else:
                     miss[:, i] = float(params.local_mem)
                     loc[:, i] = True
             elif role == "ur":
-                own = slot.owner_table[flats[i]]
-                cost[:, i] = self._lat_table(pe, "u", slot.extra)[own]
+                cost[:, i] = g.latency(i, "u", slot.extra)
             elif role == "w":
-                if slot.shared:
-                    own = slot.owner_table[flats[i]]
-                    cost[:, i] = self._lat_table(pe, "w", slot.extra)[own]
-                else:
-                    cost[:, i] = float(params.write_local)
+                cost[:, i] = (g.latency(i, "w", slot.extra) if slot.shared
+                              else float(params.write_local))
                 if slot.cacheable:
                     kind[:, i] = RE_WRITE
-                    line[:, i] = (slot.base + flats[i]) // lw
+                    line[:, i] = g.lines(i)
             else:  # 'pf': out-of-bounds look-aheads degrade to bare issues
                 m = pf_masks[i]
                 kind[:, i] = np.where(m, RE_PF, RE_COST)
                 cost[:, i] = float(params.prefetch_issue)
-                line[:, i] = np.where(m, (slot.base + flats[i]) // lw, -1)
+                line[:, i] = np.where(m, g.lines(i), -1)
                 if slot.shared:
-                    home[:, i] = slot.owner_table[flats[i]]
+                    home[:, i] = g.owners(i)
+                    fill[:, i] = g.latency(i, "r", 0.0)
                 else:
                     home[:, i] = pe
-                fill[:, i] = self._lat_table(pe, "r", 0.0)[home[:, i]]
+                    fill[:, i] = self._lat_table(pe, "r", 0.0)[pe]
                 inval[:, i] = slot.inval
         kindF = kind.ravel()
         costF = cost.ravel()
@@ -1492,7 +1519,8 @@ class BatchedInterpreter(Interpreter):
         outcome = replay_chunk(
             kindF, pre.ravel(), costF, line.ravel(), miss.ravel(),
             unc.ravel(), loc.ravel(), shr.ravel(), fill.ravel(), homeF,
-            inval.ravel(), slot_of.ravel(), [s.array for s in plan.slots],
+            inval.ravel(), np.tile(np.arange(n_slots), Tt),
+            [s.array for s in plan.slots],
             pe_obj.cache.tags, pe_obj.cache.n_lines, pe_obj.clock,
             plan.tail_const, pe_obj.queue.snapshot(), pe_obj.queue.capacity,
             pe_obj.dropped_lines,
@@ -1500,138 +1528,134 @@ class BatchedInterpreter(Interpreter):
              for t in pe_obj.vectors.transfers],
             float(params.cache_hit), float(params.prefetch_extract),
             4 * float(params.remote_base), record=record)
-        return outcome, dtb_count, new_last, record, dtbF
+        if not outcome.hazard:
+            outcome.counters["dtb_setups"] = dtb_count
+        return outcome, new_last, record, dtbF
 
-    def _replay_commit(self, plan: _Plan, pe_obj, pe: int, Tt: int,
-                       flats: List[np.ndarray], outcome, dtb_count: int,
-                       new_last, record=None, dtbF=None) -> None:
-        """Apply one hazard-free replay outcome to the live machine."""
+    def _commit(self, plan: _Plan, pe_obj, g: _Gathers, Tt: int,
+                counters: dict, busy: float, clock: float, stalls,
+                changed_sets: np.ndarray, changed_lines: np.ndarray,
+                record, dtbF, outcome, new_last) -> None:
+        """Apply one priced chunk to the live machine.
+
+        ``counters`` are the pricer's ``PEStats`` deltas (hits, misses,
+        fills; the scan adds its prefetch counts), ``stalls`` its ordered
+        ``(code, cycles)`` waits, ``changed_sets``/``changed_lines`` the
+        final tag diff and ``record`` the per-event outcome codes (``None``
+        when the tracer is absent or counts-only).  ``outcome`` (queue,
+        dropped lines, ghosts), ``new_last`` and ``dtbF`` come from the
+        scan only: its :class:`~repro.machine.batchops.ReplayOutcome`,
+        last prefetch home PE and per-event DTB-setup flags."""
         st = pe_obj.stats
+        slots = plan.slots
         n_reads = len(plan.cached_idx) + len(plan.uncached_idx)
         n_writes = len(plan.write_idx)
         byp = ulr = urr = rw = 0
         for i in plan.uncached_idx:
-            slot = plan.slots[i]
-            if slot.bypass:
+            if slots[i].bypass:
                 byp += Tt
             else:
-                own = slot.owner_table[flats[i]]
-                nlocal = int((own == pe).sum())
+                nlocal = int(np.count_nonzero(g.local(i)))
                 ulr += nlocal
                 urr += Tt - nlocal
         for i in plan.write_idx:
-            slot = plan.slots[i]
-            if slot.shared:
-                rw += int((slot.owner_table[flats[i]] != pe).sum())
-        c = outcome.counters
-        st.add_bulk(
-            reads=Tt * n_reads, writes=Tt * n_writes,
-            cache_hits=c["cache_hits"], cache_misses=c["cache_misses"],
-            local_fills=c["local_fills"], remote_fills=c["remote_fills"],
-            bypass_reads=byp + c["pf_drop_bypass"],
-            uncached_local_reads=ulr, uncached_remote_reads=urr,
-            remote_writes=rw, busy_cycles=outcome.busy,
-            prefetch_issued=c["prefetch_issued"],
-            pf_dropped=c["pf_dropped"],
-            pf_drop_bypass=c["pf_drop_bypass"],
-            prefetch_extracted=c["prefetch_extracted"],
-            invalidations=c["invalidations"], dtb_setups=dtb_count)
-        for code, s in outcome.stalls:  # ordered, exactly as wait_until
+            if slots[i].shared:
+                rw += Tt - int(np.count_nonzero(g.local(i)))
+        drop_byp = counters.get("pf_drop_bypass", 0)
+        st.add_bulk(reads=Tt * n_reads, writes=Tt * n_writes,
+                    bypass_reads=byp + drop_byp, uncached_local_reads=ulr,
+                    uncached_remote_reads=urr, remote_writes=rw,
+                    busy_cycles=busy, **counters)
+        for code, s in stalls:  # ordered scalar adds, exactly as wait_until
+            s = float(s)
             st.idle_cycles += s
             if code == STALL_VECTOR:
                 st.vector_stall_cycles += s
             else:
                 st.prefetch_late_cycles += s
-        pe_obj.clock = outcome.clock
-
-        # -- cache / prefetch state commit --------------------------------
+        pe_obj.clock = clock
         cache = pe_obj.cache
-        new_tags = np.asarray(outcome.tags, dtype=np.int64)
-        changed = np.flatnonzero(new_tags != cache.tags)
-        if changed.size:
-            cache.tags[changed] = new_tags[changed]
-        pe_obj.queue.replace_entries(
-            PrefetchEntry(line_addr=ln, array=ar, arrival=arr,
-                          issued_at=isd, home_pe=hm)
-            for (ln, arr, isd, hm, ar) in outcome.queue)
-        pe_obj.queue.issued += outcome.q_issued
-        pe_obj.queue.dropped += outcome.q_dropped
-        if outcome.q_hw > pe_obj.queue.high_water:
-            pe_obj.queue.high_water = outcome.q_hw
-        pe_obj.dropped_lines = outcome.dropped
-        if new_last is not None:
-            pe_obj.last_prefetch_pe = new_last
-        self._refill_touched(plan, cache, pe, flats, {})
-        # Ghost sets (invalidated, tag already -1) keep data frozen at
-        # invalidation time; hazard-free means no later write dirtied the
-        # line, so refilling from final memory reproduces it exactly.
-        for (s, ln, array) in outcome.ghosts:
-            words, vers = self.machine._line_contents(array, ln, pe)
-            cache.data[s] = words
-            cache.vers[s] = vers
+        if len(changed_sets):
+            cache.tags[changed_sets] = changed_lines
+        if outcome is not None:
+            queue = pe_obj.queue
+            queue.replace_entries(
+                PrefetchEntry(line_addr=ln, array=ar, arrival=arr,
+                              issued_at=isd, home_pe=hm)
+                for (ln, arr, isd, hm, ar) in outcome.queue)
+            queue.issued += outcome.q_issued
+            queue.dropped += outcome.q_dropped
+            if outcome.q_hw > queue.high_water:
+                queue.high_water = outcome.q_hw
+            pe_obj.dropped_lines = outcome.dropped
+            if new_last is not None:
+                pe_obj.last_prefetch_pe = new_last
+        self._refill_touched(plan, cache, g)
+        if outcome is not None:
+            # Ghost sets (invalidated, tag already -1) keep data frozen at
+            # invalidation time; hazard-free means no later write dirtied
+            # the line, so refilling from final memory reproduces it.
+            for (s, ln, array) in outcome.ghosts:
+                words, vers = self.machine._line_contents(array, ln, g.pe)
+                cache.data[s] = words
+                cache.vers[s] = vers
         self.batch_refs += Tt * (n_reads + n_writes)
 
         tr = self.machine.tracer
-        if tr is not None:
-            if record is None:
-                # Counts-only: every kind this chunk can emit is sampled
-                # out, so tally the exact per-kind counts without tuples.
-                tr.add_counts("read_hit", c["cache_hits"])
-                tr.add_counts("read_miss", c["cache_misses"])
+        if record is not None:
+            self._synth_events(plan, g, Tt, record, dtbF, tr)
+        elif tr is not None:
+            # Counts-only: every kind this chunk can emit is sampled out,
+            # so tally the exact per-kind counts without tuples.
+            c = counters
+            tr.add_counts("read_hit", c["cache_hits"])
+            tr.add_counts("read_miss", c["cache_misses"])
+            tr.add_counts("bypass_fetch", byp + ulr + urr + drop_byp)
+            tr.add_counts("write", Tt * n_writes)
+            if outcome is not None:
                 tr.add_counts("pf_complete", c["prefetch_extracted"])
-                tr.add_counts("bypass_fetch",
-                              byp + ulr + urr + c["pf_drop_bypass"])
-                tr.add_counts("write", Tt * n_writes)
                 tr.add_counts("pf_issue", outcome.q_issued)
                 tr.add_counts("pf_coalesce",
                               c["prefetch_issued"] - outcome.q_issued)
                 tr.add_counts("pf_drop", c["pf_dropped"])
                 tr.add_counts("invalidate", c["invalidations"])
-            else:
-                self._synth_replay_events(plan, pe, Tt, flats, record, dtbF,
-                                          tr)
 
-    def _synth_replay_events(self, plan: _Plan, pe: int, Tt: int,
-                             flats: List[np.ndarray], record, dtbF,
-                             tr) -> None:
-        """Emit a replay chunk's machine events, row-major (iteration,
+    def _synth_events(self, plan: _Plan, g: _Gathers, Tt: int, record,
+                      dtbF, tr) -> None:
+        """Emit a committed chunk's machine events, row-major (iteration,
         slot) — exactly the order the reference interpreter would have
         emitted them.  Static read/write events come from the slot roles;
-        dynamic read and prefetch outcomes come from the scan's record
-        codes (an invalidate kill precedes its prefetch event, as in
+        read and prefetch outcomes come from the pricer's record codes (an
+        invalidate kill precedes its prefetch event, as in
         ``Machine.prefetch_line``)."""
         emit = tr.emit
-        lw = self.params.line_words
+        pe = g.pe
+        n = plan.n_events
         dtb_l = dtbF.tolist() if dtbF is not None else None
         cols = []
         for i, slot in enumerate(plan.slots):
             role = slot.role
             if role == "pf":
-                # flats holds a harmless 0 for out-of-bounds look-aheads;
-                # their record code stays REC_NONE, so the bogus line is
-                # never read.
-                line_l = ((slot.base + flats[i]) // lw).tolist()
-                cols.append(("pf", slot.array, line_l, None))
+                # Out-of-bounds look-aheads keep REC_NONE, so their bogus
+                # line is never read.
+                cols.append(("pf", slot.array, g.lines(i).tolist(),
+                             record[i::n],
+                             dtb_l[i::n] if dtb_l is not None else None))
                 continue
-            flat_l = flats[i].tolist()
-            eq_l = ((slot.owner_table[flats[i]] == pe).tolist()
-                    if slot.shared else None)
+            flat_l = g.flats[i].tolist()
+            eq_l = g.local(i).tolist() if slot.shared else None
             if role == "cr":
-                cols.append(("cr", slot.array, flat_l, eq_l))
+                cols.append(("cr", slot.array, flat_l, record[i::n], eq_l))
             elif role == "ur":
-                if slot.bypass:
-                    cols.append(("urb", slot.array, flat_l, None))
-                else:
-                    cols.append(("ur", slot.array, flat_l, eq_l))
-            elif slot.shared:  # shared write
-                cols.append(("ws", slot.array, flat_l, eq_l))
+                cols.append(("urb" if slot.bypass else "ur", slot.array,
+                             flat_l, None, eq_l))
             else:
-                cols.append(("wp", slot.array, flat_l, None))
-        f = 0
+                cols.append(("ws" if slot.shared else "wp", slot.array,
+                             flat_l, None, eq_l))
         for t in range(Tt):
-            for code, array, data_l, aux in cols:
+            for code, array, data_l, rec_l, aux in cols:
                 if code == "cr":
-                    rc = record[f]
+                    rc = rec_l[t]
                     flat = data_l[t]
                     if rc == REC_HIT:
                         emit(("read_hit", pe, array, flat, 0))
@@ -1643,13 +1667,13 @@ class BatchedInterpreter(Interpreter):
                     else:  # REC_DROP_BYPASS
                         emit(("bypass_fetch", pe, array, flat, "pf_drop"))
                 elif code == "pf":
-                    rc = record[f]
+                    rc = rec_l[t]
                     if rc != REC_NONE:
                         if rc & REC_KILL_FLAG:
                             emit(("invalidate", pe, array, 1, "prefetch",
                                   -1, -1))
                             rc &= ~REC_KILL_FLAG
-                        dtb = 1 if dtb_l[f] else 0
+                        dtb = 1 if aux[t] else 0
                         line = data_l[t]
                         if rc == REC_PF_ISSUE:
                             emit(("pf_issue", pe, array, line, dtb))
@@ -1667,7 +1691,6 @@ class BatchedInterpreter(Interpreter):
                           0 if aux[t] else 1))
                 else:  # private write
                     emit(("write", pe, array, data_l[t], 0, 0))
-                f += 1
 
     def _vector_safe(self, plan: _Plan, flats: List[np.ndarray]) -> bool:
         """True when statement-at-a-time gather/scatter reproduces the
@@ -1718,21 +1741,19 @@ class BatchedInterpreter(Interpreter):
                          if isinstance(v, np.ndarray) and v.ndim else float(v))
         self._register_residue(plan, pe, flats)
 
-    def _timing_pass(self, plan: _Plan, pe_obj, pe: int, Tt: int,
-                     flats: List[np.ndarray], const_total: float,
-                     row_extra, transfers: list) -> None:
-        """Charge the chunk's cycles/counters and commit cache state.
+    def _timing_pass(self, plan: _Plan, pe_obj, g: _Gathers, Tt: int,
+                     const_total: float, row_extra, transfers: list) -> None:
+        """Price the chunk with the NumPy classify pass and commit it.
 
         ``const_total`` is every constant advance in the chunk (loop
         overheads + arithmetic); ``row_extra`` optionally adds per-iteration
         constants at iteration granularity (fused chunks); ``transfers`` are
         the PE's vector transfers still in flight at chunk start."""
         if self.machine.protocol is not None:
-            self._protocol_timing_pass(plan, pe_obj, pe, Tt, flats,
-                                       row_extra)
+            self._protocol_timing_pass(plan, pe_obj, g, Tt, row_extra)
             return
         params = self.params
-        ch = float(params.cache_hit)
+        slots = plan.slots
         n_slots = plan.n_events
         # Dense (Tt, n_slots) per-event cost matrix: every slot of a
         # non-prefetch plan is cr/ur/w, so all columns get filled and one
@@ -1740,157 +1761,78 @@ class BatchedInterpreter(Interpreter):
         # summation order exact).
         ev = np.empty((Tt, n_slots), dtype=np.float64)
         hit_cols: List[Optional[np.ndarray]] = [None] * n_slots
-        line_cols: List[Optional[np.ndarray]] = [None] * n_slots
-        eq_cols: List[Optional[np.ndarray]] = [None] * n_slots
-        n_reads = len(plan.cached_idx) + len(plan.uncached_idx)
-        n_writes = len(plan.write_idx)
-        hits = misses = lf = rf = byp = ulr = urr = rw = 0
-        cls = None
+        hits = misses = lf = 0
+        changed_sets = changed_lines = ()
+        tr = self.machine.tracer
+        rec = None
+        if tr is not None and not tr.counts_only(plan.event_kinds):
+            rec = np.full((Tt, n_slots), REC_NONE, dtype=np.int8)
         cidx = plan.cached_idx
-        lw = params.line_words
-        # Slots that share a flats vector (unrolled-body duplicates) reuse
-        # every derived gather: owner lookups, latency columns, line
-        # addresses, and local-ownership counts are keyed by object id.
-        own_cache: dict = {}
-        eq_cache: dict = {}
-        latcol_cache: dict = {}
-        line_cache: dict = {}
         if cidx:
-            line_mat = np.empty((Tt, len(cidx)), dtype=np.int64)
+            ncr = len(cidx)
+            line_mat = np.empty((Tt, ncr), dtype=np.int64)
             for k, i in enumerate(cidx):
-                slot = plan.slots[i]
-                akey = (slot.base, id(flats[i]))
-                lines = line_cache.get(akey)
-                if lines is None:
-                    lines = (slot.base + flats[i]) // lw
-                    line_cache[akey] = lines
-                line_mat[:, k] = lines
-                line_cols[i] = lines
+                line_mat[:, k] = g.lines(i)
             cls = classify_events(line_mat.reshape(-1),
                                   pe_obj.cache.n_lines,
                                   initial_tags=pe_obj.cache.tags)
-            ncr = len(cidx)
+            changed_sets = cls.changed_sets
+            changed_lines = cls.changed_lines
             hit_mat = (cls.outcomes == OUT_HIT).reshape(Tt, ncr)
             lat_mat = np.empty((Tt, ncr), dtype=np.float64)
             eq_mat = np.empty((Tt, ncr), dtype=bool)
             for k, i in enumerate(cidx):
-                slot = plan.slots[i]
+                slot = slots[i]
                 hit_cols[i] = hit_mat[:, k]
                 if slot.shared:
-                    okey = (id(slot.owner_table), id(flats[i]))
-                    own = own_cache.get(okey)
-                    if own is None:
-                        own = slot.owner_table[flats[i]]
-                        own_cache[okey] = own
-                        eq_cache[okey] = own == pe
-                    table = self._lat_table(pe, "r", slot.extra)
-                    lkey = (id(table), id(own))
-                    lcol = latcol_cache.get(lkey)
-                    if lcol is None:
-                        lcol = table[own]
-                        latcol_cache[lkey] = lcol
-                    lat_mat[:, k] = lcol
-                    eq_mat[:, k] = eq_cache[okey]
-                    eq_cols[i] = eq_cache[okey]
+                    lat_mat[:, k] = g.latency(i, "r", slot.extra)
+                    eq_mat[:, k] = g.local(i)
                 else:
                     lat_mat[:, k] = float(params.local_mem)
                     eq_mat[:, k] = True  # private data is always home-local
             hits = int(np.count_nonzero(hit_mat))
             misses = Tt * ncr - hits
             lf = int(np.count_nonzero(~hit_mat & eq_mat))
-            rf = misses - lf
-            lat_mat[hit_mat] = ch
+            lat_mat[hit_mat] = float(params.cache_hit)
             ev[:, cidx] = lat_mat
-        for kind, idx_list in (("u", plan.uncached_idx),
-                               ("w", plan.write_idx)):
-            for i in idx_list:
-                slot = plan.slots[i]
-                if kind == "w" and not slot.shared:
-                    ev[:, i] = float(params.write_local)
-                    continue
-                okey = (id(slot.owner_table), id(flats[i]))
-                own = own_cache.get(okey)
-                if own is None:
-                    own = slot.owner_table[flats[i]]
-                    own_cache[okey] = own
-                    eq_cache[okey] = own == pe
-                table = self._lat_table(pe, kind, slot.extra)
-                lkey = (id(table), id(own))
-                lcol = latcol_cache.get(lkey)
-                if lcol is None:
-                    lcol = table[own]
-                    latcol_cache[lkey] = lcol
-                ev[:, i] = lcol
-                eq_cols[i] = eq_cache[okey]
-                if kind == "u":
-                    if slot.bypass:
-                        byp += Tt
-                    else:
-                        nlocal = int(np.count_nonzero(eq_cache[okey]))
-                        ulr += nlocal
-                        urr += Tt - nlocal
-                else:
-                    rw += Tt - int(np.count_nonzero(eq_cache[okey]))
-        total = const_total + float(ev.sum())
-        pe_obj.stats.add_bulk(
-            reads=Tt * n_reads, writes=Tt * n_writes, cache_hits=hits,
-            cache_misses=misses, local_fills=lf, remote_fills=rf,
-            bypass_reads=byp, uncached_local_reads=ulr,
-            uncached_remote_reads=urr, remote_writes=rw, busy_cycles=total)
-        self.batch_refs += Tt * (n_reads + n_writes)
-        tr = self.machine.tracer
-        if tr is not None:
-            if tr.counts_only(plan.event_kinds):
-                tr.add_counts("read_hit", hits)
-                tr.add_counts("read_miss", misses)
-                tr.add_counts("bypass_fetch", byp + ulr + urr)
-                tr.add_counts("write", Tt * n_writes)
-            else:
-                self._synth_timing_events(plan, pe, Tt, flats, hit_cols,
-                                          eq_cols, tr)
+            if rec is not None:
+                rec[:, cidx] = np.where(hit_mat, REC_HIT, REC_MISS)
+        for i in plan.uncached_idx:
+            ev[:, i] = g.latency(i, "u", slots[i].extra)
+        for i in plan.write_idx:
+            slot = slots[i]
+            ev[:, i] = (g.latency(i, "w", slot.extra) if slot.shared
+                        else float(params.write_local))
+        busy = const_total + float(ev.sum())
         if transfers:
-            clock_final, stalls = self._stall_clock(
-                plan, pe_obj, Tt, ev, hit_cols, line_cols, row_extra, total)
-            for s in stalls:  # ordered scalar adds, exactly as wait_until
-                pe_obj.stats.idle_cycles += s
-                pe_obj.stats.vector_stall_cycles += s
-            pe_obj.clock = clock_final
+            clock, stalls = self._stall_clock(plan, pe_obj, g, Tt, ev,
+                                              hit_cols, row_extra, busy)
         else:
-            pe_obj.clock += total
+            clock, stalls = pe_obj.clock + busy, ()
+        self._commit(plan, pe_obj, g, Tt,
+                     {"cache_hits": hits, "cache_misses": misses,
+                      "local_fills": lf, "remote_fills": misses - lf},
+                     busy, clock, stalls, changed_sets, changed_lines,
+                     record=None if rec is None else rec.ravel().tolist(),
+                     dtbF=None, outcome=None, new_last=None)
 
-        # -- cache commit -------------------------------------------------
-        cache = pe_obj.cache
-        if cls is not None and len(cls.changed_sets):
-            cache.tags[cls.changed_sets] = cls.changed_lines
-        self._refill_touched(plan, cache, pe, flats, line_cache)
-
-    def _refill_touched(self, plan: _Plan, cache, pe: int,
-                        flats: List[np.ndarray], line_cache: dict) -> None:
+    def _refill_touched(self, plan: _Plan, cache, g: _Gathers) -> None:
         """Refill every still-resident line the chunk's cacheable reads and
-        writes touched from final memory.  ``line_cache`` maps
-        ``(base, id(flat vector))`` to line vectors already computed."""
+        writes touched from final memory."""
         memory = self.machine.memory
-        lw = cache.line_words
-        shared_lines: List[np.ndarray] = []
-        seen_lines: Set[int] = set()
+        shared_lines: Dict[int, np.ndarray] = {}  # by identity, in order
         for i in plan.cached_idx + plan.write_idx:
             slot = plan.slots[i]
             if not slot.cacheable:
                 continue
-            lkey = (slot.base, id(flats[i]))
-            lines = line_cache.get(lkey)
-            if lines is None:
-                lines = (slot.base + flats[i]) // lw
-                line_cache[lkey] = lines
+            lines = g.lines(i)
             if slot.shared:
-                if id(lines) not in seen_lines:
-                    seen_lines.add(id(lines))
-                    shared_lines.append(lines)
+                shared_lines[id(lines)] = lines
             else:
                 self._fill_private_lines(cache, lines, slot.base, slot.array,
-                                         pe)
+                                         g.pe)
         if shared_lines:
-            cat = np.concatenate(shared_lines)
+            cat = np.concatenate(list(shared_lines.values()))
             lines = np.flatnonzero(np.bincount(cat))  # sorted unique
             bulk_fill_lines(cache, lines, memory.values_flat,
                             memory.versions_flat)
@@ -1909,9 +1851,8 @@ class BatchedInterpreter(Interpreter):
             pre[:, 0] += row_extra
         return pre, tail
 
-    def _protocol_timing_pass(self, plan: _Plan, pe_obj, pe: int, Tt: int,
-                              flats: List[np.ndarray],
-                              row_extra) -> None:
+    def _protocol_timing_pass(self, plan: _Plan, pe_obj, g: _Gathers,
+                              Tt: int, row_extra) -> None:
         """:meth:`_timing_pass` for a chunk under a hardware protocol: the
         chunk's events, in program order, through
         :func:`~repro.machine.batchops.protocol_scan`."""
@@ -1919,11 +1860,11 @@ class BatchedInterpreter(Interpreter):
         if rows is None:
             rows = plan.protocol_rows = self._protocol_rows(plan)
         base_row, kinds, costs = rows
-        addr = (np.stack(flats, axis=1) + base_row).ravel()
+        addr = (np.stack(g.flats, axis=1) + base_row).ravel()
         pre, tail = self._pre_offsets(plan, Tt, row_extra)
         st = pe_obj.stats
         clock, busy, hits, lf = protocol_scan(
-            self.machine.protocol, pe, pe_obj.clock, st.busy_cycles,
+            self.machine.protocol, g.pe, pe_obj.clock, st.busy_cycles,
             pre.ravel().tolist(), kinds * Tt,
             (addr // self.params.line_words).tolist(),
             self.machine.addr_map.owner_plane()[addr].tolist(), costs * Tt)
@@ -1936,7 +1877,7 @@ class BatchedInterpreter(Interpreter):
         st.busy_cycles = busy + tail
         self.batch_refs += Tt * (n_reads + n_writes)
         pe_obj.clock = clock + tail
-        self._refill_touched(plan, pe_obj.cache, pe, flats, {})
+        self._refill_touched(plan, pe_obj.cache, g)
 
     def _protocol_rows(self, plan: _Plan) -> tuple:
         """Per-slot constants of :meth:`_protocol_timing_pass`: word-address
@@ -1954,53 +1895,8 @@ class BatchedInterpreter(Interpreter):
              else float(p.local_mem if s.role == "cr" else p.write_local)
              for s in slots])
 
-    def _synth_timing_events(self, plan: _Plan, pe: int, Tt: int,
-                             flats: List[np.ndarray], hit_cols, eq_cols,
-                             tr) -> None:
-        """Emit a fast-path chunk's machine events, row-major (iteration,
-        slot) — the order the reference interpreter would have emitted
-        them.  Fast-path plans have no prefetch slots and no queue
-        interaction, so every event is static (read hit/miss from the
-        classification, bypass fetch, write)."""
-        emit = tr.emit
-        cols = []
-        for i, slot in enumerate(plan.slots):
-            flat_l = flats[i].tolist()
-            role = slot.role
-            eq = eq_cols[i]
-            eq_l = eq.tolist() if eq is not None else None
-            if role == "cr":
-                cols.append(("cr", slot.array, flat_l, hit_cols[i].tolist(),
-                             eq_l))
-            elif role == "ur":
-                cols.append(("urb" if slot.bypass else "ur", slot.array,
-                             flat_l, None, eq_l))
-            elif slot.shared:  # shared write
-                cols.append(("ws", slot.array, flat_l, None, eq_l))
-            else:
-                cols.append(("wp", slot.array, flat_l, None, None))
-        for t in range(Tt):
-            for code, array, flat_l, hit_l, eq_l in cols:
-                flat = flat_l[t]
-                if code == "cr":
-                    if hit_l[t]:
-                        emit(("read_hit", pe, array, flat, 0))
-                    else:
-                        emit(("read_miss", pe, array, flat,
-                              1 if eq_l is None else int(eq_l[t])))
-                elif code == "urb":
-                    emit(("bypass_fetch", pe, array, flat, "bypass"))
-                elif code == "ur":
-                    emit(("bypass_fetch", pe, array, flat,
-                          "uncached_local" if eq_l[t] else "uncached_remote"))
-                elif code == "ws":
-                    emit(("write", pe, array, flat, 1, 0 if eq_l[t] else 1))
-                else:  # private write
-                    emit(("write", pe, array, flat, 0, 0))
-
-    def _stall_clock(self, plan: _Plan, pe_obj, Tt: int,
-                     ev: np.ndarray, hit_cols, line_cols, row_extra,
-                     total: float):
+    def _stall_clock(self, plan: _Plan, pe_obj, g: _Gathers, Tt: int,
+                     ev: np.ndarray, hit_cols, row_extra, total: float):
         """Final PE clock with vector-transfer stalls resolved.
 
         Replays the reference rule on the flat event stream: a cached-read
@@ -2013,7 +1909,9 @@ class BatchedInterpreter(Interpreter):
         Covers are computed per cached column — a column whose line range
         misses every live transfer costs two scalar reductions, and when no
         column is covered at all the chunk's clock is ``clock0 + total``
-        exactly (integral costs make both groupings the same float)."""
+        exactly (integral costs make both groupings the same float).
+        Returns ``(clock, stalls)``, stalls as ordered
+        ``(STALL_VECTOR, cycles)`` pairs."""
         n_slots = plan.n_events
         clock0 = pe_obj.clock
         # match() returns the earliest-completion covering transfer (list
@@ -2035,7 +1933,7 @@ class BatchedInterpreter(Interpreter):
                 continue
             parts = []
             for i in plan.cached_idx:
-                lines = line_cols[i]
+                lines = g.lines(i)
                 lmin, lmax = line_span(lines)
                 if lmax < t.line_lo or lmin > t.line_hi:
                     continue
@@ -2068,7 +1966,7 @@ class BatchedInterpreter(Interpreter):
         base = clock0
         base_D = 0.0
         base_idx = -1
-        stalls: List[float] = []
+        stalls: List[tuple] = []
         remaining = list(masks)
         while remaining:
             best_e = None
@@ -2084,7 +1982,7 @@ class BatchedInterpreter(Interpreter):
                 break
             t = best[0]
             prec = base + (D[best_e] - base_D)
-            stalls.append(t.completion - prec)
+            stalls.append((STALL_VECTOR, t.completion - prec))
             base = t.completion
             base_D = float(D[best_e])
             base_idx = best_e

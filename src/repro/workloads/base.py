@@ -38,10 +38,6 @@ class WorkloadSpec:
         args = {**self.default_args, **overrides}
         return self.build(**args)
 
-    def oracle_default(self, **overrides) -> Dict[str, np.ndarray]:
-        args = {**self.default_args, **overrides}
-        return self.oracle(**args)
-
 
 _REGISTRY: Dict[str, WorkloadSpec] = {}
 

@@ -300,19 +300,28 @@ def test_machine_shape_property_bit_exact(n_pes, name, version, queue_slots):
 def test_counts_only_tracer_totals_exact():
     """A counts-only tracer (``Tracer(sample=0)``, whose batched chunks
     fold straight into per-kind counters) must see the reference run's
-    per-kind event totals at 8 PEs."""
+    per-kind event totals at 8 PEs: on CCDP MXM, and on SWIM transformed
+    without vector prefetches, whose line prefetches send chunks through
+    the exact replay scan."""
+    from repro.coherence import CCDPConfig, ccdp_transform
     from repro.obs import Tracer
+    from repro.workloads import workload
 
     params = t3d(n_pes=8, cache_bytes=2048)
-    program = _property_program("mxm", Version.CCDP, params)
-    counts = {}
-    for backend in ("reference", "batched"):
-        tracer = Tracer(sample=0)
-        run_program(program, params, Version.CCDP, backend=backend,
-                    tracer=tracer)
-        counts[backend] = dict(tracer.counts)
-    assert counts["reference"]
-    assert counts["batched"] == counts["reference"]
+    swim, _ = ccdp_transform(
+        workload("swim").build(n=10),
+        CCDPConfig(machine=params).with_(enable_vpg=False))
+    for program in (_property_program("mxm", Version.CCDP, params), swim):
+        counts = {}
+        for backend in ("reference", "batched"):
+            tracer = Tracer(sample=0)
+            result = run_program(program, params, Version.CCDP,
+                                 backend=backend, tracer=tracer)
+            counts[backend] = dict(tracer.counts)
+        assert counts["reference"]
+        assert counts["batched"] == counts["reference"]
+        assert result.batch_chunks > 0
+    assert result.stats.total().prefetch_issued > 0
 
 
 @pytest.mark.parametrize("n_pes", [2, 4, 16])
@@ -492,7 +501,8 @@ def test_pe_clocks_stay_python_floats(monkeypatch, version):
     """``PE.clock`` is a plain slot, so nothing coerces what the batched
     commits, the vector-stall resolver and the protocol scan store into
     it: after a run on either backend, and after a barrier, every clock
-    must be a Python ``float``."""
+    must be a Python ``float``.  So must the idle and vector-stall
+    cycles the commit adds from resolved stalls."""
     from repro.workloads import workload
 
     stalls = []
@@ -516,6 +526,9 @@ def test_pe_clocks_stay_python_floats(monkeypatch, version):
         interp.run()
         machine = interp.machine
         assert [type(pe.clock) for pe in machine.pes] == [float] * 4
+        for pe in machine.pes:
+            assert type(pe.stats.idle_cycles) is float, backend
+            assert type(pe.stats.vector_stall_cycles) is float, backend
         machine.barrier()
         assert [type(pe.clock) for pe in machine.pes] == [float] * 4
     assert interp.batch_chunks > 0
