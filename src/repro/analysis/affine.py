@@ -15,8 +15,8 @@ paper they are conservatively treated as prefetch targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from ..ir.arrays import ArrayDecl
 from ..ir.expr import (ArrayRef, BinOp, Expr, IntConst, SymConst, UnaryOp,

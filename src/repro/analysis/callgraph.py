@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
 from ..ir.program import Program
-from ..ir.stmt import CallStmt, Loop, LoopKind, Stmt
+from ..ir.stmt import CallStmt, Loop, LoopKind
 
 
 @dataclass

@@ -12,7 +12,7 @@ relative to need, which is the safe direction given queue bounds).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..ir.expr import (ArrayRef, BinOp, Expr, FloatConst, IntConst,
                        IntrinsicCall, SymConst, UnaryOp, VarRef, expr_dtype)

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..ir.arrays import ArrayDecl
-from .affine import AffineRef
 from .epochs import RefInfo
 
 

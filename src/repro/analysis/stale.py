@@ -36,12 +36,12 @@ make the initial state empty, so first-touch reads are never stale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..ir.program import Program
 from .alignment import AccessClass
 from .epochs import Epoch, EpochGraph, RefInfo, build_epoch_graph
-from .sections import Section, SectionSet
+from .sections import SectionSet
 
 
 @dataclass

@@ -21,13 +21,12 @@ only happens when residency is actually plausible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..ir.expr import ArrayRef
 from ..ir.loops import static_trip_count
-from ..ir.stmt import Assign, CallStmt, If, Loop, Stmt
+from ..ir.stmt import Loop
 from ..machine.params import MachineParams
 from .affine import AffineRef, affine_ref
 

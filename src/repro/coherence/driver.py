@@ -17,10 +17,10 @@ The input program is never mutated; the transformed clone plus a full
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
-from ..analysis.epochs import EpochGraph, RefInfo, build_epoch_graph
+from ..analysis.epochs import RefInfo, build_epoch_graph
 from ..analysis.parcheck import ParCheckResult, check_doall_independence
 from ..analysis.stale import StaleAnalysisResult, analyse_stale_references
 from ..ir.expr import RefMode

@@ -11,7 +11,6 @@ interprocedural summaries.
 
 from __future__ import annotations
 
-from typing import List
 
 from ..analysis.callgraph import CallGraph
 from ..ir.program import Program

@@ -18,11 +18,10 @@ fetch** — the always-coherent fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..analysis.costmodel import stmt_cost
 from ..ir.expr import RefMode
-from ..ir.loops import LSC
 from ..ir.stmt import If, Loop, PrefetchLine, Stmt
 from .config import CCDPConfig
 from .schedutil import hoist_floor, locate

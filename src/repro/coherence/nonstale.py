@@ -24,7 +24,6 @@ from ..analysis.epochs import EpochGraph, RefInfo
 from ..analysis.locality import group_spatial_groups
 from ..analysis.stale import StaleAnalysisResult
 from ..analysis.volume import reuse_stays_resident
-from ..ir.loops import LSC, collect_lscs
 from ..ir.program import Program
 from .config import CCDPConfig
 from .target_analysis import (PrefetchTarget, TargetAnalysisResult,

@@ -24,14 +24,13 @@ which preserves coherence unconditionally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..ir.loops import LSC, contains_if, has_static_bounds
 from ..ir.program import Program
-from ..ir.stmt import LoopKind, ScheduleKind, Stmt
+from ..ir.stmt import LoopKind, ScheduleKind
 from .config import CCDPConfig
 from .moveback import MBPOutcome, apply_move_back
-from .schedutil import warmup_invalidations
 from .software_pipeline import SPOutcome, try_software_pipeline
 from .target_analysis import PrefetchTarget, TargetAnalysisResult
 from .vector_prefetch import VPGOutcome, try_vector_prefetch

@@ -8,7 +8,6 @@ read, which is always correct.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..analysis.affine import AffineRef, affine_ref
@@ -17,8 +16,7 @@ from ..analysis.locality import PrefetchGroup
 from ..ir.arrays import ArrayDecl
 from ..ir.expr import (ArrayRef, BinOp, Expr, IntConst, IntrinsicCall,
                        RefMode, VarRef)
-from ..ir.stmt import (Assign, CallStmt, If, InvalidateLines, Loop, LoopKind,
-                       PrefetchLine, PrefetchVector, Stmt)
+from ..ir.stmt import Assign, CallStmt, InvalidateLines, Loop, LoopKind, Stmt
 from ..ir.visitor import substitute
 from .config import CCDPConfig
 

@@ -19,14 +19,13 @@ the demotions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..analysis.epochs import RefInfo
 from ..analysis.locality import PrefetchGroup, group_spatial_groups
 from ..analysis.stale import StaleAnalysisResult
 from ..ir.loops import LSC, collect_lscs
 from ..ir.program import Program
-from ..ir.stmt import Stmt
 from .config import CCDPConfig
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..analysis.epochs import RefInfo
-from ..ir.expr import BinOp, Expr, IntConst, IntrinsicCall, VarRef
+from ..ir.expr import BinOp, Expr, IntConst, VarRef
 from ..ir.loops import static_trip_count
 from ..ir.program import Program
 from ..ir.stmt import Loop, LoopKind, PrefetchLine, PrefetchVector, Stmt

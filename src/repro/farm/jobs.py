@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 #: Journal/result-store schema version.  Mixed into every content key a
 #: farm client derives, so a schema change can never resurrect stale

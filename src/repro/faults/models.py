@@ -30,7 +30,7 @@ without ever changing what value an access returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Tuple
 
 

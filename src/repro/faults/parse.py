@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import fields
 from typing import Dict, Optional
 
-from .models import (FaultModel, FaultPlan, FaultPlanError, MODEL_TYPES)
+from .models import FaultPlan, FaultPlanError, MODEL_TYPES
 
 _BY_NAME: Dict[str, type] = {cls.name: cls for cls in MODEL_TYPES}
 

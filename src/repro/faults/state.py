@@ -15,7 +15,7 @@ retries, evictions) are applied by the machine layer at its hook points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
 import numpy as np

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..coherence import CCDPReport
 from ..machine.params import MachineParams, t3d
-from ..runtime import RunResult, Version, run_program
+from ..runtime import Version, run_program
 from ..workloads.base import WorkloadSpec, check_result
 from . import progcache
 

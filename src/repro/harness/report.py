@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 from ..runtime import Version
 from .experiment import ExperimentRunner, Sweep
 from .paper_data import (PAPER_IMPROVEMENT_RANGES, PAPER_ORDERING,
-                         TABLE1_QUALITATIVE, paper_improvement)
+                         TABLE1_QUALITATIVE)
 from .tables import format_table1, format_table2
 
 

@@ -42,7 +42,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..farm import SCHEMA, FarmConfig, FarmError, FarmResult, Job, JobOutcome
+from ..farm import SCHEMA, FarmConfig, FarmError, Job, JobOutcome
 from ..farm import run_farm as _run_farm
 from ..runtime import Version
 from .experiment import PAPER_PE_COUNTS, ExperimentRunner, RunRecord, Sweep

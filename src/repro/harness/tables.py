@@ -15,7 +15,7 @@ transfers for the bus, protocol messages for the directory."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..runtime import Version
 from .experiment import Sweep

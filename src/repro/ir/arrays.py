@@ -16,7 +16,7 @@ line ... enforced by specifying a compiler option").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .dtypes import DType, REAL
 

@@ -20,10 +20,10 @@ the CCDP compiler.  Usage::
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .arrays import ArrayDecl, DistKind, Distribution, REPLICATED
-from .dtypes import DType, INT, REAL
+from .dtypes import DType, REAL
 from .expr import (ArrayRef, BinOp, Expr, IntrinsicCall, SymConst, VarRef,
                    as_expr)
 from .program import Procedure, Program, ScalarDecl

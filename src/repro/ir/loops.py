@@ -11,10 +11,9 @@ straight-line serial segments (case 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from .expr import Expr
-from .stmt import Assign, CallStmt, If, Loop, Stmt
+from .stmt import CallStmt, If, Loop, Stmt
 from .visitor import const_int_value
 
 

@@ -10,12 +10,12 @@ epochs; everything between them is serial).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .arrays import ArrayDecl
-from .dtypes import DType, INT, REAL
-from .expr import ArrayRef, Expr, SymConst
-from .stmt import CallStmt, Loop, Stmt
+from .dtypes import DType, REAL
+from .expr import ArrayRef
+from .stmt import CallStmt, Stmt
 
 
 @dataclass

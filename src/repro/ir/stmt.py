@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .expr import ArrayRef, Expr, IntConst, VarRef, as_expr
+from .expr import ArrayRef, Expr, VarRef, as_expr
 
 _uid_counter = itertools.count(1)
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from .expr import (ArrayRef, BinOp, Expr, FloatConst, IntConst, IntrinsicCall,
-                   SymConst, UnaryOp, VarRef)
+from .expr import (ArrayRef, BinOp, Expr, IntConst, IntrinsicCall, SymConst,
+                   UnaryOp, VarRef)
 from .stmt import Stmt
 
 

@@ -33,13 +33,6 @@ class DirectMappedCache:
         self.data = np.zeros((self.n_lines, self.line_words), dtype=np.float64)
         self.vers = np.zeros((self.n_lines, self.line_words), dtype=np.int64)
 
-    # -- address helpers -------------------------------------------------------
-    def line_addr(self, addr: int) -> int:
-        return addr // self.line_words
-
-    def set_index(self, line_addr: int) -> int:
-        return line_addr % self.n_lines
-
     # -- lookup ---------------------------------------------------------------
     def probe(self, addr: int) -> bool:
         """True when the word's line is present (valid, tag match)."""

@@ -97,10 +97,6 @@ class Memory:
         self.private_values[name][pe, flat] = value
 
     # -- batched access (batched execution backend) ---------------------------
-    def gather(self, name: str, flats: np.ndarray) -> np.ndarray:
-        """Current values of many words of one shared array (a fresh copy)."""
-        return self.values[name][flats]
-
     def scatter(self, name: str, flats: np.ndarray, values: np.ndarray) -> None:
         """Bulk write-through: store ``values`` and bump one version per
         element write (duplicate indices bump once per occurrence, matching

@@ -15,7 +15,7 @@ hit), which are faithful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from ..ir.dtypes import WORD_BYTES

@@ -10,10 +10,13 @@ assignments — and services each whole chunk in two passes:
 1. a **value pass** that computes every right-hand side and applies
    every memory write with *exactly* the reference semantics but no
    machine bookkeeping: whole-chunk NumPy statements when every operation
-   is provably bit-identical elementwise, else one generated Python
+   is provably bit-identical elementwise and the chunk is fused or has
+   at least ``MIN_VECTOR_ITERS`` iterations, else one generated Python
    function per plan (``seq_fn``) holding the chunk's ``for`` loop, with
    the reference's float operations in the reference's order, register
-   promotion as plain locals and write-through version bumps inline;
+   promotion as plain locals and write-through version bumps inline
+   (below the crossover its cost per iteration beats the NumPy pass's
+   fixed cost);
 2. a **timing pass** that prices the chunk's events and commits them.
    Plain reads and writes take the NumPy classify pass: one warm
    :func:`~repro.machine.batchops.classify_events` call replays the read
@@ -27,11 +30,13 @@ assignments — and services each whole chunk in two passes:
    reclaim, capacity-drop → bypass-fetch degradation, extract and
    vector-transfer stalls), which flags the one inexpressible case — a
    write-through into a line ghosted by an in-chunk invalidation — as a
-   hazard before anything is mutated.  Both pricers read one per-chunk
-   gather cache (each slot's line, owner, locality and latency vectors)
-   and hand their counters, clock, stalls, tag diff and per-event
-   outcome codes to one commit, which refills the touched lines and
-   feeds the tracer through one event synthesizer.
+   hazard before anything is mutated.  Both pricers read one bound
+   matrix per chunk (:class:`_Chunk`: the iterations x slots flat
+   matrix, with the line, owner, locality and latency matrices derived
+   from it one NumPy op each) and hand their counters, clock, stalls,
+   tag diff and per-event outcome codes to one commit, which refills
+   the touched lines and feeds the tracer through one event
+   synthesizer.
 
 Exactness contract: a committed chunk leaves the machine in *bit-identical*
 state (array values, versions, cache tags/data, per-PE stats, clocks) to
@@ -51,7 +56,9 @@ exact too:
   chunk reads return memory values and no stale events can occur — one
   PE's chunk runs with no interleaved remote writes, and its own
   write-through stores keep cache and memory in step; stale residue on
-  lines the chunk never touches is left exactly as-is by the commit);
+  lines the chunk never touches is left exactly as-is by the commit).
+  A one-PE machine or a hardware protocol skips the test: only another
+  PE's write leaves a copy stale, and a protocol kills remote copies;
 * all event costs are integral, which makes bulk cycle summation exact
   (adding integers to a float clock is associative below 2**53);
 * race checking and read tracing are off (those need per-event order).
@@ -104,6 +111,10 @@ from .interp import Interpreter, RunResult
 #: Minimum chunk size (iterations x memory events) worth the bind overhead.
 MIN_BATCH_EVENTS = 16
 
+#: Fewest iterations at which a non-fused chunk tries the NumPy value pass;
+#: shorter chunks run the plan's generated scalar pass (``seq_fn``).
+MIN_VECTOR_ITERS = 32
+
 
 def _seq_div(a, b):
     """Division exactly as the reference ``/`` closure performs it."""
@@ -122,12 +133,12 @@ class _Slot:
 
     __slots__ = ("role", "array", "base", "shared", "bypass", "craft",
                  "cacheable", "var_coeff", "env_coeffs", "const0",
-                 "dim_checks", "owner_table", "extra", "inval")
+                 "dim_checks", "extra", "inval")
 
     def __init__(self, role: str, array: str, base: int, shared: bool,
                  bypass: bool, craft: bool, cacheable: bool,
                  address: AffineForm, dims, shape, var: str,
-                 sym_value, owner_table, extra: float) -> None:
+                 sym_value, extra: float) -> None:
         self.role = role
         self.array = array
         self.base = base
@@ -147,7 +158,6 @@ class _Slot:
             denv = tuple((n, c) for n, c in form.coeffs if n != var)
             checks.append((dconst, denv, form.coeff(var), extent))
         self.dim_checks = tuple(checks)
-        self.owner_table = owner_table  # int16 per flat element, shared only
         self.extra = extra              # CRAFT overhead folded into latency
         self.inval = False              # 'pf' only: invalidate before issue
 
@@ -157,33 +167,16 @@ class _Slot:
             out |= {n for n, _ in denv}
         return out
 
-    def bind(self, env: dict, box: tuple, V: np.ndarray,
-             O: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        """Flat element vector over the chunk's loop vectors (``O`` is the
-        outer variable's, fused chunks only), or ``None`` when any
-        subscript leaves the array bounds (the reference path will raise
-        exactly)."""
-        if not self.in_box(env, box):
+    def pf_mask(self, env: dict, box: tuple,
+                values: np.ndarray) -> Optional[np.ndarray]:
+        """In-bounds mask of a prefetch slot over the chunk's iterations.
+        Beyond-edge look-ahead is legal for prefetches (the reference
+        charges the bare issue cost and drops), so out-of-bounds
+        iterations are masked rather than rejecting the chunk.  ``None``
+        when the chunk's box is in bounds (the corner argument of
+        :meth:`in_box`), i.e. every iteration is."""
+        if self.in_box(env, box):
             return None
-        outer = box[2]
-        const = self.const0
-        ocoeff = 0
-        for name, c in self.env_coeffs:
-            if name == outer:
-                ocoeff = c
-            else:
-                const += c * env[name]
-        flat = const + self.var_coeff * V
-        if ocoeff:
-            flat = flat + ocoeff * O
-        return flat
-
-    def bind_pf(self, env: dict,
-                values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(flat vector, in-bounds mask) for a prefetch slot.  Beyond-edge
-        look-ahead is legal for prefetches (the reference charges the bare
-        issue cost and drops), so out-of-bounds iterations are masked
-        rather than rejecting the chunk; their flat entry is a harmless 0."""
         mask = np.ones(len(values), dtype=bool)
         for dconst, denv, dcoeff, extent in self.dim_checks:
             d0 = dconst
@@ -191,13 +184,7 @@ class _Slot:
                 d0 += c * env[name]
             dval = d0 + dcoeff * values
             mask &= (1 <= dval) & (dval <= extent)
-        const = self.const0
-        for name, c in self.env_coeffs:
-            const += c * env[name]
-        flat = const + self.var_coeff * values
-        if not mask.all():
-            flat = np.where(mask, flat, 0)
-        return flat, mask
+        return mask
 
     def in_box(self, env: dict, box: tuple) -> bool:
         """True when every subscript stays inside its array bounds over
@@ -234,8 +221,12 @@ class _Plan:
                  "const_per_iter", "n_events", "env_vars",
                  "touches_shared_cache", "const_before", "tail_const",
                  "assigned", "vec_stmts", "reg_ops", "alias_pairs",
-                 "bind_groups", "event_kinds", "seq_fn", "protocol_bulk",
-                 "protocol_rows")
+                 "addr_vars", "var_coef", "const0", "env_coef", "base_row",
+                 "box_slots", "extra", "c_cr", "c_crsh", "k_crpv", "c_ur",
+                 "c_urnb", "n_bypass", "c_wsh", "c_wpv", "c_pfsh", "c_pfpv",
+                 "c_fill", "fill_private", "c_stale", "slot_row",
+                 "event_kinds", "seq_fn", "protocol_bulk", "protocol_rows",
+                 "scan_rows")
 
     def __init__(self, var: str, registers: dict, final_clear: bool,
                  slots: List[_Slot],
@@ -264,25 +255,56 @@ class _Plan:
             and not (sj.var_coeff == sw.var_coeff
                      and sj.env_coeffs == sw.env_coeffs
                      and sj.const0 == sw.const0)]
-        # Slots sharing (var_coeff, env_coeffs) bind to vectors that differ
-        # only by the constant term under every environment: bind once per
-        # group and add the delta.  Unrolled bodies collapse hard here.
-        # Prefetch slots bind alone (their out-of-bounds iterations mask).
-        by_form: dict = {}
+        # One (iterations x slots) flat matrix binds a chunk: each slot's
+        # flat index is const0 + var_coeff * v + sum(coeff * env[name]).
+        self.addr_vars = tuple(sorted({n for s in slots
+                                       for n, _ in s.env_coeffs}))
+        self.var_coef = np.array([s.var_coeff for s in slots],
+                                 dtype=np.int64)
+        self.const0 = np.array([s.const0 for s in slots], dtype=np.int64)
+        self.env_coef = np.array(
+            [[dict(s.env_coeffs).get(n, 0) for s in slots]
+             for n in self.addr_vars], dtype=np.int64).reshape(
+                 len(self.addr_vars), len(slots))
+        self.base_row = np.array([s.base for s in slots], dtype=np.int64)
+        # in_box reads only a slot's bounds forms: check each distinct one
+        # once.  Prefetch slots are masked, not checked (see pf_mask).
+        reps: dict = {}
         for i, s in enumerate(slots):
             if s.role != "pf":
-                by_form.setdefault((s.var_coeff, s.env_coeffs),
-                                   []).append(i)
-        self.bind_groups = [
-            (idxs[0],
-             [(j, slots[j].const0 - slots[idxs[0]].const0,
-               # An identical-form member passes bounds iff the rep does.
-               not (slots[j].const0 == slots[idxs[0]].const0
-                    and slots[j].dim_checks == slots[idxs[0]].dim_checks))
-              for j in idxs[1:]])
-            for idxs in by_form.values()]
-        self.cached_idx = [i for i, s in enumerate(slots) if s.role == "cr"]
-        self.uncached_idx = [i for i, s in enumerate(slots) if s.role == "ur"]
+                reps.setdefault(s.dim_checks, i)
+        self.box_slots = tuple(reps.values())
+        # Every shared read/write slot carries the same CRAFT extra.
+        self.extra = next((s.extra for s in slots if s.shared
+                           and s.role != "pf"), 0.0)
+
+        def cols(keep) -> np.ndarray:
+            return np.array([i for i, s in enumerate(slots) if keep(s)],
+                            dtype=np.intp)
+
+        # Column sets of the chunk matrices, by what reads them.
+        self.c_cr = cols(lambda s: s.role == "cr")
+        self.c_crsh = cols(lambda s: s.role == "cr" and s.shared)
+        self.k_crpv = np.flatnonzero(
+            [not slots[i].shared for i in self.c_cr.tolist()])
+        self.c_ur = cols(lambda s: s.role == "ur")
+        self.c_urnb = cols(lambda s: s.role == "ur" and not s.bypass)
+        self.n_bypass = sum(s.role == "ur" and s.bypass for s in slots)
+        self.c_wsh = cols(lambda s: s.role == "w" and s.shared)
+        self.c_wpv = cols(lambda s: s.role == "w" and not s.shared)
+        self.c_pfsh = cols(lambda s: s.role == "pf" and s.shared)
+        self.c_pfpv = cols(lambda s: s.role == "pf" and not s.shared)
+        self.c_fill = cols(lambda s: s.role in ("cr", "w") and s.cacheable
+                           and s.shared)
+        self.fill_private = [i for i, s in enumerate(slots)
+                             if s.role in ("cr", "w") and s.cacheable
+                             and not s.shared]
+        self.c_stale = cols(lambda s: s.role != "ur" and s.shared
+                            and s.cacheable)
+        self.slot_row = np.arange(len(slots), dtype=np.int64)[None, :]
+        self.scan_rows = None  # per-slot scan constants, built on first use
+        self.cached_idx = self.c_cr.tolist()
+        self.uncached_idx = self.c_ur.tolist()
         self.write_idx = [i for i, s in enumerate(slots) if s.role == "w"]
         self.pf_idx = [i for i, s in enumerate(slots) if s.role == "pf"]
         self.const_per_iter = const_per_iter
@@ -291,10 +313,7 @@ class _Plan:
         for slot in slots:
             env_vars |= slot.variables()
         self.env_vars = tuple(env_vars)
-        self.touches_shared_cache = any(
-            s.shared and (s.role == "pf" or (s.cacheable
-                                             and s.role in ("cr", "w")))
-            for s in slots)
+        self.touches_shared_cache = bool(self.c_stale.size)
         # Under a hardware protocol only cached reads and cacheable writes
         # have a bulk timing pass (see _protocol_timing_pass).
         self.protocol_bulk = all(
@@ -319,61 +338,47 @@ class _Plan:
         self.event_kinds = frozenset(kinds)
 
 
-class _Gathers:
-    """Per-chunk memo of what the pricers, the commit, the synthesizer and
-    the overlap guards derive from the bound slot vectors: each slot's
-    line vector, owner vector, ``owner == pe`` mask and latency column
-    per ``(kind, extra)``.  Keys are input identities, so slots sharing
-    one flat vector (bind-group members with a zero delta) or one owner
-    vector share every derived gather."""
+class _Chunk:
+    """One bound chunk: the ``(T, S)`` flat-element matrix ``F`` of every
+    slot (column) over every iteration (row), row-major in the
+    reference's event order, and what the pricers, the guards, the
+    commit, the refill and the synthesizer derive from it.  The line
+    matrix ``L`` is built at bind time; the owner matrix, its
+    ``owner == pe`` mask and each latency matrix are built whole on
+    first use, one gather each.  Private columns read owner -1 (the
+    owner plane's mark outside shared arrays): their consumers price
+    them from fixed costs instead."""
 
-    __slots__ = ("slots", "flats", "pe", "lw", "lat_table", "_memo")
+    __slots__ = ("F", "L", "A", "pe", "pf_masks", "interp", "_own", "_eq",
+                 "_lat")
 
-    def __init__(self, interp, plan: _Plan, flats: List[np.ndarray],
+    def __init__(self, interp, plan: _Plan, F: np.ndarray, pf_masks,
                  pe: int) -> None:
-        self.slots = plan.slots
-        self.flats = flats
+        self.F = F
+        self.A = F + plan.base_row  # global word addresses
+        self.L = self.A // interp.params.line_words
         self.pe = pe
-        self.lw = interp.params.line_words
-        self.lat_table = interp._lat_table  # (pe, kind, extra) -> table
-        self._memo: dict = {}
+        self.pf_masks = pf_masks
+        self.interp = interp
+        self._own = self._eq = None
+        self._lat: dict = {}
 
-    def lines(self, i: int) -> np.ndarray:
-        """Line address per iteration (a prefetch slot's out-of-bounds
-        look-aheads, bound to flat 0, map to its base line)."""
-        base = self.slots[i].base
-        flat = self.flats[i]
-        key = ("line", base, id(flat))
-        lines = self._memo.get(key)
-        if lines is None:
-            lines = self._memo[key] = (base + flat) // self.lw
-        return lines
+    def owners(self) -> np.ndarray:
+        if self._own is None:
+            self._own = self.interp.machine.addr_map.owner_plane()[self.A]
+        return self._own
 
-    def owners(self, i: int) -> np.ndarray:
-        table = self.slots[i].owner_table
-        flat = self.flats[i]
-        key = ("owner", id(table), id(flat))
-        own = self._memo.get(key)
-        if own is None:
-            own = self._memo[key] = table[flat]
-        return own
+    def local(self) -> np.ndarray:
+        if self._eq is None:
+            self._eq = self.owners() == self.pe
+        return self._eq
 
-    def local(self, i: int) -> np.ndarray:
-        own = self.owners(i)
-        key = ("local", id(own))
-        eq = self._memo.get(key)
-        if eq is None:
-            eq = self._memo[key] = own == self.pe
-        return eq
-
-    def latency(self, i: int, kind: str, extra: float) -> np.ndarray:
-        table = self.lat_table(self.pe, kind, extra)
-        own = self.owners(i)
-        key = ("lat", id(table), id(own))
-        col = self._memo.get(key)
-        if col is None:
-            col = self._memo[key] = table[own]
-        return col
+    def latency(self, kind: str, extra: float) -> np.ndarray:
+        lat = self._lat.get((kind, extra))
+        if lat is None:
+            table = self.interp._lat_table(self.pe, kind, extra)
+            lat = self._lat[(kind, extra)] = table[self.owners()]
+        return lat
 
 
 class _Ineligible(Exception):
@@ -393,6 +398,22 @@ def _to_float(x):
 
 def _integral(*costs: float) -> bool:
     return all(float(c).is_integer() for c in costs)
+
+
+def _stale_hit(stale: np.ndarray, lines: np.ndarray, n_lines: int) -> bool:
+    """True when any of ``lines`` is one of the ``stale`` resident lines of
+    an ``n_lines``-set direct-mapped cache.  A set holds at most one
+    resident line, so a per-set table and one compare do what a sorted
+    membership test would."""
+    by_set = np.full(n_lines, -1, dtype=np.int64)
+    by_set[stale % n_lines] = stale
+    return bool((by_set[lines % n_lines] == lines).any())
+
+
+def _pending_hit(pend: np.ndarray, lines: np.ndarray) -> bool:
+    """True when any of ``lines`` is in the sorted, non-empty ``pend``."""
+    at = np.minimum(np.searchsorted(pend, lines), pend.size - 1)
+    return bool((pend[at] == lines).any())
 
 
 def _straight_line(loop: Loop) -> bool:
@@ -615,16 +636,15 @@ class BatchedInterpreter(Interpreter):
         O = np.repeat(np.fromiter(values, dtype=np.int64, count=n_outer), tj)
         box = (int(vj.min()), int(vj.max()), outer_var, min(values),
                max(values))
-        flats, _ = self._bind_slots(plan, env, box, V, O)
-        if flats is None:
+        g = self._bind_slots(plan, env, box, V, O, pe)
+        if g is None:
             return False  # out of bounds: reference raises exactly
-        g = _Gathers(self, plan, flats, pe)
         if ((pe_obj.queue.entries or pe_obj.dropped_lines)
                 and not self._prefetch_disjoint(plan, pe_obj, g)):
             return False  # per-iteration path: inner chunks replay exactly
         if self._stale_overlap(plan, pe_obj, g):
             return self._fall("stale_overlap")
-        if not self._vector_safe(plan, flats):
+        if not self._vector_safe(plan, g.F):
             return False  # per-row chunks may still vectorise alone
         overhead = float(self.params.loop_overhead)
         extra_rows = np.zeros(total_iters, dtype=np.float64)
@@ -632,7 +652,7 @@ class BatchedInterpreter(Interpreter):
         const_total = overhead * n_outer + plan.const_per_iter * total_iters
         self.batch_chunks += 1
         vecs = {plan.var: V, outer_var: O}
-        self._vector_value_pass(plan, env, pe, flats, vecs)
+        self._vector_value_pass(plan, env, pe, g.F, vecs)
         env[plan.var] = int(V[-1])
         # env[outer_var] already holds values[-1] from the bounds sweep.
         self._timing_pass(plan, pe_obj, g, total_iters, const_total,
@@ -751,13 +771,11 @@ class BatchedInterpreter(Interpreter):
         aref = affine_ref(ref, decl)
         if aref is None:
             raise _Ineligible
-        owners = (self.machine.addr_map.owner_table(ref.array)
-                  if decl.is_shared else None)
         extra = float(self.params.craft_shared_ref_overhead) if craft else 0.0
         return _Slot(role, ref.array, self.machine.addr_map.base(ref.array),
                      decl.is_shared, bypass, craft, cacheable, aref.address,
                      aref.dims, decl.shape, var, self.program.sym_value,
-                     owners, extra)
+                     extra)
 
     def _plan_read(self, ref: ArrayRef, ctx, loop_vars, var, live, slots,
                    const_before, accbox, key_slot, node_slot, reg_ops):
@@ -1041,8 +1059,7 @@ class BatchedInterpreter(Interpreter):
         exec(compile("\n".join(src), "<batched-seq-fn>", "exec"), ns)
         return ns["_chunk"]
 
-    def _register_residue(self, plan: _Plan, pe: int,
-                          flats: List[np.ndarray]) -> None:
+    def _register_residue(self, plan: _Plan, pe: int, F: np.ndarray) -> None:
         """Leave ``plan.registers`` exactly as the reference per-iteration
         path would have: cleared, then — unless the plan ends with a clear —
         the last iteration's surviving promotions rebuilt.  A surviving
@@ -1059,7 +1076,7 @@ class BatchedInterpreter(Interpreter):
             if rop[0] == "set":
                 _, key, k = rop
                 slot = plan.slots[k]
-                last = flats[k][-1]
+                last = F[-1, k]
                 if slot.shared:
                     registers[key] = float(memory.values[slot.array][last])
                 else:
@@ -1305,28 +1322,33 @@ class BatchedInterpreter(Interpreter):
         return None
 
     def _bind_slots(self, plan: _Plan, env: dict, box: tuple, V: np.ndarray,
-                    O: Optional[np.ndarray]):
-        """(flats, pf_masks) over the loop ``box`` (:meth:`_Slot.in_box`):
-        per-slot flat vectors, bind-group members as the rep's plus their
-        constant delta, and each prefetch slot's in-bounds mask.  (None,
-        None) when a non-prefetch slot leaves its array bounds."""
+                    O: Optional[np.ndarray], pe: int) -> Optional[_Chunk]:
+        """The chunk bound over the loop ``box`` (:meth:`_Slot.in_box`):
+        every slot's flat vector over the loop vectors as one ``(T, S)``
+        matrix (``O`` is the outer variable's, fused chunks only), with
+        each prefetch slot's out-of-bounds iterations masked to flat 0.
+        None when a non-prefetch slot leaves its array bounds."""
         slots = plan.slots
-        flats: List[Optional[np.ndarray]] = [None] * plan.n_events
-        for rep, members in plan.bind_groups:
-            base = slots[rep].bind(env, box, V, O)
-            if base is None:
-                return None, None
-            flats[rep] = base
-            for j, dc, need_bounds in members:
-                if need_bounds and not slots[j].in_box(env, box):
-                    return None, None
-                flats[j] = base if dc == 0 else base + dc
-        masks: Optional[Dict[int, np.ndarray]] = None
-        if plan.pf_idx:
-            masks = {}
-            for i in plan.pf_idx:
-                flats[i], masks[i] = slots[i].bind_pf(env, V)
-        return flats, masks
+        for i in plan.box_slots:
+            if not slots[i].in_box(env, box):
+                return None
+        outer = box[2]
+        const = plan.const0
+        if plan.addr_vars:
+            const = const + np.dot(
+                [0 if n == outer else env[n] for n in plan.addr_vars],
+                plan.env_coef)
+        F = np.multiply.outer(V, plan.var_coef)
+        F += const
+        if outer in plan.addr_vars:
+            F += np.multiply.outer(
+                O, plan.env_coef[plan.addr_vars.index(outer)])
+        masks: Dict[int, Optional[np.ndarray]] = {}
+        for i in plan.pf_idx:
+            m = masks[i] = slots[i].pf_mask(env, box, V)
+            if m is not None:
+                F[~m, i] = 0
+        return _Chunk(self, plan, F, masks, pe)
 
     def _inflight(self, pe_obj) -> list:
         clock = pe_obj.clock
@@ -1348,13 +1370,14 @@ class BatchedInterpreter(Interpreter):
         if isinstance(values, range):
             V = np.arange(values.start, values.stop, values.step,
                           dtype=np.int64)
+            first, last = values[0], values[-1]
+            box = (min(first, last), max(first, last), None, 0, 0)
         else:
             V = np.asarray(values, dtype=np.int64)
-        flats, pf_masks = self._bind_slots(
-            plan, env, (int(V.min()), int(V.max()), None, 0, 0), V, None)
-        if flats is None:
+            box = (int(V.min()), int(V.max()), None, 0, 0)
+        g = self._bind_slots(plan, env, box, V, None, pe)
+        if g is None:
             return self._fall("oob_bind")
-        g = _Gathers(self, plan, flats, pe)
         # Prefetch slots, or leftover prefetch state aliasing a cached
         # read, route the chunk's timing through the exact scan.
         scan = bool(plan.pf_idx) or (
@@ -1370,18 +1393,19 @@ class BatchedInterpreter(Interpreter):
             if pe_obj.queue.squeeze is not None:
                 return self._fall("queue_squeeze")
             outcome, new_last, record, dtbF = self._replay_scan(
-                plan, pe_obj, g, T, pf_masks)
+                plan, pe_obj, g, T)
             if outcome.hazard:
                 return self._fall("replay_hazard")
         self.batch_chunks += 1
 
         # -- value pass ----------------------------------------------------
-        if plan.vec_stmts is not None and self._vector_safe(plan, flats):
-            self._vector_value_pass(plan, env, pe, flats, {plan.var: V})
+        if (T >= MIN_VECTOR_ITERS and plan.vec_stmts is not None
+                and self._vector_safe(plan, g.F)):
+            self._vector_value_pass(plan, env, pe, g.F, {plan.var: V})
             env[plan.var] = int(V[-1])
         else:
             plan.seq_fn(values, env, pe)
-            self._register_residue(plan, pe, flats)
+            self._register_residue(plan, pe, g.F)
 
         if not scan:
             self._timing_pass(plan, pe_obj, g, T, plan.const_per_iter * T,
@@ -1395,7 +1419,7 @@ class BatchedInterpreter(Interpreter):
                      new_last=new_last)
         return True
 
-    def _stale_overlap(self, plan: _Plan, pe_obj, g: _Gathers) -> bool:
+    def _stale_overlap(self, plan: _Plan, pe_obj, g: _Chunk) -> bool:
         """True when a stale resident line intersects a line the chunk
         touches — a cached shared read (would return the stale cached value),
         a cacheable shared write (write-through refreshes only the written
@@ -1404,21 +1428,21 @@ class BatchedInterpreter(Interpreter):
         Disjoint stale residue is exact: chunk reads classify against fresh
         lines and the commit refills only chunk lines, leaving the stale
         data bit-identical to what the reference would leave."""
-        if not plan.touches_shared_cache:
+        machine = self.machine
+        if (not plan.touches_shared_cache or machine.protocol is not None
+                or len(machine.pes) == 1):
+            # No resident line can be stale: only a remote write leaves a
+            # copy behind memory, and a protocol kills remote copies.
             return False
-        stale = stale_lines(pe_obj.cache, self.machine.memory.versions_flat)
+        cache = pe_obj.cache
+        stale = stale_lines(cache, machine.memory.versions_flat)
         if not stale.size:
             return False
-        for i, slot in enumerate(plan.slots):
-            if slot.role == "ur" or not (slot.shared and slot.cacheable):
-                continue
-            # A prefetch slot's out-of-bounds look-aheads map to its base
-            # line; a spurious match costs only an exact fallback.
-            if np.isin(g.lines(i), stale).any():
-                return True
-        return False
+        # A prefetch slot's out-of-bounds look-aheads map to its base
+        # line; a spurious match costs only an exact fallback.
+        return _stale_hit(stale, g.L[:, plan.c_stale], cache.n_lines)
 
-    def _prefetch_disjoint(self, plan: _Plan, pe_obj, g: _Gathers) -> bool:
+    def _prefetch_disjoint(self, plan: _Plan, pe_obj, g: _Chunk) -> bool:
         """True when leftover prefetch state (queued entries, dropped-line
         marks) cannot intersect any cacheable read of the chunk — then the
         plain fast timing path is exact despite a non-empty queue."""
@@ -1427,15 +1451,11 @@ class BatchedInterpreter(Interpreter):
             dl = np.fromiter(pe_obj.dropped_lines, dtype=np.int64,
                              count=len(pe_obj.dropped_lines))
             pend = np.concatenate([pend, dl]) if pend.size else dl
-        if not pend.size:
+        if not pend.size or not plan.c_cr.size:
             return True
-        for i in plan.cached_idx:
-            if np.isin(g.lines(i), pend).any():
-                return False
-        return True
+        return not _pending_hit(np.sort(pend), g.L[:, plan.c_cr])
 
-    def _replay_scan(self, plan: _Plan, pe_obj, g: _Gathers, Tt: int,
-                     pf_masks):
+    def _replay_scan(self, plan: _Plan, pe_obj, g: _Chunk, Tt: int):
         """Prepare the chunk's replay-event matrices and run the exact
         :func:`replay_chunk` scan against shadow PE state.  Returns
         ``(outcome, new_last_prefetch_pe, record, dtbF)``, where
@@ -1446,49 +1466,42 @@ class BatchedInterpreter(Interpreter):
         params = self.params
         pe = g.pe
         n_slots = plan.n_events
-        kind = np.zeros((Tt, n_slots), dtype=np.int8)
-        cost = np.zeros((Tt, n_slots), dtype=np.float64)
-        line = np.full((Tt, n_slots), -1, dtype=np.int64)
-        miss = np.zeros((Tt, n_slots), dtype=np.float64)
+        rows = plan.scan_rows
+        if rows is None:
+            rows = plan.scan_rows = self._scan_rows(plan)
+        kind_row, cost_row, miss_row, loc_row, shr_row, inval_row = rows
+        kind = kind_row.repeat(Tt, axis=0)
+        cost = cost_row.repeat(Tt, axis=0)
+        line = np.where(kind_row != RE_COST, g.L, -1)
+        miss = miss_row.repeat(Tt, axis=0)
         unc = np.zeros((Tt, n_slots), dtype=np.float64)
-        loc = np.zeros((Tt, n_slots), dtype=bool)
-        shr = np.zeros((Tt, n_slots), dtype=bool)
+        loc = loc_row.repeat(Tt, axis=0)
         fill = np.zeros((Tt, n_slots), dtype=np.float64)
         home = np.zeros((Tt, n_slots), dtype=np.int64)
-        inval = np.zeros((Tt, n_slots), dtype=bool)
-        for i, slot in enumerate(plan.slots):
-            role = slot.role
-            if role == "cr":
-                kind[:, i] = RE_READ
-                line[:, i] = g.lines(i)
-                if slot.shared:
-                    miss[:, i] = g.latency(i, "r", slot.extra)
-                    unc[:, i] = g.latency(i, "u", slot.extra)
-                    loc[:, i] = g.local(i)
-                    shr[:, i] = True
-                else:
-                    miss[:, i] = float(params.local_mem)
-                    loc[:, i] = True
-            elif role == "ur":
-                cost[:, i] = g.latency(i, "u", slot.extra)
-            elif role == "w":
-                cost[:, i] = (g.latency(i, "w", slot.extra) if slot.shared
-                              else float(params.write_local))
-                if slot.cacheable:
-                    kind[:, i] = RE_WRITE
-                    line[:, i] = g.lines(i)
-            else:  # 'pf': out-of-bounds look-aheads degrade to bare issues
-                m = pf_masks[i]
-                kind[:, i] = np.where(m, RE_PF, RE_COST)
-                cost[:, i] = float(params.prefetch_issue)
-                line[:, i] = np.where(m, g.lines(i), -1)
-                if slot.shared:
-                    home[:, i] = g.owners(i)
-                    fill[:, i] = g.latency(i, "r", 0.0)
-                else:
-                    home[:, i] = pe
-                    fill[:, i] = self._lat_table(pe, "r", 0.0)[pe]
-                inval[:, i] = slot.inval
+        extra = plan.extra
+        c = plan.c_crsh
+        if c.size:
+            miss[:, c] = g.latency("r", extra)[:, c]
+            unc[:, c] = g.latency("u", extra)[:, c]
+            loc[:, c] = g.local()[:, c]
+        c = plan.c_ur
+        if c.size:
+            cost[:, c] = g.latency("u", extra)[:, c]
+        c = plan.c_wsh
+        if c.size:
+            cost[:, c] = g.latency("w", extra)[:, c]
+        c = plan.c_pfsh
+        if c.size:
+            home[:, c] = g.owners()[:, c]
+            fill[:, c] = g.latency("r", 0.0)[:, c]
+        c = plan.c_pfpv
+        if c.size:
+            home[:, c] = pe
+            fill[:, c] = self._lat_table(pe, "r", 0.0)[pe]
+        for i, m in g.pf_masks.items():
+            if m is not None:  # out-of-bounds look-aheads: bare issues
+                kind[~m, i] = RE_COST
+                line[~m, i] = -1
         kindF = kind.ravel()
         costF = cost.ravel()
         homeF = home.ravel()
@@ -1518,8 +1531,9 @@ class BatchedInterpreter(Interpreter):
         pre, _ = self._pre_offsets(plan, Tt, None)
         outcome = replay_chunk(
             kindF, pre.ravel(), costF, line.ravel(), miss.ravel(),
-            unc.ravel(), loc.ravel(), shr.ravel(), fill.ravel(), homeF,
-            inval.ravel(), np.tile(np.arange(n_slots), Tt),
+            unc.ravel(), loc.ravel(), shr_row.repeat(Tt, axis=0).ravel(),
+            fill.ravel(), homeF, inval_row.repeat(Tt, axis=0).ravel(),
+            plan.slot_row.repeat(Tt, axis=0).ravel(),
             [s.array for s in plan.slots],
             pe_obj.cache.tags, pe_obj.cache.n_lines, pe_obj.clock,
             plan.tail_const, pe_obj.queue.snapshot(), pe_obj.queue.capacity,
@@ -1532,7 +1546,33 @@ class BatchedInterpreter(Interpreter):
             outcome.counters["dtb_setups"] = dtb_count
         return outcome, new_last, record, dtbF
 
-    def _commit(self, plan: _Plan, pe_obj, g: _Gathers, Tt: int,
+    def _scan_rows(self, plan: _Plan) -> tuple:
+        """Per-slot constants of :meth:`_replay_scan`, each a ``(1, S)``
+        row: event kind, fixed cost (a prefetch issue, a private write),
+        a private read's miss latency and home-locality, the shared-read
+        flag and the invalidate-first flag."""
+        p = self.params
+        kinds, costs, miss, loc, shr, inval = [], [], [], [], [], []
+        for s in plan.slots:
+            role = s.role
+            private_read = role == "cr" and not s.shared
+            kinds.append(RE_READ if role == "cr" else RE_PF if role == "pf"
+                         else RE_WRITE if role == "w" and s.cacheable
+                         else RE_COST)
+            costs.append(float(p.prefetch_issue) if role == "pf"
+                         else float(p.write_local)
+                         if role == "w" and not s.shared else 0.0)
+            miss.append(float(p.local_mem) if private_read else 0.0)
+            loc.append(private_read)
+            shr.append(role == "cr" and s.shared)
+            inval.append(role == "pf" and s.inval)
+        return (np.array([kinds], dtype=np.int8),
+                np.array([costs], dtype=np.float64),
+                np.array([miss], dtype=np.float64),
+                np.array([loc], dtype=bool), np.array([shr], dtype=bool),
+                np.array([inval], dtype=bool))
+
+    def _commit(self, plan: _Plan, pe_obj, g: _Chunk, Tt: int,
                 counters: dict, busy: float, clock: float, stalls,
                 changed_sets: np.ndarray, changed_lines: np.ndarray,
                 record, dtbF, outcome, new_last) -> None:
@@ -1547,20 +1587,17 @@ class BatchedInterpreter(Interpreter):
         scan only: its :class:`~repro.machine.batchops.ReplayOutcome`,
         last prefetch home PE and per-event DTB-setup flags."""
         st = pe_obj.stats
-        slots = plan.slots
         n_reads = len(plan.cached_idx) + len(plan.uncached_idx)
         n_writes = len(plan.write_idx)
-        byp = ulr = urr = rw = 0
-        for i in plan.uncached_idx:
-            if slots[i].bypass:
-                byp += Tt
-            else:
-                nlocal = int(np.count_nonzero(g.local(i)))
-                ulr += nlocal
-                urr += Tt - nlocal
-        for i in plan.write_idx:
-            if slots[i].shared:
-                rw += Tt - int(np.count_nonzero(g.local(i)))
+        byp = Tt * plan.n_bypass
+        ulr = urr = rw = 0
+        c = plan.c_urnb
+        if c.size:
+            ulr = int(np.count_nonzero(g.local()[:, c]))
+            urr = Tt * c.size - ulr
+        c = plan.c_wsh
+        if c.size:
+            rw = Tt * c.size - int(np.count_nonzero(g.local()[:, c]))
         drop_byp = counters.get("pf_drop_bypass", 0)
         st.add_bulk(reads=Tt * n_reads, writes=Tt * n_writes,
                     bypass_reads=byp + drop_byp, uncached_local_reads=ulr,
@@ -1620,7 +1657,7 @@ class BatchedInterpreter(Interpreter):
                 tr.add_counts("pf_drop", c["pf_dropped"])
                 tr.add_counts("invalidate", c["invalidations"])
 
-    def _synth_events(self, plan: _Plan, g: _Gathers, Tt: int, record,
+    def _synth_events(self, plan: _Plan, g: _Chunk, Tt: int, record,
                       dtbF, tr) -> None:
         """Emit a committed chunk's machine events, row-major (iteration,
         slot) — exactly the order the reference interpreter would have
@@ -1638,12 +1675,12 @@ class BatchedInterpreter(Interpreter):
             if role == "pf":
                 # Out-of-bounds look-aheads keep REC_NONE, so their bogus
                 # line is never read.
-                cols.append(("pf", slot.array, g.lines(i).tolist(),
+                cols.append(("pf", slot.array, g.L[:, i].tolist(),
                              record[i::n],
                              dtb_l[i::n] if dtb_l is not None else None))
                 continue
-            flat_l = g.flats[i].tolist()
-            eq_l = g.local(i).tolist() if slot.shared else None
+            flat_l = g.F[:, i].tolist()
+            eq_l = g.local()[:, i].tolist() if slot.shared else None
             if role == "cr":
                 cols.append(("cr", slot.array, flat_l, record[i::n], eq_l))
             elif role == "ur":
@@ -1692,32 +1729,35 @@ class BatchedInterpreter(Interpreter):
                 else:  # private write
                     emit(("write", pe, array, data_l[t], 0, 0))
 
-    def _vector_safe(self, plan: _Plan, flats: List[np.ndarray]) -> bool:
+    def _vector_safe(self, plan: _Plan, F: np.ndarray) -> bool:
         """True when statement-at-a-time gather/scatter reproduces the
         reference's per-iteration execution: every same-array (write, other)
         slot pair is elementwise-identical or fully disjoint, and each write
         slot's addresses are distinct across iterations."""
         for w, j in plan.alias_pairs:
-            wf = flats[w]
-            rf = flats[j]
-            if wf.shape == rf.shape and np.array_equal(wf, rf):
+            wf = F[:, w]
+            rf = F[:, j]
+            if np.array_equal(wf, rf):
                 continue
-            mask = np.zeros(int(max(wf.max(), rf.max())) + 1, dtype=bool)
-            mask[wf] = True
-            if mask[rf].any():
+            lo = min(int(wf.min()), int(rf.min()))
+            mask = np.zeros(max(int(wf.max()), int(rf.max())) - lo + 1,
+                            dtype=bool)
+            mask[wf - lo] = True
+            if mask[rf - lo].any():
                 return False
         for w in plan.write_idx:
-            wf = flats[w]
-            if wf.size > 1 and int(np.bincount(wf).max()) > 1:
+            wf = F[:, w]
+            if wf.size > 1 and int(np.bincount(wf - wf.min()).max()) > 1:
                 return False
         return True
 
     def _vector_value_pass(self, plan: _Plan, env: dict, pe: int,
-                           flats: List[np.ndarray], vecs: dict) -> None:
+                           F: np.ndarray, vecs: dict) -> None:
         """Statement-at-a-time vectorised value pass, plus an epilogue that
         reconstructs the environment/register state the reference
         per-iteration path would have left behind."""
         memory = self.machine.memory
+        flats = F.T  # one row per slot, as the compiled gathers index it
         for op in plan.vec_stmts:
             if op[0] == "arr":
                 _, k, fn, pops = op
@@ -1739,9 +1779,9 @@ class BatchedInterpreter(Interpreter):
             v = vecs[name]
             env[name] = (float(v[-1])
                          if isinstance(v, np.ndarray) and v.ndim else float(v))
-        self._register_residue(plan, pe, flats)
+        self._register_residue(plan, pe, F)
 
-    def _timing_pass(self, plan: _Plan, pe_obj, g: _Gathers, Tt: int,
+    def _timing_pass(self, plan: _Plan, pe_obj, g: _Chunk, Tt: int,
                      const_total: float, row_extra, transfers: list) -> None:
         """Price the chunk with the NumPy classify pass and commit it.
 
@@ -1753,60 +1793,53 @@ class BatchedInterpreter(Interpreter):
             self._protocol_timing_pass(plan, pe_obj, g, Tt, row_extra)
             return
         params = self.params
-        slots = plan.slots
-        n_slots = plan.n_events
+        extra = plan.extra
         # Dense (Tt, n_slots) per-event cost matrix: every slot of a
         # non-prefetch plan is cr/ur/w, so all columns get filled and one
         # matrix sum replaces per-slot reductions (integral costs keep any
         # summation order exact).
-        ev = np.empty((Tt, n_slots), dtype=np.float64)
-        hit_cols: List[Optional[np.ndarray]] = [None] * n_slots
+        ev = np.empty((Tt, plan.n_events), dtype=np.float64)
         hits = misses = lf = 0
         changed_sets = changed_lines = ()
+        lines = hit = None
         tr = self.machine.tracer
         rec = None
         if tr is not None and not tr.counts_only(plan.event_kinds):
-            rec = np.full((Tt, n_slots), REC_NONE, dtype=np.int8)
-        cidx = plan.cached_idx
-        if cidx:
-            ncr = len(cidx)
-            line_mat = np.empty((Tt, ncr), dtype=np.int64)
-            for k, i in enumerate(cidx):
-                line_mat[:, k] = g.lines(i)
-            cls = classify_events(line_mat.reshape(-1),
-                                  pe_obj.cache.n_lines,
+            rec = np.full((Tt, plan.n_events), REC_NONE, dtype=np.int8)
+        c = plan.c_cr
+        if c.size:
+            lines = g.L[:, c]
+            cls = classify_events(lines.reshape(-1), pe_obj.cache.n_lines,
                                   initial_tags=pe_obj.cache.tags)
             changed_sets = cls.changed_sets
             changed_lines = cls.changed_lines
-            hit_mat = (cls.outcomes == OUT_HIT).reshape(Tt, ncr)
-            lat_mat = np.empty((Tt, ncr), dtype=np.float64)
-            eq_mat = np.empty((Tt, ncr), dtype=bool)
-            for k, i in enumerate(cidx):
-                slot = slots[i]
-                hit_cols[i] = hit_mat[:, k]
-                if slot.shared:
-                    lat_mat[:, k] = g.latency(i, "r", slot.extra)
-                    eq_mat[:, k] = g.local(i)
-                else:
-                    lat_mat[:, k] = float(params.local_mem)
-                    eq_mat[:, k] = True  # private data is always home-local
-            hits = int(np.count_nonzero(hit_mat))
-            misses = Tt * ncr - hits
-            lf = int(np.count_nonzero(~hit_mat & eq_mat))
-            lat_mat[hit_mat] = float(params.cache_hit)
-            ev[:, cidx] = lat_mat
+            hit = (cls.outcomes == OUT_HIT).reshape(Tt, c.size)
+            lat = g.latency("r", extra)[:, c]
+            home = g.local()[:, c]
+            k = plan.k_crpv
+            if k.size:  # private data: fixed miss cost, always home-local
+                lat[:, k] = float(params.local_mem)
+                home[:, k] = True
+            hits = int(np.count_nonzero(hit))
+            misses = Tt * c.size - hits
+            lf = int(np.count_nonzero(~hit & home))
+            lat[hit] = float(params.cache_hit)
+            ev[:, c] = lat
             if rec is not None:
-                rec[:, cidx] = np.where(hit_mat, REC_HIT, REC_MISS)
-        for i in plan.uncached_idx:
-            ev[:, i] = g.latency(i, "u", slots[i].extra)
-        for i in plan.write_idx:
-            slot = slots[i]
-            ev[:, i] = (g.latency(i, "w", slot.extra) if slot.shared
-                        else float(params.write_local))
+                rec[:, c] = np.where(hit, REC_HIT, REC_MISS)
+        c = plan.c_ur
+        if c.size:
+            ev[:, c] = g.latency("u", extra)[:, c]
+        c = plan.c_wsh
+        if c.size:
+            ev[:, c] = g.latency("w", extra)[:, c]
+        c = plan.c_wpv
+        if c.size:
+            ev[:, c] = float(params.write_local)
         busy = const_total + float(ev.sum())
-        if transfers:
-            clock, stalls = self._stall_clock(plan, pe_obj, g, Tt, ev,
-                                              hit_cols, row_extra, busy)
+        if transfers and hit is not None:  # only cached-read hits stall
+            clock, stalls = self._stall_clock(plan, pe_obj, lines, hit, Tt,
+                                              ev, row_extra, busy)
         else:
             clock, stalls = pe_obj.clock + busy, ()
         self._commit(plan, pe_obj, g, Tt,
@@ -1816,26 +1849,24 @@ class BatchedInterpreter(Interpreter):
                      record=None if rec is None else rec.ravel().tolist(),
                      dtbF=None, outcome=None, new_last=None)
 
-    def _refill_touched(self, plan: _Plan, cache, g: _Gathers) -> None:
+    def _refill_touched(self, plan: _Plan, cache, g: _Chunk) -> None:
         """Refill every still-resident line the chunk's cacheable reads and
         writes touched from final memory."""
         memory = self.machine.memory
-        shared_lines: Dict[int, np.ndarray] = {}  # by identity, in order
-        for i in plan.cached_idx + plan.write_idx:
-            slot = plan.slots[i]
-            if not slot.cacheable:
-                continue
-            lines = g.lines(i)
-            if slot.shared:
-                shared_lines[id(lines)] = lines
-            else:
-                self._fill_private_lines(cache, lines, slot.base, slot.array,
-                                         g.pe)
-        if shared_lines:
-            cat = np.concatenate(list(shared_lines.values()))
-            lines = np.flatnonzero(np.bincount(cat))  # sorted unique
+        c = plan.c_fill
+        if c.size:
+            lines = g.L[:, c]
+            lo = lines.min()
+            lines = np.flatnonzero(np.bincount((lines - lo).ravel())) + lo
             bulk_fill_lines(cache, lines, memory.values_flat,
                             memory.versions_flat)
+        contents = self.machine._line_contents  # private: zero-padded
+        for i in plan.fill_private:
+            array = plan.slots[i].array
+            for line in np.unique(g.L[:, i]).tolist():
+                s = line % cache.n_lines
+                if cache.tags[s] == line:
+                    cache.data[s], cache.vers[s] = contents(array, line, g.pe)
 
     def _pre_offsets(self, plan: _Plan, Tt: int, row_extra):
         """``(pre, tail)``: the constant cycles charged just before each
@@ -1851,7 +1882,7 @@ class BatchedInterpreter(Interpreter):
             pre[:, 0] += row_extra
         return pre, tail
 
-    def _protocol_timing_pass(self, plan: _Plan, pe_obj, g: _Gathers,
+    def _protocol_timing_pass(self, plan: _Plan, pe_obj, g: _Chunk,
                               Tt: int, row_extra) -> None:
         """:meth:`_timing_pass` for a chunk under a hardware protocol: the
         chunk's events, in program order, through
@@ -1859,15 +1890,13 @@ class BatchedInterpreter(Interpreter):
         rows = plan.protocol_rows
         if rows is None:
             rows = plan.protocol_rows = self._protocol_rows(plan)
-        base_row, kinds, costs = rows
-        addr = (np.stack(g.flats, axis=1) + base_row).ravel()
+        kinds, costs = rows
         pre, tail = self._pre_offsets(plan, Tt, row_extra)
         st = pe_obj.stats
         clock, busy, hits, lf = protocol_scan(
             self.machine.protocol, g.pe, pe_obj.clock, st.busy_cycles,
-            pre.ravel().tolist(), kinds * Tt,
-            (addr // self.params.line_words).tolist(),
-            self.machine.addr_map.owner_plane()[addr].tolist(), costs * Tt)
+            pre.ravel().tolist(), kinds * Tt, g.L.ravel().tolist(),
+            g.owners().ravel().tolist(), costs * Tt)
         n_reads = len(plan.cached_idx)
         n_writes = len(plan.write_idx)
         misses = Tt * n_reads - hits
@@ -1880,23 +1909,22 @@ class BatchedInterpreter(Interpreter):
         self._refill_touched(plan, pe_obj.cache, g)
 
     def _protocol_rows(self, plan: _Plan) -> tuple:
-        """Per-slot constants of :meth:`_protocol_timing_pass`: word-address
-        bases, event kinds (cached reads READ, cacheable shared writes
-        INSTALL, private writes WRITE) and each slot's cost in the scan
-        (a shared read's CRAFT extra, a private miss or write's fixed
-        cost)."""
+        """Per-slot constants of :meth:`_protocol_timing_pass`: event kinds
+        (cached reads READ, cacheable shared writes INSTALL, private writes
+        WRITE) and each slot's cost in the scan (a shared read's CRAFT
+        extra, a private miss or write's fixed cost)."""
         p = self.params
         slots = plan.slots
         return (
-            np.array([s.base for s in slots], dtype=np.int64),
             [READ if s.role == "cr" else INSTALL if s.shared else WRITE
              for s in slots],
             [s.extra if s.shared and s.role == "cr" else 0.0 if s.shared
              else float(p.local_mem if s.role == "cr" else p.write_local)
              for s in slots])
 
-    def _stall_clock(self, plan: _Plan, pe_obj, g: _Gathers, Tt: int,
-                     ev: np.ndarray, hit_cols, row_extra, total: float):
+    def _stall_clock(self, plan: _Plan, pe_obj, lines: np.ndarray,
+                     hit: np.ndarray, Tt: int, ev: np.ndarray, row_extra,
+                     total: float):
         """Final PE clock with vector-transfer stalls resolved.
 
         Replays the reference rule on the flat event stream: a cached-read
@@ -1906,9 +1934,10 @@ class BatchedInterpreter(Interpreter):
         every partial sum exact, so composing segments between stalls
         reproduces the reference's sequential float adds bit-for-bit.
 
-        Covers are computed per cached column — a column whose line range
-        misses every live transfer costs two scalar reductions, and when no
-        column is covered at all the chunk's clock is ``clock0 + total``
+        ``lines`` and ``hit`` are the cached columns' line and hit
+        matrices.  Covers are computed per cached column — a column whose
+        line range misses every live transfer costs no vector op, and when
+        no column is covered at all the chunk's clock is ``clock0 + total``
         exactly (integral costs make both groupings the same float).
         Returns ``(clock, stalls)``, stalls as ordered
         ``(STALL_VECTOR, cycles)`` pairs."""
@@ -1918,27 +1947,19 @@ class BatchedInterpreter(Interpreter):
         # order breaks ties), completed ones included — those shadow any
         # still-in-flight transfer on the lines they cover.
         all_transfers = list(pe_obj.vectors.transfers)
-        mm_cache: dict = {}
-
-        def line_span(lines):
-            span = mm_cache.get(id(lines))
-            if span is None:
-                span = (int(lines.min()), int(lines.max()))
-                mm_cache[id(lines)] = span
-            return span
-
+        spans = list(zip(lines.min(axis=0).tolist(),
+                         lines.max(axis=0).tolist()))
         masks = []
         for ti, t in enumerate(all_transfers):
             if t.completion <= clock0:
                 continue
             parts = []
-            for i in plan.cached_idx:
-                lines = g.lines(i)
-                lmin, lmax = line_span(lines)
+            for k, i in enumerate(plan.cached_idx):
+                lmin, lmax = spans[k]
                 if lmax < t.line_lo or lmin > t.line_hi:
                     continue
-                cover = (lines >= t.line_lo) & (lines <= t.line_hi) \
-                    & hit_cols[i]
+                col = lines[:, k]
+                cover = (col >= t.line_lo) & (col <= t.line_hi) & hit[:, k]
                 for oi, o in enumerate(all_transfers):
                     if o is t:
                         continue
@@ -1946,8 +1967,7 @@ class BatchedInterpreter(Interpreter):
                             or (o.completion == t.completion and oi < ti)):
                         if lmax < o.line_lo or lmin > o.line_hi:
                             continue
-                        cover &= ~((lines >= o.line_lo)
-                                   & (lines <= o.line_hi))
+                        cover &= ~((col >= o.line_lo) & (col <= o.line_hi))
                 rows = np.flatnonzero(cover)
                 if rows.size:
                     parts.append(rows * n_slots + i)
@@ -1992,28 +2012,6 @@ class BatchedInterpreter(Interpreter):
         else:
             clock_final = base + float(C[-1] - base_D) + tail
         return clock_final, stalls
-
-    def _fill_private_lines(self, cache, lines: np.ndarray, base: int,
-                            array: str, pe: int) -> None:
-        """Refill still-resident private lines from the PE's private row,
-        zero-padding words outside the array (mirrors ``_line_contents``)."""
-        memory = self.machine.memory
-        size = memory.decls[array].size
-        row = memory.private_values[array][pe]
-        lw = cache.line_words
-        nl = cache.n_lines
-        for line in np.unique(lines).tolist():
-            ix = line % nl
-            if cache.tags[ix] != line:
-                continue
-            start = line * lw - base
-            lo = max(start, 0)
-            hi = min(start + lw, size)
-            words = np.zeros(lw, dtype=np.float64)
-            if lo < hi:
-                words[lo - start:lo - start + hi - lo] = row[lo:hi]
-            cache.data[ix, :] = words
-            cache.vers[ix, :] = 0
 
     def _lat_table(self, pe: int, kind: str, extra: float) -> np.ndarray:
         key = (pe, kind, extra)

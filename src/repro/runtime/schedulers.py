@@ -8,7 +8,7 @@ earliest-clock rule, which is what a remote fetch&add counter produces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ sweep, which makes long campaigns resumable (``--farm-dir``/
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,7 +41,7 @@ from ..coherence import CCDPConfig, ccdp_transform
 from ..ir.program import Program
 from ..machine.params import t3d
 from ..runtime import SCHEMES, Version
-from .gen import GenChoices, generate_with_choices
+from .gen import generate_with_choices
 from .minimize import minimize_program
 from .safety import verify_transform
 

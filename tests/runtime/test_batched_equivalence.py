@@ -476,9 +476,10 @@ def test_vector_prefetches_are_recorded_as_skips():
     assert result.fallback_reasons["vector_prefetch"] >= issued > 0
 
 
-def _vector_race_program(n=32):
+def _vector_race_program(n=32, read=True):
     """Each PE's preamble vector-prefetches column 1 of ``x`` and its
-    chunk reads that column at once, racing the transfer."""
+    chunk reads that column at once, racing the transfer (``read``), or
+    only writes ``y`` while the transfer is in flight."""
     from repro.ir.stmt import PrefetchVector
 
     b = ir.ProgramBuilder("vector_race")
@@ -490,7 +491,8 @@ def _vector_race_program(n=32):
                 b.assign(b.ref("x", "i", "j"), ir.E("i") * 1.0)
         with b.doall("j", 1, n, align="y") as loop:
             with b.do("i", 1, n):
-                b.assign(b.ref("y", "i", "j"), b.ref("x", "i", 1))
+                b.assign(b.ref("y", "i", "j"),
+                         b.ref("x", "i", 1) if read else ir.E("i") * 2.0)
         loop.preamble.append(PrefetchVector(
             "x", [ir.IntConst(1), ir.IntConst(1)], axis=0, length=n))
     return b.finish()
@@ -534,3 +536,157 @@ def test_pe_clocks_stay_python_floats(monkeypatch, version):
     assert interp.batch_chunks > 0
     if version == Version.CCDP:
         assert stalls, "no chunk raced an in-flight vector transfer"
+
+
+def _stale_free_cases():
+    cases = [(name, version, 1) for name in sorted(PROTOCOL_SIZES)
+             for version in (Version.SEQ, Version.BASE, Version.CCDP)]
+    cases += [(name, version, n_pes) for name in sorted(PROTOCOL_SIZES)
+              for version in Version.PROTOCOL for n_pes in (4, 16)]
+    return cases
+
+
+@pytest.mark.parametrize("name, version, n_pes", _stale_free_cases())
+def test_no_stale_line_around_chunks_without_remote_copies(monkeypatch, name,
+                                                           version, n_pes):
+    """The invariant behind ``_stale_overlap``'s early exit: on a one-PE
+    machine (seq, base and ccdp@1), and under a hardware protocol, no PE
+    ever holds a stale resident line when a batched chunk starts or
+    after it commits.  Only a remote write can leave a copy behind
+    memory, and a protocol's write kills every remote copy."""
+    from repro.coherence import CCDPConfig, ccdp_transform
+    from repro.machine.batchops import stale_lines
+    from repro.workloads import workload
+
+    chunks = []
+
+    def assert_fresh(interp):
+        memory = interp.machine.memory
+        for pe in interp.machine.pes:
+            stale = stale_lines(pe.cache, memory.versions_flat)
+            assert not stale.size, (pe.pe_id, stale[:4])
+
+    def checked(real):
+        def run(self, *args):
+            assert_fresh(self)
+            done = real(self, *args)
+            if done:
+                chunks.append(1)
+                assert_fresh(self)
+            return done
+        return run
+
+    monkeypatch.setattr(BatchedInterpreter, "_exec_chunk",
+                        checked(BatchedInterpreter._exec_chunk))
+    monkeypatch.setattr(BatchedInterpreter, "_exec_fused",
+                        checked(BatchedInterpreter._exec_fused))
+    params = t3d(n_pes, cache_bytes=2048)
+    program = workload(name).build(n=PROTOCOL_SIZES[name])
+    if version == Version.CCDP:
+        program, _ = ccdp_transform(program, CCDPConfig(machine=params))
+    run_program(program, params, version, backend="batched")
+    assert chunks, "no batched chunk ran"
+
+
+@pytest.mark.parametrize("side", ["below", "at"])
+def test_value_pass_crossover_bit_exact(monkeypatch, side):
+    """A non-fused chunk below ``MIN_VECTOR_ITERS`` iterations runs the
+    generated scalar pass and never tries the vector pass; at the
+    crossover it runs the vector pass.  Both stay bit-exact, event
+    stream included."""
+    from repro.runtime import batched
+
+    crossover = batched.MIN_VECTOR_ITERS
+    trips = crossover - 1 if side == "below" else crossover
+    b = ir.ProgramBuilder("crossover")
+    for name in ("a", "b", "c"):
+        b.shared(name, (64,))
+    with b.proc("main"):
+        with b.doall("j", 1, 1, label="init", align="a"):
+            with b.do("i", 1, 64):
+                b.assign(b.ref("a", "i"), ir.E("i") * 1.5)
+                b.assign(b.ref("b", "i"), ir.E("i") + 2.0)
+        # Two loops in one doall body: nothing fuses, each is one chunk.
+        with b.doall("j", 1, 1, label="body", align="c"):
+            with b.do("i", 1, trips):
+                b.assign(b.ref("c", "i"),
+                         b.ref("a", "i") * b.ref("b", "i") + 1.0)
+                b.assign(b.ref("a", "i"), b.ref("c", "i") - 0.5)
+            with b.do("i", 1, 64):
+                b.assign(b.ref("b", "i"), b.ref("b", "i") * 0.5)
+    program = b.finish()
+    ran = []  # (value-pass step, chunk iterations)
+
+    def spy(kind, real, at):
+        def run(self, plan, *args):
+            ran.append((kind, args[at].shape[0]))
+            return real(self, plan, *args)
+        return run
+
+    monkeypatch.setattr(BatchedInterpreter, "_vector_safe",
+                        spy("safe", BatchedInterpreter._vector_safe, 0))
+    monkeypatch.setattr(
+        BatchedInterpreter, "_vector_value_pass",
+        spy("vector", BatchedInterpreter._vector_value_pass, 2))
+    compile_seq = BatchedInterpreter._compile_seq_fn
+
+    def compiling(self, plan, loop, *args):
+        fn = compile_seq(self, plan, loop, *args)
+
+        def seq_fn(values, env, pe):
+            ran.append(("scalar", len(values)))
+            return fn(values, env, pe)
+
+        return seq_fn
+
+    monkeypatch.setattr(BatchedInterpreter, "_compile_seq_fn", compiling)
+    report = compare_backends(program, t3d(1, cache_bytes=1024),
+                              Version.SEQ, trace=True)
+    assert report.exact, report.summary()
+    assert report.trace_events > 0
+    assert ("vector", 64) in ran  # the other loops still vectorise
+    if side == "below":
+        assert ("scalar", trips) in ran
+        assert ("safe", trips) not in ran
+    else:
+        assert ("vector", trips) in ran
+        assert ("scalar", trips) not in ran
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_lines=st.integers(min_value=1, max_value=64))
+def test_chunk_guards_agree_with_isin(data, n_lines):
+    """The per-set stale test and the sorted pending-line test answer
+    exactly what ``np.isin`` would, for random resident tags (at most one
+    line per set), stale subsets, chunk line matrices and queues."""
+    from repro.runtime.batched import _pending_hit, _stale_hit
+
+    line_st = st.integers(min_value=0, max_value=4 * n_lines)
+    tags = data.draw(st.lists(st.integers(min_value=-1, max_value=3),
+                              min_size=n_lines, max_size=n_lines))
+    resident = [k * n_lines + s for s, k in enumerate(tags) if k >= 0]
+    stale = np.array(data.draw(st.lists(st.sampled_from(resident),
+                                        unique=True))
+                     if resident else [], dtype=np.int64)
+    rows = data.draw(st.integers(min_value=1, max_value=6))
+    cols = data.draw(st.integers(min_value=1, max_value=4))
+    lines = np.array(data.draw(st.lists(line_st, min_size=rows * cols,
+                                        max_size=rows * cols)),
+                     dtype=np.int64).reshape(rows, cols)
+    pend = np.array(data.draw(st.lists(line_st, min_size=1, max_size=10)),
+                    dtype=np.int64)
+    if stale.size:
+        assert _stale_hit(stale, lines, n_lines) == \
+            bool(np.isin(lines, stale).any())
+    assert _pending_hit(np.sort(pend), lines) == \
+        bool(np.isin(lines, pend).any())
+
+
+def test_write_only_chunk_with_vector_transfer_in_flight():
+    """A chunk with no cached read has nothing a vector transfer can
+    stall, so it is priced without the stall resolver, bit-exact."""
+    report = compare_backends(_vector_race_program(read=False),
+                              t3d(4, cache_bytes=1024), Version.CCDP,
+                              trace=True)
+    assert report.exact, report.summary()
+    assert report.batch_chunks > 0
