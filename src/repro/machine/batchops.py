@@ -28,10 +28,14 @@ With ``initial_tags=None`` it answers cold-cache questions instead: ``ccdp
 profile`` uses it for a read trace's hit rate, its miss rate under other
 cache sizes, and its most-conflicted sets.
 
-Also here: latency lookup tables (per-owner cost vectors that turn the
-machine's scalar cost model into O(1) list indexing inside scan loops) and
-the bulk cache refill and stale-line helpers used when committing a batched
-chunk's effects back into a :class:`~repro.machine.cache.DirectMappedCache`.
+:func:`commit_run` applies any of these priced runs to the live machine
+(stats, stalls, clock, tags, prefetch state, refill of the touched lines);
+both the batched backend and trace replay end every bulk run in it.
+
+Also here: :func:`latency_table`, the one memoised per-home cost vector
+per ``(pe, kind, extra)`` that turns the machine's scalar cost model into
+O(1) indexing inside scan loops, and the bulk cache refill and stale-line
+helpers the commit and the chunk guards use.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .params import MachineParams
+from .prefetchq import PrefetchEntry
 
 # Event kinds of protocol_scan.
 READ = 0
@@ -435,46 +439,91 @@ def protocol_scan(proto, pe: int, clock: float, busy: float,
     return clock, busy, hits, lf
 
 
+def commit_run(machine, pe: int, deltas: dict, busy: float, clock: float,
+               stalls: Sequence[tuple] = (), tags=None, lines=(),
+               private: Sequence[tuple] = (),
+               scan: Optional[ReplayOutcome] = None,
+               last_prefetch: Optional[int] = None) -> None:
+    """Apply one bulk-priced run of PE ``pe``'s events to the live machine.
+
+    ``deltas`` are the run's :class:`PEStats` counter deltas, ``busy``
+    and ``clock`` the PE's final busy cycles and clock, ``stalls`` the
+    pricer's ordered ``(code, cycles)`` waits (added one at a time, as
+    ``wait_until`` does) and ``tags`` the new tags as ``(sets, lines)``:
+    a diff, or ``slice(None)`` and a scan's full list (None: nothing
+    changed, or a protocol scan wrote them in place).  ``scan``
+    is a prefetch scan's outcome, whose queue, dropped lines and ghost
+    sets go live, with ``last_prefetch`` the home of its last issue.
+    ``lines`` (sorted, distinct, shared) and ``private`` (``(array,
+    lines)`` pairs) are the lines the run touched: those still resident
+    are refilled from final memory, so the caller applies the run's
+    writes first."""
+    pe_obj = machine.pes[pe]
+    st = pe_obj.stats
+    st.add_bulk(**deltas)
+    st.busy_cycles = busy
+    for code, s in stalls:
+        s = float(s)
+        st.idle_cycles += s
+        if code == STALL_VECTOR:
+            st.vector_stall_cycles += s
+        else:
+            st.prefetch_late_cycles += s
+    pe_obj.clock = clock
+    cache = pe_obj.cache
+    if tags is not None:
+        cache.tags[tags[0]] = tags[1]
+    if scan is not None:
+        queue = pe_obj.queue
+        queue.replace_entries(
+            PrefetchEntry(line_addr=ln, array=ar, arrival=arr,
+                          issued_at=isd, home_pe=hm)
+            for (ln, arr, isd, hm, ar) in scan.queue)
+        queue.issued += scan.q_issued
+        queue.dropped += scan.q_dropped
+        if scan.q_hw > queue.high_water:
+            queue.high_water = scan.q_hw
+        pe_obj.dropped_lines = scan.dropped
+        if last_prefetch is not None:
+            pe_obj.last_prefetch_pe = last_prefetch
+    memory = machine.memory
+    if len(lines):
+        bulk_fill_lines(cache, lines, memory.values_flat,
+                        memory.versions_flat)
+    contents = machine._line_contents  # private lines: zero-padded
+    for array, arr_lines in private:
+        for line in arr_lines:
+            s = line % cache.n_lines
+            if cache.tags[s] == line:
+                cache.data[s], cache.vers[s] = contents(array, line, pe)
+    if scan is not None:
+        # Ghost sets (invalidated, tag already -1) keep data frozen at
+        # invalidation time; hazard-free means no later write dirtied
+        # the line, so refilling from final memory reproduces it.
+        for (s, line, array) in scan.ghosts:
+            cache.data[s], cache.vers[s] = contents(array, line, pe)
+
+
 # -- latency tables ----------------------------------------------------------
 
-def read_latency_table(params: MachineParams, torus, pe: int,
-                       extra: float = 0.0) -> List[float]:
-    """Cache-miss read cost per home PE, mirroring ``Machine.read_latency``."""
-    out = []
-    for owner in range(params.n_pes):
-        if owner == pe:
-            out.append(params.local_mem + extra)
-        else:
-            out.append(params.remote_base
-                       + params.remote_per_hop * torus.hops(pe, owner) + extra)
-    return out
-
-
-def write_latency_table(params: MachineParams, torus, pe: int,
-                        extra: float = 0.0) -> List[float]:
-    """Shared-write cost per home PE, mirroring ``Machine.write_latency``."""
-    out = []
-    for owner in range(params.n_pes):
-        if owner == pe:
-            out.append(params.write_local + extra)
-        else:
-            out.append(params.write_remote_base
-                       + params.write_remote_per_hop * torus.hops(pe, owner)
-                       + extra)
-    return out
-
-
-def uncached_read_latency_table(params: MachineParams, torus, pe: int,
-                                extra: float = 0.0) -> List[float]:
-    """Uncached/bypass read cost per home PE (local DRAM vs remote fetch)."""
-    out = []
-    for owner in range(params.n_pes):
-        if owner == pe:
-            out.append(params.uncached_local_read + extra)
-        else:
-            out.append(params.remote_base
-                       + params.remote_per_hop * torus.hops(pe, owner) + extra)
-    return out
+def latency_table(machine, pe: int, kind: str, extra: float = 0.0
+                  ) -> np.ndarray:
+    """Cost per home PE of one access by ``pe``, CRAFT ``extra`` included:
+    ``kind`` "r" is a cache-miss read (``Machine.read_latency``), "w" a
+    shared write (``Machine.write_latency``) and "u" an uncached or bypass
+    read (a local one streams at ``uncached_local_read``).  Memoised on
+    the machine per ``(pe, kind, extra)``; scan loops index it (or its
+    ``tolist()``) instead of the scalar cost model."""
+    key = (pe, kind, extra)
+    table = machine.latency_tables.get(key)
+    if table is None:
+        p = machine.params
+        cost = machine.write_latency if kind == "w" else machine.read_latency
+        table = machine.latency_tables[key] = np.array(
+            [(p.uncached_local_read if kind == "u" and owner == pe
+              else cost(pe, owner)) + extra for owner in range(p.n_pes)],
+            dtype=np.float64)
+    return table
 
 
 # -- bulk cache refill helpers ----------------------------------------------
@@ -488,7 +537,7 @@ def bulk_fill_lines(cache, lines: Sequence[int],
     evicted again before the chunk ended."""
     lw = cache.line_words
     nl = cache.n_lines
-    if len(lines) > 8:
+    if len(lines) > 8:  # NumPy's ~9 us fixed cost pays off near 8 lines
         ln = np.asarray(lines, dtype=np.int64)
         ix = ln % nl
         ok = cache.tags[ix] == ln
@@ -530,6 +579,16 @@ def stale_lines(cache, versions_flat: np.ndarray) -> np.ndarray:
     return lines[mask]
 
 
+def live_stale_lines(machine, pe: int) -> np.ndarray:
+    """:func:`stale_lines` of PE ``pe``'s cache, or none without a scan
+    where no resident copy can be stale: only a remote write leaves a
+    copy behind memory, so never on one PE, and a hardware protocol
+    kills remote copies."""
+    if machine.protocol is not None or len(machine.pes) == 1:
+        return _EMPTY_LINES
+    return stale_lines(machine.pes[pe].cache, machine.memory.versions_flat)
+
+
 __all__ = [
     "READ", "WRITE", "INSTALL",
     "OUT_HIT", "OUT_MISS",
@@ -538,7 +597,6 @@ __all__ = [
     "REC_NONE", "REC_HIT", "REC_EXTRACT", "REC_MISS", "REC_DROP_BYPASS",
     "REC_PF_ISSUE", "REC_PF_COALESCE", "REC_PF_DROP", "REC_KILL_FLAG",
     "EventClassification", "classify_events",
-    "ReplayOutcome", "replay_chunk", "protocol_scan",
-    "read_latency_table", "write_latency_table", "uncached_read_latency_table",
-    "bulk_fill_lines", "stale_lines",
+    "ReplayOutcome", "replay_chunk", "protocol_scan", "commit_run",
+    "latency_table", "bulk_fill_lines", "stale_lines", "live_stale_lines",
 ]

@@ -52,6 +52,8 @@ class Machine:
         self.addr_map = AddressMap(decls, params)
         self.memory = Memory(decls, params)
         self.torus = torus_for(params.n_pes)
+        #: (pe, kind, extra) -> per-home cost vector (batchops.latency_table)
+        self.latency_tables: dict = {}
         self.pes: List[PE] = [PE(i, params) for i in range(params.n_pes)]
         self.stats = MachineStats(per_pe=[pe.stats for pe in self.pes])
         self.on_stale = on_stale

@@ -34,9 +34,10 @@ assignments — and services each whole chunk in two passes:
    matrix per chunk (:class:`_Chunk`: the iterations x slots flat
    matrix, with the line, owner, locality and latency matrices derived
    from it one NumPy op each) and hand their counters, clock, stalls,
-   tag diff and per-event outcome codes to one commit, which refills
-   the touched lines and feeds the tracer through one event
-   synthesizer.
+   tag diff and per-event outcome codes to one commit
+   (:func:`~repro.machine.batchops.commit_run`, which trace replay
+   shares), which refills the touched lines; the tracer is fed
+   through one event synthesizer.
 
 Exactness contract: a committed chunk leaves the machine in *bit-identical*
 state (array values, versions, cache tags/data, per-PE stats, clocks) to
@@ -100,12 +101,9 @@ from ..machine.batchops import (INSTALL, OUT_HIT, RE_COST, RE_PF, RE_READ,
                                 RE_WRITE, READ, REC_EXTRACT, REC_HIT,
                                 REC_KILL_FLAG, REC_MISS, REC_NONE,
                                 REC_PF_COALESCE, REC_PF_ISSUE, STALL_VECTOR,
-                                WRITE, bulk_fill_lines, classify_events,
-                                protocol_scan, read_latency_table,
-                                replay_chunk, stale_lines,
-                                uncached_read_latency_table,
-                                write_latency_table)
-from ..machine.prefetchq import PrefetchEntry
+                                WRITE, classify_events, commit_run,
+                                latency_table, live_stale_lines,
+                                protocol_scan, replay_chunk)
 from .interp import Interpreter, RunResult
 
 #: Minimum chunk size (iterations x memory events) worth the bind overhead.
@@ -131,12 +129,12 @@ class _Slot:
     flat-element affine form; ``dims`` are the 1-based per-dimension forms
     used for bounds checking."""
 
-    __slots__ = ("role", "array", "base", "shared", "bypass", "craft",
-                 "cacheable", "var_coeff", "env_coeffs", "const0",
-                 "dim_checks", "extra", "inval")
+    __slots__ = ("role", "array", "base", "shared", "bypass", "cacheable",
+                 "var_coeff", "env_coeffs", "const0", "dim_checks", "extra",
+                 "inval")
 
     def __init__(self, role: str, array: str, base: int, shared: bool,
-                 bypass: bool, craft: bool, cacheable: bool,
+                 bypass: bool, cacheable: bool,
                  address: AffineForm, dims, shape, var: str,
                  sym_value, extra: float) -> None:
         self.role = role
@@ -144,7 +142,6 @@ class _Slot:
         self.base = base
         self.shared = shared
         self.bypass = bypass
-        self.craft = craft
         self.cacheable = cacheable
         self.var_coeff = address.coeff(var)
         self.env_coeffs = tuple((n, c) for n, c in address.coeffs if n != var)
@@ -376,7 +373,7 @@ class _Chunk:
     def latency(self, kind: str, extra: float) -> np.ndarray:
         lat = self._lat.get((kind, extra))
         if lat is None:
-            table = self.interp._lat_table(self.pe, kind, extra)
+            table = latency_table(self.interp.machine, self.pe, kind, extra)
             lat = self._lat[(kind, extra)] = table[self.owners()]
         return lat
 
@@ -434,7 +431,6 @@ class BatchedInterpreter(Interpreter):
         self._serial_plans: Dict[int, tuple] = {}
         self._doall_plans: Dict[int, Optional[_Plan]] = {}
         self._fused_plans: Dict[int, Optional[tuple]] = {}
-        self._lat: Dict[tuple, np.ndarray] = {}
         #: chunks serviced in bulk / chunks that fell back at bind time
         self.batch_chunks = 0
         self.batch_fallbacks = 0
@@ -673,7 +669,6 @@ class BatchedInterpreter(Interpreter):
     def _compile_plan_inner(self, loop, ctx, outer_ctxs, loop_vars,
                             final_clear) -> _Plan:
         params = self.params
-        cfg = self.config
         for bound in (loop.lower, loop.upper, loop.step):
             if any(isinstance(n, ArrayRef) for n in bound.walk()):
                 raise _Ineligible  # wrapper would double-charge bound reads
@@ -751,8 +746,7 @@ class BatchedInterpreter(Interpreter):
         params = self.params
         if not _integral(params.prefetch_issue):
             raise _Ineligible
-        decl = self.program.array(stmt.ref.array)
-        if not self.config.cache_shared and decl.is_shared:
+        if not self.config.spec.policy(self.program.array(stmt.ref.array))[0]:
             # Disabled shared cache: the reference folds the prefetch into a
             # no-op costing bare issue time, in or out of bounds alike.
             accbox[0] += float(params.prefetch_issue)
@@ -773,17 +767,16 @@ class BatchedInterpreter(Interpreter):
             raise _Ineligible
         extra = float(self.params.craft_shared_ref_overhead) if craft else 0.0
         return _Slot(role, ref.array, self.machine.addr_map.base(ref.array),
-                     decl.is_shared, bypass, craft, cacheable, aref.address,
+                     decl.is_shared, bypass, cacheable, aref.address,
                      aref.dims, decl.shape, var, self.program.sym_value,
                      extra)
 
     def _plan_read(self, ref: ArrayRef, ctx, loop_vars, var, live, slots,
                    const_before, accbox, key_slot, node_slot, reg_ops):
         decl = self.program.array(ref.array)
-        shared = decl.is_shared
-        bypass = shared and ref.mode == RefMode.BYPASS
-        cacheable = (self.config.cache_shared if shared else True) and not bypass
-        craft = self.config.craft_overheads and shared
+        bypass = decl.is_shared and ref.mode == RefMode.BYPASS
+        cacheable, craft, _ = self.config.spec.policy(decl)
+        cacheable = cacheable and not bypass
         key = ref.key()
         promoted = (key in ctx.reads
                     and all(s.free_vars() <= loop_vars for s in ref.subscripts))
@@ -810,9 +803,7 @@ class BatchedInterpreter(Interpreter):
         evictions it causes, ``[(registers, keys), ...]``; the loop's own
         evictions go to ``reg_ops`` in program order."""
         decl = self.program.array(lhs.array)
-        shared = decl.is_shared
-        cacheable = self.config.cache_shared if shared else True
-        craft = self.config.craft_overheads and shared
+        cacheable, craft, _ = self.config.spec.policy(decl)
         slots.append(self._slot_for(lhs, "w", var, False, craft, cacheable))
         const_before.append(accbox[0])
         accbox[0] = 0.0
@@ -1411,12 +1402,10 @@ class BatchedInterpreter(Interpreter):
             self._timing_pass(plan, pe_obj, g, T, plan.const_per_iter * T,
                               None, self._inflight(pe_obj))
             return True
-        tags = np.asarray(outcome.tags, dtype=np.int64)
-        changed = np.flatnonzero(tags != pe_obj.cache.tags)
-        self._commit(plan, pe_obj, g, T, outcome.counters, outcome.busy,
-                     outcome.clock, outcome.stalls, changed, tags[changed],
-                     record=record, dtbF=dtbF, outcome=outcome,
-                     new_last=new_last)
+        self._commit(plan, pe_obj, g, T, outcome.counters,
+                     pe_obj.stats.busy_cycles + outcome.busy, outcome.clock,
+                     outcome.stalls, (slice(None), outcome.tags), record,
+                     dtbF, outcome, new_last)
         return True
 
     def _stale_overlap(self, plan: _Plan, pe_obj, g: _Chunk) -> bool:
@@ -1428,16 +1417,12 @@ class BatchedInterpreter(Interpreter):
         Disjoint stale residue is exact: chunk reads classify against fresh
         lines and the commit refills only chunk lines, leaving the stale
         data bit-identical to what the reference would leave."""
-        machine = self.machine
-        if (not plan.touches_shared_cache or machine.protocol is not None
-                or len(machine.pes) == 1):
-            # No resident line can be stale: only a remote write leaves a
-            # copy behind memory, and a protocol kills remote copies.
+        if not plan.touches_shared_cache:
             return False
-        cache = pe_obj.cache
-        stale = stale_lines(cache, machine.memory.versions_flat)
+        stale = live_stale_lines(self.machine, pe_obj.pe_id)
         if not stale.size:
             return False
+        cache = pe_obj.cache
         # A prefetch slot's out-of-bounds look-aheads map to its base
         # line; a spurious match costs only an exact fallback.
         return _stale_hit(stale, g.L[:, plan.c_stale], cache.n_lines)
@@ -1497,7 +1482,7 @@ class BatchedInterpreter(Interpreter):
         c = plan.c_pfpv
         if c.size:
             home[:, c] = pe
-            fill[:, c] = self._lat_table(pe, "r", 0.0)[pe]
+            fill[:, c] = latency_table(self.machine, pe, "r")[pe]
         for i, m in g.pf_masks.items():
             if m is not None:  # out-of-bounds look-aheads: bare issues
                 kind[~m, i] = RE_COST
@@ -1573,20 +1558,20 @@ class BatchedInterpreter(Interpreter):
                 np.array([inval], dtype=bool))
 
     def _commit(self, plan: _Plan, pe_obj, g: _Chunk, Tt: int,
-                counters: dict, busy: float, clock: float, stalls,
-                changed_sets: np.ndarray, changed_lines: np.ndarray,
-                record, dtbF, outcome, new_last) -> None:
-        """Apply one priced chunk to the live machine.
+                counters: dict, busy: float, clock: float, stalls=(),
+                tags=None, record=None, dtbF=None, outcome=None,
+                new_last=None) -> None:
+        """Count one priced chunk's static events, apply it through
+        :func:`~repro.machine.batchops.commit_run` and feed the tracer.
 
         ``counters`` are the pricer's ``PEStats`` deltas (hits, misses,
-        fills; the scan adds its prefetch counts), ``stalls`` its ordered
-        ``(code, cycles)`` waits, ``changed_sets``/``changed_lines`` the
-        final tag diff and ``record`` the per-event outcome codes (``None``
-        when the tracer is absent or counts-only).  ``outcome`` (queue,
-        dropped lines, ghosts), ``new_last`` and ``dtbF`` come from the
-        scan only: its :class:`~repro.machine.batchops.ReplayOutcome`,
-        last prefetch home PE and per-event DTB-setup flags."""
-        st = pe_obj.stats
+        fills; the scan adds its prefetch counts), ``busy``, ``clock``,
+        ``stalls`` and ``tags`` as ``commit_run`` takes them and
+        ``record`` the per-event outcome codes (``None`` when the tracer
+        is absent or counts-only).  ``outcome``,
+        ``new_last`` and ``dtbF`` come from the scan only: its
+        :class:`~repro.machine.batchops.ReplayOutcome`, last prefetch home
+        PE and per-event DTB-setup flags."""
         n_reads = len(plan.cached_idx) + len(plan.uncached_idx)
         n_writes = len(plan.write_idx)
         byp = Tt * plan.n_bypass
@@ -1596,46 +1581,17 @@ class BatchedInterpreter(Interpreter):
             ulr = int(np.count_nonzero(g.local()[:, c]))
             urr = Tt * c.size - ulr
         c = plan.c_wsh
-        if c.size:
+        if c.size and self.machine.protocol is None:
             rw = Tt * c.size - int(np.count_nonzero(g.local()[:, c]))
         drop_byp = counters.get("pf_drop_bypass", 0)
-        st.add_bulk(reads=Tt * n_reads, writes=Tt * n_writes,
-                    bypass_reads=byp + drop_byp, uncached_local_reads=ulr,
-                    uncached_remote_reads=urr, remote_writes=rw,
-                    busy_cycles=busy, **counters)
-        for code, s in stalls:  # ordered scalar adds, exactly as wait_until
-            s = float(s)
-            st.idle_cycles += s
-            if code == STALL_VECTOR:
-                st.vector_stall_cycles += s
-            else:
-                st.prefetch_late_cycles += s
-        pe_obj.clock = clock
-        cache = pe_obj.cache
-        if len(changed_sets):
-            cache.tags[changed_sets] = changed_lines
-        if outcome is not None:
-            queue = pe_obj.queue
-            queue.replace_entries(
-                PrefetchEntry(line_addr=ln, array=ar, arrival=arr,
-                              issued_at=isd, home_pe=hm)
-                for (ln, arr, isd, hm, ar) in outcome.queue)
-            queue.issued += outcome.q_issued
-            queue.dropped += outcome.q_dropped
-            if outcome.q_hw > queue.high_water:
-                queue.high_water = outcome.q_hw
-            pe_obj.dropped_lines = outcome.dropped
-            if new_last is not None:
-                pe_obj.last_prefetch_pe = new_last
-        self._refill_touched(plan, cache, g)
-        if outcome is not None:
-            # Ghost sets (invalidated, tag already -1) keep data frozen at
-            # invalidation time; hazard-free means no later write dirtied
-            # the line, so refilling from final memory reproduces it.
-            for (s, ln, array) in outcome.ghosts:
-                words, vers = self.machine._line_contents(array, ln, g.pe)
-                cache.data[s] = words
-                cache.vers[s] = vers
+        commit_run(self.machine, g.pe,
+                   dict(counters, reads=Tt * n_reads, writes=Tt * n_writes,
+                        bypass_reads=byp + drop_byp,
+                        uncached_local_reads=ulr, uncached_remote_reads=urr,
+                        remote_writes=rw),
+                   busy, clock, stalls, tags, *self._touched(plan, g),
+                   scan=outcome,
+                   last_prefetch=new_last)
         self.batch_refs += Tt * (n_reads + n_writes)
 
         tr = self.machine.tracer
@@ -1800,8 +1756,7 @@ class BatchedInterpreter(Interpreter):
         # summation order exact).
         ev = np.empty((Tt, plan.n_events), dtype=np.float64)
         hits = misses = lf = 0
-        changed_sets = changed_lines = ()
-        lines = hit = None
+        tags = lines = hit = None
         tr = self.machine.tracer
         rec = None
         if tr is not None and not tr.counts_only(plan.event_kinds):
@@ -1811,8 +1766,7 @@ class BatchedInterpreter(Interpreter):
             lines = g.L[:, c]
             cls = classify_events(lines.reshape(-1), pe_obj.cache.n_lines,
                                   initial_tags=pe_obj.cache.tags)
-            changed_sets = cls.changed_sets
-            changed_lines = cls.changed_lines
+            tags = (cls.changed_sets, cls.changed_lines)
             hit = (cls.outcomes == OUT_HIT).reshape(Tt, c.size)
             lat = g.latency("r", extra)[:, c]
             home = g.local()[:, c]
@@ -1845,28 +1799,21 @@ class BatchedInterpreter(Interpreter):
         self._commit(plan, pe_obj, g, Tt,
                      {"cache_hits": hits, "cache_misses": misses,
                       "local_fills": lf, "remote_fills": misses - lf},
-                     busy, clock, stalls, changed_sets, changed_lines,
-                     record=None if rec is None else rec.ravel().tolist(),
-                     dtbF=None, outcome=None, new_last=None)
+                     pe_obj.stats.busy_cycles + busy, clock, stalls, tags,
+                     None if rec is None else rec.ravel().tolist())
 
-    def _refill_touched(self, plan: _Plan, cache, g: _Chunk) -> None:
-        """Refill every still-resident line the chunk's cacheable reads and
-        writes touched from final memory."""
-        memory = self.machine.memory
+    def _touched(self, plan: _Plan, g: _Chunk) -> tuple:
+        """The lines the chunk's cacheable reads and writes touched, as
+        :func:`~repro.machine.batchops.commit_run` refills them: distinct
+        shared lines, then ``(array, lines)`` per private slot."""
+        lines = ()
         c = plan.c_fill
         if c.size:
             lines = g.L[:, c]
             lo = lines.min()
             lines = np.flatnonzero(np.bincount((lines - lo).ravel())) + lo
-            bulk_fill_lines(cache, lines, memory.values_flat,
-                            memory.versions_flat)
-        contents = self.machine._line_contents  # private: zero-padded
-        for i in plan.fill_private:
-            array = plan.slots[i].array
-            for line in np.unique(g.L[:, i]).tolist():
-                s = line % cache.n_lines
-                if cache.tags[s] == line:
-                    cache.data[s], cache.vers[s] = contents(array, line, g.pe)
+        return lines, [(plan.slots[i].array, np.unique(g.L[:, i]).tolist())
+                       for i in plan.fill_private]
 
     def _pre_offsets(self, plan: _Plan, Tt: int, row_extra):
         """``(pre, tail)``: the constant cycles charged just before each
@@ -1892,21 +1839,16 @@ class BatchedInterpreter(Interpreter):
             rows = plan.protocol_rows = self._protocol_rows(plan)
         kinds, costs = rows
         pre, tail = self._pre_offsets(plan, Tt, row_extra)
-        st = pe_obj.stats
         clock, busy, hits, lf = protocol_scan(
-            self.machine.protocol, g.pe, pe_obj.clock, st.busy_cycles,
+            self.machine.protocol, g.pe, pe_obj.clock,
+            pe_obj.stats.busy_cycles,
             pre.ravel().tolist(), kinds * Tt, g.L.ravel().tolist(),
             g.owners().ravel().tolist(), costs * Tt)
-        n_reads = len(plan.cached_idx)
-        n_writes = len(plan.write_idx)
-        misses = Tt * n_reads - hits
-        st.add_bulk(reads=Tt * n_reads, writes=Tt * n_writes,
-                    cache_hits=hits, cache_misses=misses, local_fills=lf,
-                    remote_fills=misses - lf)
-        st.busy_cycles = busy + tail
-        self.batch_refs += Tt * (n_reads + n_writes)
-        pe_obj.clock = clock + tail
-        self._refill_touched(plan, pe_obj.cache, g)
+        misses = Tt * len(plan.cached_idx) - hits
+        self._commit(plan, pe_obj, g, Tt,
+                     {"cache_hits": hits, "cache_misses": misses,
+                      "local_fills": lf, "remote_fills": misses - lf},
+                     busy + tail, clock + tail)
 
     def _protocol_rows(self, plan: _Plan) -> tuple:
         """Per-slot constants of :meth:`_protocol_timing_pass`: event kinds
@@ -2012,24 +1954,6 @@ class BatchedInterpreter(Interpreter):
         else:
             clock_final = base + float(C[-1] - base_D) + tail
         return clock_final, stalls
-
-    def _lat_table(self, pe: int, kind: str, extra: float) -> np.ndarray:
-        key = (pe, kind, extra)
-        table = self._lat.get(key)
-        if table is None:
-            if kind == "r":
-                raw = read_latency_table(self.params, self.machine.torus, pe,
-                                         extra)
-            elif kind == "w":
-                raw = write_latency_table(self.params, self.machine.torus, pe,
-                                          extra)
-            else:
-                raw = uncached_read_latency_table(self.params,
-                                                  self.machine.torus, pe,
-                                                  extra)
-            table = np.asarray(raw, dtype=np.float64)
-            self._lat[key] = table
-        return table
 
 
 __all__ = ["BatchedInterpreter", "MIN_BATCH_EVENTS"]

@@ -34,7 +34,7 @@ scheme is a one-line registry entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..faults.models import FaultPlan
 
@@ -50,6 +50,18 @@ class SchemeSpec:
     protocol: Optional[str] = None  #: hardware protocol kind, or None
     transformed: bool = False    #: run the CCDP-transformed program
     fuzz: bool = True            #: include in the differential fuzz matrix
+
+    def policy(self, decl) -> Tuple[bool, bool, bool]:
+        """``(cacheable, craft, prefetch_live)`` of one array: may its
+        data live in the D-cache, do its references pay CRAFT costs, and
+        do its prefetch and vector statements run?  Private arrays are
+        cached and CRAFT-free; prefetches of shared data are timing noops
+        when shared data is uncached or a hardware protocol owns the
+        line states."""
+        if not decl.is_shared:
+            return True, False, True
+        return (self.cache_shared, self.craft_overheads,
+                self.cache_shared and self.protocol is None)
 
 
 #: Name -> spec.  Declaration order is presentation order everywhere
@@ -105,29 +117,21 @@ class Backend:
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """Runtime policy knobs derived from the program version."""
+    """Runtime knobs of one run; the scheme policy (shared caching,
+    CRAFT costs, hardware protocol) derives from ``version`` alone."""
 
     version: str = Version.CCDP
-    cache_shared: bool = True
-    craft_overheads: bool = False
     on_stale: str = "record"   #: "record" or "raise"
     backend: str = Backend.REFERENCE  #: "reference" or "batched"
     fault_plan: Optional[FaultPlan] = None  #: seeded fault injection, or None
     oracle: bool = False       #: arm the shadow coherence oracle
     tracer: Optional[object] = None  #: repro.obs.Tracer (machine events)
-    protocol: Optional[str] = None  #: hardware coherence protocol, or None
 
     def __post_init__(self) -> None:
-        spec = SCHEMES.get(self.version)
-        if spec is None:
+        if self.version not in SCHEMES:
             raise ValueError(
                 f"unknown version {self.version!r}; "
                 f"expected one of {scheme_names()}")
-        if self.protocol is None and spec.protocol is not None:
-            # The protocol is a property of the scheme, not a free knob:
-            # fill it from the registry so direct ExecutionConfig(...)
-            # construction agrees with for_version().
-            object.__setattr__(self, "protocol", spec.protocol)
         if self.backend not in Backend.ALL:
             raise ValueError(
                 f"unknown backend {self.backend!r}; "
@@ -149,23 +153,31 @@ class ExecutionConfig:
                 f"{type(self.tracer).__name__} (build one with "
                 f"repro.obs.Tracer)")
 
+    @property
+    def spec(self) -> SchemeSpec:
+        return SCHEMES[self.version]
+
+    @property
+    def cache_shared(self) -> bool:
+        return self.spec.cache_shared
+
+    @property
+    def craft_overheads(self) -> bool:
+        return self.spec.craft_overheads
+
+    @property
+    def protocol(self) -> Optional[str]:
+        return self.spec.protocol
+
     @staticmethod
     def for_version(version: str, on_stale: str = "record",
                     backend: str = Backend.REFERENCE,
                     fault_plan: Optional[FaultPlan] = None,
                     oracle: bool = False,
                     tracer: Optional[object] = None) -> "ExecutionConfig":
-        spec = SCHEMES.get(version)
-        if spec is None:
-            raise ValueError(
-                f"unknown version {version!r}; "
-                f"expected one of {scheme_names()}")
-        return ExecutionConfig(version, cache_shared=spec.cache_shared,
-                               craft_overheads=spec.craft_overheads,
-                               on_stale=on_stale,
-                               backend=backend, fault_plan=fault_plan,
-                               oracle=oracle, tracer=tracer,
-                               protocol=spec.protocol)
+        return ExecutionConfig(version, on_stale=on_stale, backend=backend,
+                               fault_plan=fault_plan, oracle=oracle,
+                               tracer=tracer)
 
 
 __all__ = ["SchemeSpec", "SCHEMES", "scheme_names", "Version", "Backend",

@@ -460,8 +460,7 @@ class Interpreter:
             lhs = stmt.lhs
             decl = self.program.array(lhs.array)
             flat_fn = self._compile_flat_index(lhs)
-            craft = self.config.craft_overheads and decl.is_shared
-            cacheable = self.config.cache_shared if decl.is_shared else True
+            cacheable, craft, _ = self.config.spec.policy(decl)
             array = lhs.array
 
             # Register eviction: spill every promoted value this store may
@@ -587,8 +586,7 @@ class Interpreter:
         strides = decl.strides()
         invalidate = stmt.invalidate_first
         array = ref.array
-        if decl.is_shared and (not self.config.cache_shared
-                               or self.config.protocol is not None):
+        if not self.config.spec.policy(decl)[2]:
             # BASE-style and protocol runs never execute CCDP programs,
             # but guard anyway: prefetching into a disabled cache — or
             # around a hardware protocol that owns the line states — is
@@ -625,8 +623,7 @@ class Interpreter:
         size = decl.size
         array = stmt.array
         invalidate = stmt.invalidate_first
-        if decl.is_shared and (not self.config.cache_shared
-                               or self.config.protocol is not None):
+        if not self.config.spec.policy(decl)[2]:
             def noop(env: dict, pe: int) -> None:
                 machine.pes[pe].advance(params.vector_startup)
 
@@ -715,16 +712,11 @@ class Interpreter:
         raise InterpreterError(f"cannot evaluate {type(expr).__name__}")
 
     def _build_array_read(self, ref: ArrayRef) -> EvalFn:
-        machine = self.machine
         decl = self.program.array(ref.array)
         sub_fns = [self._compile_expr(s) for s in ref.subscripts]
-        shape = decl.shape
-        strides = decl.strides()
-        array = ref.array
-        shared = decl.is_shared
-        bypass = shared and ref.mode == RefMode.BYPASS
-        cacheable = (self.config.cache_shared if shared else True) and not bypass
-        craft = self.config.craft_overheads and shared
+        bypass = decl.is_shared and ref.mode == RefMode.BYPASS
+        cacheable, craft, _ = self.config.spec.policy(decl)
+        cacheable = cacheable and not bypass
 
         # Register promotion: a repeated read of the same element within
         # one iteration costs nothing (the compiler keeps it in a

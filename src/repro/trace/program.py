@@ -2,9 +2,9 @@
 replayable through :class:`~repro.machine.machine.Machine` under any
 scheme in the :data:`~repro.runtime.exec_config.SCHEMES` registry.
 
-The driver mirrors the reference interpreter's per-access policy
-exactly — cacheability, CRAFT overheads and prefetch liveness all
-derive from the target scheme's :class:`SchemeSpec`, so a CCDP trace
+The driver applies the reference interpreter's per-access policy
+exactly — cacheability, CRAFT overheads and prefetch liveness come from
+the target scheme's :meth:`SchemeSpec.policy`, so a CCDP trace
 replayed under ``mesi`` turns its prefetches into the same timing noops
 the interpreter would have compiled, and a BASE trace replayed under
 ``ccdp`` caches the reads the source ran uncached.  Replaying a trace
@@ -22,12 +22,16 @@ timing-noop prefetches of schemes whose prefetch machinery is dead.
 Without a protocol a segment lowers into
 :func:`~repro.machine.batchops.replay_chunk` (hits, misses, write costs
 and vector-transfer stalls against shadow state); under mesi/dir it
-runs :func:`~repro.machine.batchops.protocol_scan`.  Any other op ends
-the segment and runs through :func:`_apply_op`: live line or vector
+runs :func:`~repro.machine.batchops.protocol_scan`.  Either way the
+priced segment goes live through the batched backend's own commit,
+:func:`~repro.machine.batchops.commit_run`, and its costs come from the
+memoised :func:`~repro.machine.batchops.latency_table`.  Any other op
+ends the segment and runs through :func:`_apply_op`: live line or vector
 prefetches, ``extract``/``drop`` hints, explicit invalidations,
 private arrays, reads of a line that was queued or dropped when the
 segment started, and reads or writes of a line that was stale when the
-chunk started.  The rest of the chunk stays in bulk.
+chunk started (:func:`~repro.machine.batchops.live_stale_lines`).  The
+rest of the chunk stays in bulk.
 
 Out of the conformance contract, by design: cycle-class numbers.
 Replayed clocks carry memory-system costs only (the trace records no
@@ -37,16 +41,15 @@ cycles are *comparable between replays*, not equal to the source run's.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..ir.arrays import ArrayDecl
 from ..machine.batchops import (INSTALL, RE_COST, RE_READ, READ, REC_HIT,
-                                REC_MISS, REC_NONE, WRITE, bulk_fill_lines,
-                                protocol_scan, read_latency_table,
-                                replay_chunk, stale_lines,
-                                uncached_read_latency_table,
-                                write_latency_table)
+                                REC_MISS, REC_NONE, WRITE, commit_run,
+                                latency_table, live_stale_lines,
+                                protocol_scan, replay_chunk)
 from ..machine.machine import Machine
 from ..machine.params import MachineParams
 from ..runtime.exec_config import Backend, SCHEMES, scheme_names
@@ -170,25 +173,18 @@ class TraceProgram:
                           protocol=spec.protocol)
         counters = ReplayCounters()
         epochs: List[dict] = []
-        # Per-array policy, mirroring the interpreter's flag derivation.
-        flags: Dict[str, tuple] = {}
-        for decl in self.decls:
-            shared = decl.is_shared
-            flags[decl.name] = (
-                shared,
-                spec.cache_shared if shared else True,        # cacheable
-                spec.craft_overheads and shared,              # craft
-                # prefetch liveness: the interpreter compiles prefetch /
-                # vector statements on shared arrays to timing noops
-                # when shared data is uncached or a hardware protocol
-                # owns coherence.
-                (not shared) or (spec.cache_shared
-                                 and spec.protocol is None),
-                decl.size,
-            )
+        # Per array: (shared, cacheable, craft, prefetch_live, size, base).
+        flags = {decl.name: (decl.is_shared, *spec.policy(decl), decl.size,
+                             machine.addr_map.base(decl.name))
+                 for decl in self.decls}
         bulk = _BulkReplay(machine, spec, flags) \
             if backend == Backend.BATCHED else None
-        state = _ReplayState()
+        # Written values are ``float(n)`` for the n-th write in stream
+        # order: trace events carry no data values, and any deterministic
+        # sequence reproduces the machine's coherence behaviour exactly
+        # (versions, not values, drive staleness).  Both replay paths
+        # draw from this one counter, which keeps them bit-identical.
+        state = itertools.count(1)
         snap = _totals(machine)
         open_epoch: Optional[tuple] = None
         for record in self.records_factory():
@@ -242,25 +238,6 @@ class TraceProgram:
                                  counters=counters)
 
 
-class _ReplayState:
-    """Mutable cross-op replay state: the synthetic write-value counter.
-
-    Written values are ``float(counter)`` in stream order — trace events
-    carry no data values, and any deterministic sequence reproduces the
-    machine's coherence behaviour exactly (versions, not values, drive
-    staleness).  Both replay paths consume the same counter, which is
-    what makes reference and bulk replays bit-identical."""
-
-    __slots__ = ("counter",)
-
-    def __init__(self) -> None:
-        self.counter = 0
-
-    def next_value(self) -> float:
-        self.counter += 1
-        return float(self.counter)
-
-
 def _totals(machine: Machine) -> tuple:
     total = machine.stats.total()
     return (total.reads, total.writes, total.cache_hits,
@@ -268,7 +245,7 @@ def _totals(machine: Machine) -> tuple:
 
 
 def _apply_op(machine: Machine, flags: Dict[str, tuple], pe: int,
-              op: tuple, state: _ReplayState) -> None:
+              op: tuple, state: Iterator[int]) -> None:
     """Apply one replay op through the reference per-access path."""
     kind = op[0]
     try:
@@ -278,7 +255,7 @@ def _apply_op(machine: Machine, flags: Dict[str, tuple], pe: int,
             f"trace references array {op[1]!r} absent from the replay "
             f"declarations ({', '.join(sorted(flags)) or 'none'}); pass "
             f"the workload the trace was recorded from") from None
-    shared, cacheable, craft, pf_live, size = info
+    shared, cacheable, craft, pf_live, size, _ = info
     if (kind == "r" or kind == "w") and not 0 <= op[2] < size:
         raise TraceError(
             f"trace accesses {op[1]}[{op[2]}] but {op[1]} is declared "
@@ -299,7 +276,7 @@ def _apply_op(machine: Machine, flags: Dict[str, tuple], pe: int,
             machine.replay_read(pe, op[1], op[2], use, cacheable=cacheable,
                                 craft=craft)
     elif kind == "w":
-        machine.write(pe, op[1], op[2], state.next_value(),
+        machine.write(pe, op[1], op[2], float(next(state)),
                       cacheable=cacheable, craft=craft)
     elif kind == "p":
         if pf_live:
@@ -341,30 +318,10 @@ class _BulkReplay:
         self.forced = "traced_protocol" if (
             self.proto is not None and machine.tracer is not None) else None
         params = machine.params
-        amap = machine.addr_map
         self.lw = params.line_words
-        self.own = amap.owner_plane().tolist()
+        self.own = machine.addr_map.owner_plane().tolist()
         self.extra = float(params.craft_shared_ref_overhead) \
             if spec.craft_overheads else 0.0
-        #: shared array -> (base, size, cacheable, pf_live)
-        self.pol = {name: (amap.base(name), machine.memory.decls[name].size,
-                           f[1], f[3])
-                    for name, f in flags.items() if f[0]}
-        self._tables: Dict[int, tuple] = {}
-
-    def _costs(self, pe: int) -> tuple:
-        """Per-home (read miss, write, uncached read) costs of one PE,
-        CRAFT extra included; under a protocol the read column is the
-        extra alone (the protocol prices the miss)."""
-        t = self._tables.get(pe)
-        if t is None:
-            m, x = self.machine, self.extra
-            t = self._tables[pe] = (
-                [x] * m.params.n_pes if self.proto is not None
-                else read_latency_table(m.params, m.torus, pe, x),
-                write_latency_table(m.params, m.torus, pe, x),
-                uncached_read_latency_table(m.params, m.torus, pe, x))
-        return t
 
     def _hazards(self, pe_obj, stale: Dict[int, str]) -> Dict[int, str]:
         """Line -> reason for every line a segment read must not touch:
@@ -377,7 +334,7 @@ class _BulkReplay:
         out.update(stale)
         return out
 
-    def chunk(self, pe: int, ops: list, state: "_ReplayState",
+    def chunk(self, pe: int, ops: list, state: Iterator[int],
               counters: ReplayCounters) -> None:
         """Apply one chunk of a PE's ops, segment by segment."""
         machine, flags = self.machine, self.flags
@@ -389,11 +346,16 @@ class _BulkReplay:
             reasons[self.forced] = reasons.get(self.forced, 0) + len(ops)
             return
         pe_obj = machine.pes[pe]
-        stale = dict.fromkeys(stale_lines(
-            pe_obj.cache, machine.memory.versions_flat).tolist(), "stale")
+        stale = dict.fromkeys(live_stale_lines(machine, pe).tolist(), "stale")
         hazard = self._hazards(pe_obj, stale)
-        rcost, wcost, ucost = self._costs(pe)
-        pol, own, lw = self.pol, self.own, self.lw
+        x = self.extra
+        # The read column under a protocol is the CRAFT extra alone: the
+        # protocol prices the miss.
+        rcost = [x] * machine.params.n_pes if self.proto is not None \
+            else latency_table(machine, pe, "r", x).tolist()
+        wcost = latency_table(machine, pe, "w", x).tolist()
+        ucost = latency_table(machine, pe, "u", x).tolist()
+        own, lw = self.own, self.lw
         if self.proto is not None:
             k_read, k_write, k_cost = READ, INSTALL, WRITE
         else:
@@ -409,12 +371,12 @@ class _BulkReplay:
         i0 = 0
         for i, op in enumerate(ops):
             k = op[0]
-            p = pol.get(op[1])
+            p = flags.get(op[1])
             reason = None
-            if p is None:
+            if p is None or not p[0]:
                 reason = "invalidate" if k == "i" else "private"
             elif k == "r" or k == "w":
-                base, size, cacheable, pf_live = p
+                _, cacheable, _, pf_live, size, base = p
                 flat = op[2]
                 addr = base + flat
                 h = own[addr] if 0 <= flat < size else None
@@ -427,8 +389,7 @@ class _BulkReplay:
                     else:
                         add((k_write if cacheable else k_cost, line, h,
                              wcost[h], _S_WLOCAL if h == pe else _S_WREMOTE))
-                        state.counter += 1
-                        writes.append((op[1], flat, state.counter))
+                        writes.append((op[1], flat, next(state)))
                 elif op[3] == "bypass":
                     add((k_cost, -1, h, ucost[h], _S_BYPASS))
                 elif not cacheable:
@@ -465,21 +426,20 @@ class _BulkReplay:
 
     def _commit(self, pe_obj, pe: int, seg: list, events: list,
                 writes: list, counters: ReplayCounters) -> None:
-        """Scan one segment and apply its outcome to the live machine."""
+        """Scan one segment, scatter its writes into memory (and the
+        oracle's shadow) and apply the priced run to the live machine."""
         machine = self.machine
-        cache = pe_obj.cache
         st = pe_obj.stats
         n = len(events)
         kinds, lines, homes, costs, codes = zip(*events)
         n_reads = codes.count(_S_READ)
         tr = machine.tracer
-        record = None
+        record = tags = None
+        stalls = ()
         if self.proto is not None:
             clock, busy, hits, lf = protocol_scan(
                 self.proto, pe, pe_obj.clock, st.busy_cycles, [0] * n,
                 kinds, lines, homes, costs)
-            misses = n_reads - hits
-            rf = misses - lf
         else:
             zeros = [0] * n
             if tr is not None:
@@ -487,36 +447,27 @@ class _BulkReplay:
             out = replay_chunk(
                 kinds, zeros, costs, lines, costs, zeros,
                 [h == pe for h in homes], zeros, zeros, zeros, zeros,
-                zeros, (), cache.tags, cache.n_lines, pe_obj.clock, 0.0,
-                (), 0, (), [(t.line_lo, t.line_hi, t.completion)
-                            for t in pe_obj.vectors.transfers],
+                zeros, (), pe_obj.cache.tags, pe_obj.cache.n_lines,
+                pe_obj.clock, 0.0, (), 0, (),
+                [(t.line_lo, t.line_hi, t.completion)
+                 for t in pe_obj.vectors.transfers],
                 machine.params.cache_hit, 0.0, 0.0, record=record,
                 busy0=st.busy_cycles)
-            c = out.counters
-            clock, busy = out.clock, out.busy
-            hits, misses = c["cache_hits"], c["cache_misses"]
-            lf, rf = c["local_fills"], c["remote_fills"]
-            for _, stall in out.stalls:  # in order, as wait_until adds
-                st.idle_cycles += stall
-                st.vector_stall_cycles += stall
-            cache.tags[:] = out.tags
+            clock, busy, stalls = out.clock, out.busy, out.stalls
+            tags = (slice(None), out.tags)
+            hits, lf = out.counters["cache_hits"], out.counters["local_fills"]
         n_byp = codes.count(_S_BYPASS)
         n_ul = codes.count(_S_ULOCAL)
         n_ur = codes.count(_S_UREMOTE)
-        n_rw = codes.count(_S_WREMOTE)
-        st.reads += n_reads + n_byp + n_ul + n_ur
-        st.writes += len(writes)
-        st.cache_hits += hits
-        st.cache_misses += misses
-        st.local_fills += lf
-        st.remote_fills += rf
-        st.bypass_reads += n_byp
-        st.uncached_local_reads += n_ul
-        st.uncached_remote_reads += n_ur
+        n_all = n_reads + n_byp + n_ul + n_ur
+        misses = n_reads - hits
+        deltas = {"reads": n_all, "writes": len(writes), "cache_hits": hits,
+                  "cache_misses": misses, "local_fills": lf,
+                  "remote_fills": misses - lf, "bypass_reads": n_byp,
+                  "uncached_local_reads": n_ul,
+                  "uncached_remote_reads": n_ur}
         if self.proto is None:
-            st.remote_writes += n_rw
-        st.busy_cycles = busy
-        pe_obj.clock = clock
+            deltas["remote_writes"] = codes.count(_S_WREMOTE)
         memory = machine.memory
         oracle = machine.oracle
         if writes:
@@ -532,13 +483,12 @@ class _BulkReplay:
         if oracle is not None:
             # Segment reads touch no stale line, so each returns the
             # shadow value: checked without a per-value comparison.
-            oracle.checked_reads += n_reads + n_byp + n_ul + n_ur
+            oracle.checked_reads += n_all
             oracle.checked_writes += len(writes)
         touched = set(lines)
         touched.discard(-1)
-        if touched:
-            bulk_fill_lines(cache, sorted(touched), memory.values_flat,
-                            memory.versions_flat)
+        commit_run(machine, pe, deltas, busy, clock, stalls, tags,
+                   sorted(touched))
         if tr is not None:
             self._emit(tr, pe, seg, record, homes)
         counters.bulk_ops += n

@@ -36,6 +36,39 @@ class TestRegistryDerivations:
         assert cfg.protocol == "mesi"
         assert ExecutionConfig(version=Version.CCDP).protocol is None
 
+    @pytest.mark.parametrize("version", tuple(SCHEMES))
+    def test_direct_config_runs_like_for_version(self, version):
+        # Shared caching, CRAFT costs and the protocol follow the scheme
+        # however the config is built: ExecutionConfig(version="base")
+        # once ran with cached shared data and no CRAFT costs.
+        from repro.machine.params import t3d
+        from repro.runtime import make_interpreter
+        from repro.workloads import workload
+        program = workload("mxm").build(n=8)
+        params = t3d(1 if version == "seq" else 4)
+        direct = make_interpreter(program, params,
+                                  ExecutionConfig(version=version)).run()
+        factory = run_program(program, params, version)
+        assert direct.elapsed == factory.elapsed
+        assert direct.machine.stats.as_dict() == \
+            factory.machine.stats.as_dict()
+        assert [p.stats for p in direct.machine.pes] == \
+            [p.stats for p in factory.machine.pes]
+
+    def test_policy_per_array(self):
+        from repro.ir.arrays import REPLICATED, ArrayDecl
+        shared = ArrayDecl("a", (8,))
+        private = ArrayDecl("b", (8,), dist=REPLICATED)
+        assert shared.is_shared and not private.is_shared
+        for name, spec in SCHEMES.items():
+            assert spec.policy(private) == (True, False, True), name
+            assert spec.policy(shared) == (
+                spec.cache_shared, spec.craft_overheads,
+                spec.cache_shared and spec.protocol is None), name
+        assert SCHEMES["base"].policy(shared) == (False, True, False)
+        assert SCHEMES["ccdp"].policy(shared) == (True, False, True)
+        assert SCHEMES["mesi"].policy(shared) == (True, False, False)
+
     def test_fuzz_matrix_derives_from_registry(self):
         from repro.verify.fuzz import COHERENT_FUZZ, FUZZ_VERSIONS
         assert FUZZ_VERSIONS == tuple(n for n, s in SCHEMES.items() if s.fuzz)
