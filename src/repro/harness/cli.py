@@ -49,7 +49,7 @@ from ..faults import FaultPlanError, parse_fault_plan, PRESETS
 from ..ir.printer import format_program
 from ..ir.validate import ValidationError
 from ..machine.params import t3d
-from ..runtime import Backend, Version, run_program
+from ..runtime import SCHEMES, Backend, Version, run_program
 from ..workloads import all_workloads, workload
 from . import progcache
 from .experiment import PAPER_PE_COUNTS, ExperimentRunner
@@ -516,9 +516,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                          f"has PEs 0..{n_pes - 1}")
         spec, program = _workload_program(parser, args.workload, args)
         params = t3d(n_pes, cache_bytes=SCALED_CACHE_BYTES)
-        if args.version == Version.CCDP:
-            transformed, _ = ccdp_transform(program, CCDPConfig(machine=params))
-            program = transformed
+        if SCHEMES[args.version].transformed:
+            program, _ = ccdp_transform(program, CCDPConfig(machine=params))
         interp = Interpreter(program, params,
                              ExecutionConfig.for_version(args.version),
                              trace_reads=True)
@@ -556,7 +555,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         spec, program = _workload_program(parser, args.workload, args)
         n_pes = args.pes
         params = t3d(n_pes, cache_bytes=SCALED_CACHE_BYTES)
-        if args.version == Version.CCDP:
+        if SCHEMES[args.version].transformed:
             program, _ = ccdp_transform(program, CCDPConfig(machine=params))
         kinds = [k.strip() for k in args.trace_events.split(",")
                  if k.strip()] or None

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, List, Optional
 import numpy as np
 
 from ..machine.params import MachineParams
-from ..runtime.exec_config import ExecutionConfig, Version
+from ..runtime.exec_config import SCHEMES, ExecutionConfig
 from ..runtime.interp import RunResult, make_interpreter
 
 if TYPE_CHECKING:
@@ -128,17 +128,18 @@ def check_workload(name: str, params: MachineParams, version: str,
                    oracle: bool = False, transform: Optional[bool] = None,
                    ccdp_overrides: Optional[dict] = None,
                    trace: bool = False, **size_args) -> EquivalenceReport:
-    """Build workload ``name``; CCDP-transform it when ``version`` is
-    ``ccdp`` (or ``transform`` forces it either way — e.g. to exercise
-    the prefetch instructions the transform inserts under SEQ/BASE
-    semantics); then :func:`compare_backends`.  ``ccdp_overrides`` are
-    passed to :class:`CCDPConfig` (``enable_vpg=False`` steers the
-    scheduler to line prefetches, the batched replay path's diet)."""
+    """Build workload ``name``; CCDP-transform it when ``version``'s
+    scheme runs the transformed program (or ``transform`` forces it
+    either way — e.g. to exercise the prefetch instructions the
+    transform inserts under SEQ/BASE semantics); then
+    :func:`compare_backends`.  ``ccdp_overrides`` are passed to
+    :class:`CCDPConfig` (``enable_vpg=False`` steers the scheduler to
+    line prefetches, the batched replay path's diet)."""
     from ..coherence import CCDPConfig, ccdp_transform
     from ..workloads import workload
 
     program = workload(name).build(**size_args)
-    if transform if transform is not None else version == Version.CCDP:
+    if transform if transform is not None else SCHEMES[version].transformed:
         config = CCDPConfig(machine=params).with_(**(ccdp_overrides or {}))
         program, _ = ccdp_transform(program, config)
     return compare_backends(program, params, version, on_stale,

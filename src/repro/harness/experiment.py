@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..coherence import CCDPReport
 from ..machine.params import MachineParams, t3d
-from ..runtime import Version, run_program
+from ..runtime import SCHEMES, Version, run_program
 from ..workloads.base import WorkloadSpec, check_result
 from . import progcache
 
@@ -145,7 +145,7 @@ class ExperimentRunner:
                     backend: str = "reference",
                     fault_plan=None, oracle: bool = False) -> RunRecord:
         report: Optional[CCDPReport] = None
-        if version == Version.CCDP:
+        if SCHEMES[version].transformed:
             program, report = self.ccdp_program(n_pes)
         else:
             program = self.program

@@ -8,9 +8,10 @@ counter tracks) and barrier instants for ``chrome://tracing`` /
 https://ui.perfetto.dev — the machine clock (cycles) is mapped onto the
 microsecond timestamp axis.
 
-The JSONL codec is exact: lines are assembled from per-kind plans, yet
-byte-identical to ``json.dumps`` of the normalized record, and decoded
-to exactly what ``event_from_dict(json.loads(line))`` gives.
+The JSONL codec is exact: lines are written by one generated encoder
+per event kind, yet byte-identical to ``json.dumps`` of the normalized
+record, and decoded block by block to exactly what
+``event_from_dict(json.loads(line))`` gives.
 """
 
 from __future__ import annotations
@@ -50,38 +51,56 @@ def _encode_value(value) -> str:
     return _ENCODER.encode(normalize_value(value))
 
 
-#: exact encoders of the two types nearly every field has; any other
-#: type (bool, float, NumPy scalar) is normalized first
-_VALUE_ENCODERS = {int: int.__repr__, str: encode_basestring_ascii}
+def _width_error(event: tuple, width: int) -> ValueError:
+    return ValueError(f"{event[0]} event has {len(event) - 1} fields, "
+                      f"schema wants {width - 1}: {event!r}")
 
 
-def _encode_plan(fields: Tuple[str, ...]):
-    """(width, %-template with the keys in sorted order, picker of the
-    tuple's values in that order) for one event kind."""
-    names = ("ev",) + fields
-    order = sorted(range(len(names)), key=names.__getitem__)
-    template = "{%s}" % ",".join(
-        f"{encode_basestring_ascii(names[i])}:%s" for i in order)
-    return len(names), template, itemgetter(*order)
+def _make_encoder(kind: str):
+    """Generate the line encoder of one event kind: unpack the tuple,
+    write each value in sorted key order, a plain ``int`` or ``str``
+    inline and any other type through :func:`_encode_value`."""
+    fields = EVENT_FIELDS[kind]
+    args = {key: f"v{i}" for i, key in enumerate(fields)}
+    parts = []
+    for i, key in enumerate(sorted(("ev",) + fields)):
+        prefix = ("," if i else "{") + encode_basestring_ascii(key) + ":"
+        arg = args.get(key)
+        if arg is None:                       # "ev": the kind itself
+            parts.append(repr(prefix + encode_basestring_ascii(kind)))
+        else:
+            parts.append(repr(prefix))
+            parts.append(f"f'{{{arg} if type({arg}) is int else "
+                         f"_str({arg}) if type({arg}) is str else "
+                         f"_value({arg})}}'")
+    parts.append("'}'")
+    src = (f"def _encode_event(event):\n"
+           f"    try:\n"
+           f"        _, {', '.join(args.values())}, = event\n"
+           f"    except ValueError:\n"
+           f"        raise _width_error(event, {len(fields) + 1}) from None\n"
+           f"    return ({' '.join(parts)})\n")
+    ns = {"_str": encode_basestring_ascii, "_value": _encode_value,
+          "_width_error": _width_error}
+    exec(compile(src, f"<jsonl-encoder-{kind}>", "exec"), ns)
+    return ns["_encode_event"]
 
 
-_ENCODE_PLANS = {kind: _encode_plan(fields)
-                 for kind, fields in EVENT_FIELDS.items()}
+class _Encoders(dict):
+    """kind -> generated line encoder, each built on its first use."""
+
+    def __missing__(self, kind):
+        encoder = self[kind] = _make_encoder(kind)
+        return encoder
+
+
+_ENCODERS = _Encoders()
 
 
 def _encode(events: Iterable[tuple]) -> List[str]:
     """The normalized JSONL line of each event (no newlines)."""
-    plans, encoder_for = _ENCODE_PLANS, _VALUE_ENCODERS.get
-    lines = []
-    for event in events:
-        width, template, pick = plans[event[0]]
-        if len(event) != width:
-            raise ValueError(f"{event[0]} event has {len(event) - 1} "
-                             f"fields, schema wants {width - 1}: {event!r}")
-        lines.append(template % tuple([
-            encoder_for(type(value), _encode_value)(value)
-            for value in pick(event)]))
-    return lines
+    encoders = _ENCODERS
+    return [encoders[event[0]](event) for event in events]
 
 
 def event_to_json(event: tuple) -> str:
@@ -130,40 +149,94 @@ _RECORD_PLANS = {kind: (frozenset(("ev",) + fields),
                         itemgetter("ev", *fields))
                  for kind, fields in EVENT_FIELDS.items()}
 
+#: bytes of whole lines :func:`iter_jsonl` decodes at once; larger
+#: blocks buy little speed and raise peak memory
+READ_BLOCK = 32 * 1024
+
+
+def _decode_line(raw: bytes):
+    """The event of one ``\\n``-ended line, ``None`` for a blank one."""
+    line = raw.decode("utf-8")
+    try:
+        record, end = _scan_once(line, 0)
+        whole = line[end:] == "\n" or \
+            _whitespace(line, end).end() == len(line)
+    except (StopIteration, ValueError):
+        whole = False
+    if not whole:
+        if line.isspace():
+            return None
+        record = json.loads(line.removesuffix("\n"))
+    kind = record.get("ev") if type(record) is dict else None
+    plan = _RECORD_PLANS.get(kind) if type(kind) is str else None
+    if plan is not None and record.keys() == plan[0]:
+        return plan[1](record)
+    return event_from_dict(record)
+
+
+def _decode_block(lines: List[bytes]) -> Optional[List[tuple]]:
+    """The events of whole lines, by one ``json.loads`` of them joined
+    into an array, or ``None`` when the block must go line by line.
+
+    Every line must start with ``{`` and the block hold no ``[``: a
+    comma then sits before a ``{`` only at the array's top level, so
+    each joining comma separates two values, and one object per line
+    means each line is exactly one JSON value -- what ``json.loads``
+    of the line alone accepts.  Every record must then have its kind's
+    key set.  Strict UTF-8, unlike ``json.loads`` of bytes, rejects
+    what the per-line decode rejects."""
+    block = b",".join(lines)
+    if block[:1] != b"{" or b"[" in block or \
+            block.count(b"\n,{") != len(lines) - 1:
+        return None
+    try:
+        records = json.loads((b"[" + block + b"]").decode("utf-8"))
+    except (ValueError, RecursionError):    # the array nests one deeper
+        return None
+    if len(records) != len(lines):
+        return None
+    # A record whose width is its kind's and that holds every key of
+    # it has exactly its key set.  A missing or unknown kind, or one
+    # of another JSON type, raises KeyError; an object, TypeError.
+    plans, events = _RECORD_PLANS, []
+    try:
+        for record in records:
+            keys, get = plans[record["ev"]]
+            if len(record) != len(keys):
+                return None
+            events.append(get(record))
+    except (KeyError, TypeError):
+        return None
+    return events
+
 
 def iter_jsonl(path: PathLike) -> Iterator[Tuple[int, tuple]]:
     """Stream ``(lineno, event)`` pairs from a JSONL trace.
 
-    One line at a time, so the whole trace is never resident.  Lines end
-    at ``\\n``; blank lines are skipped.  Each line yields exactly
-    ``event_from_dict(json.loads(line))``: the C scanner behind
-    ``json.loads`` is called directly, and a line it does not consume
-    whole (leading whitespace, or an error) goes to ``json.loads``
-    itself.  A malformed line raises :class:`JSONLError`."""
-    plans = _RECORD_PLANS
+    Block by block, :data:`READ_BLOCK` bytes of whole lines at a time,
+    so the whole trace is never resident.  Lines end at ``\\n``; blank
+    lines are skipped.  Each line yields exactly
+    ``event_from_dict(json.loads(line))``.  A block of one object per
+    line is decoded by one ``json.loads``; any other block goes line by
+    line, through the C scanner behind ``json.loads`` and, for a line it
+    does not consume whole (leading whitespace, or an error),
+    ``json.loads`` itself.  A malformed line raises :class:`JSONLError`."""
+    lineno = 0
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                line = raw.decode("utf-8")
+        while lines := fh.readlines(READ_BLOCK):
+            events = _decode_block(lines)
+            if events is not None:
+                yield from enumerate(events, lineno + 1)
+                lineno += len(lines)
+                continue
+            for raw in lines:
+                lineno += 1
                 try:
-                    record, end = _scan_once(line, 0)
-                    whole = line[end:] == "\n" or \
-                        _whitespace(line, end).end() == len(line)
-                except (StopIteration, ValueError):
-                    whole = False
-                if not whole:
-                    if line.isspace():
-                        continue
-                    record = json.loads(line.removesuffix("\n"))
-                kind = record.get("ev") if type(record) is dict else None
-                plan = plans.get(kind) if type(kind) is str else None
-                if plan is not None and record.keys() == plan[0]:
-                    event = plan[1](record)
-                else:
-                    event = event_from_dict(record)
-            except ValueError as exc:
-                raise JSONLError(path, lineno, exc) from None
-            yield lineno, event
+                    event = _decode_line(raw)
+                except ValueError as exc:
+                    raise JSONLError(path, lineno, exc) from None
+                if event is not None:
+                    yield lineno, event
 
 
 def read_jsonl(path: PathLike) -> List[tuple]:

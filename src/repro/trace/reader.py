@@ -192,8 +192,9 @@ def read_text_records(path, *, chunk_ops: int = DEFAULT_CHUNK_OPS,
 def read_jsonl_events(path) -> Iterator[Tuple[int, tuple]]:
     """Stream ``(lineno, event)`` pairs from a normalized JSONL trace.
 
-    Line-by-line — the whole trace is never resident.  Malformed lines
-    raise :class:`TraceError` with the file:line position.
+    Block by block (:func:`repro.obs.export.iter_jsonl`) — the whole
+    trace is never resident.  Malformed lines raise :class:`TraceError`
+    with the file:line position.
     """
     try:
         yield from iter_jsonl(path)

@@ -107,7 +107,7 @@ def check_program(program: Program, n_pes: int = DEFAULT_PES,
     stale: Dict[str, int] = {}
     trace_events = 0
     for version in FUZZ_VERSIONS:
-        prog_v = transformed if version == Version.CCDP else program
+        prog_v = transformed if SCHEMES[version].transformed else program
         # Harness convention: the sequential baseline runs on one PE
         # (a multi-PE "seq" run is just an untransformed cached run —
         # i.e. naive — and stale by design).

@@ -413,8 +413,11 @@ def verify_structural(program: Program, version: str) -> SafetyReport:
 def verify_program(program: Program, version: str = "ccdp",
                    config=None) -> SafetyReport:
     """Verify one source program under one version's coherence contract,
-    running the CCDP transform first when the version demands it."""
-    if version == "ccdp":
+    running the CCDP transform first when the version's scheme runs the
+    transformed program."""
+    from ..runtime.exec_config import SCHEMES
+
+    if SCHEMES[version].transformed:
         from ..coherence.config import CCDPConfig
         from ..coherence.driver import ccdp_transform
 

@@ -3,6 +3,8 @@ normalisation guarantees the golden snapshots depend on, and the JSONL
 codec's exactness against plain ``json.dumps`` / ``json.loads``."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +262,16 @@ PARITY_CORPUS = {
     "escaped unicode": '{"array":"\\u00e9\\ud83d\\ude00","ev":"pf_complete",'
                        '"flat":1,"pe":0}\n',
     "form feed line": f"\x0c\n{_GOOD}\n",
+    # joined by commas, lines 1-2 are one valid object; line 3 brings
+    # the object count back to the line count
+    "object split over two lines, compensated":
+        f'{{"ev":"barrier"\n"time":5}}\n{_GOOD},{_GOOD}\n',
+    # joined, line 1's array swallows line 2 (a barrier whose time is a
+    # list); line 4 makes up the missing object
+    "nested array spanning lines":
+        f'{{"ev":"barrier","time":[5\n{_GOOD}]}}\n{_GOOD}\n{_GOOD},{_GOOD}\n',
+    # valid as two array elements, not as one line
+    "two comma-separated objects on one line": f"{_GOOD}\n{_GOOD},{_GOOD}\n",
 }
 
 
@@ -288,3 +300,61 @@ def test_decoder_parity_fuzz(tmp_path_factory, lines):
     path = tmp_path_factory.mktemp("parity") / "t.jsonl"
     path.write_bytes("\n".join(lines).encode("utf-8"))
     _assert_parity(path)
+
+
+# -- block decode: cases only a decoder of many lines at once could miss -------
+
+_BAD = '{"ev":"barrier","tine":5}'          # as long as _GOOD, wrong key
+
+
+def test_decoder_rejects_encoded_surrogate(tmp_path):
+    """``json.loads`` of bytes would let an encoded surrogate pass."""
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(f"{_GOOD}\n".encode()
+                     + b'{"array":"\xed\xa0\x80","ev":"pf_complete",'
+                     b'"flat":1,"pe":0}\n' + f"{_GOOD}\n".encode())
+    _assert_parity(path)
+
+
+def _blocks(path):
+    """Line counts of the blocks :func:`iter_jsonl` reads."""
+    from repro.obs.export import READ_BLOCK
+    with open(path, "rb") as fh:
+        return [len(lines) for lines in iter(
+            lambda: fh.readlines(READ_BLOCK), [])]
+
+
+def test_decoder_parity_across_blocks(tmp_path):
+    """A trace of several blocks: a blank line opening the second
+    block, a bad line inside the third; errors name their own line."""
+    from repro.obs.export import READ_BLOCK
+    path = tmp_path / "t.jsonl"
+    lines = [_GOOD] * (4 * READ_BLOCK // len(_GOOD))
+    path.write_text("\n".join(lines) + "\n")
+    first = _blocks(path)[0]
+    lines[first] = ""
+    path.write_text("\n".join(lines) + "\n")
+    sizes = _blocks(path)
+    assert sizes[0] == first and len(sizes) >= 4
+    bad = sum(sizes[:2]) + sizes[2] // 2
+    lines[bad] = _BAD
+    path.write_text("\n".join(lines) + "\n")
+    assert _blocks(path) == sizes
+    _assert_parity(path)
+    with pytest.raises(JSONLError,
+                       match=f"^{re.escape(str(path))}:{bad + 1}: ") as info:
+        read_jsonl(path)
+    assert info.value.lineno == bad + 1
+
+
+GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.jsonl"))
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.name)
+def test_golden_round_trip(path):
+    """Real traces of several blocks each: decoded like per-line
+    ``json.loads``, and re-encoded to the same bytes."""
+    want, error = _reference(path)
+    assert error is None and len(GOLDEN) == 8 and len(_blocks(path)) > 1
+    assert list(iter_jsonl(path)) == want
+    assert events_to_jsonl(read_jsonl(path)).encode() == path.read_bytes()

@@ -4,8 +4,8 @@ hard-coded copies anywhere."""
 
 import pytest
 
-from repro.runtime import (SCHEMES, ExecutionConfig, Version, run_program,
-                           scheme_names)
+from repro.runtime import (SCHEMES, ExecutionConfig, SchemeSpec, Version,
+                           run_program, scheme_names)
 
 
 class TestRegistryDerivations:
@@ -126,3 +126,70 @@ class TestValidationErrors:
 
     def test_scheme_names_is_presentation_order(self):
         assert scheme_names() == ", ".join(SCHEMES)
+
+
+class TestTransformedFlag:
+    """``SchemeSpec.transformed`` alone decides who runs the CCDP
+    program: a scheme registered with it runs the transformed program
+    at every entry point, exactly as ccdp does."""
+
+    NAME = "transformed-scratch"
+
+    @pytest.fixture(autouse=True)
+    def scratch_scheme(self, monkeypatch):
+        # naive's policy plus the transform is ccdp's scheme, renamed
+        monkeypatch.setitem(SCHEMES, self.NAME, SchemeSpec(
+            self.NAME, "ccdp under another name", transformed=True))
+
+    def test_experiment_run_version(self):
+        from repro.harness.experiment import ExperimentRunner
+        from repro.workloads import workload
+
+        runner = ExperimentRunner(workload("mxm"), {"n": 8})
+        got = runner.run_version(self.NAME, 4)
+        want = runner.run_version(Version.CCDP, 4)
+        assert got.ccdp_report is not None and got.correct
+        assert (got.elapsed, got.stats) == (want.elapsed, want.stats)
+        assert got.stats["vector_prefetches"] > 0
+        assert runner.run_version(Version.NAIVE, 4).stats[
+            "vector_prefetches"] == 0
+
+    def test_equivalence_helper(self):
+        from repro.harness.equivalence import check_workload
+        from repro.machine import t3d
+
+        got = check_workload("mxm", t3d(4), self.NAME, n=8)
+        want = check_workload("mxm", t3d(4), Version.CCDP, n=8)
+        assert got.exact
+        assert got.stats_batched == want.stats_batched
+        assert got.stats_batched["vector_prefetches"] > 0
+
+    def test_fuzz_program_choice(self, monkeypatch):
+        from repro.harness import equivalence
+        from repro.verify import fuzz
+        from repro.verify.gen import generate_program
+
+        ran = {}
+        compare = equivalence.compare_backends
+
+        def spy(program, params, version, *args, **kwargs):
+            ran[version] = program
+            return compare(program, params, version, *args, **kwargs)
+
+        monkeypatch.setattr(equivalence, "compare_backends", spy)
+        monkeypatch.setattr(fuzz, "FUZZ_VERSIONS",
+                            fuzz.FUZZ_VERSIONS + (self.NAME,))
+        program = generate_program(0)
+        assert fuzz.check_program(program) == []
+        assert ran[self.NAME] is ran[Version.CCDP]
+        assert ran[Version.NAIVE] is program
+
+    def test_verify_program(self):
+        from repro.verify.safety import verify_program
+        from repro.workloads import workload
+
+        program = workload("mxm").build(n=8)
+        got = verify_program(program, self.NAME)
+        assert got.ok and got.obligations > 0
+        assert got.obligations == verify_program(program, "ccdp").obligations
+        assert verify_program(program, Version.NAIVE).obligations == 0
