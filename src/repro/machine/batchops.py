@@ -7,13 +7,16 @@ array operations using a *shifted comparison*: sort reads by cache set
 previous line of its set-run, or the set's initial resident line at the
 start of a run.  No Python loop.
 
-:func:`replay_chunk` is the prefetch replay engine: an exact, allocation-free
-scan over one batched chunk's pre-classified events that reproduces the
-reference machine's prefetch semantics — invalidate-before-prefetch, queue
-occupancy/coalescing/reclaim, capacity-drop → bypass-fetch degradation
-(paper rule 2), extract-vs-late arrival stalls and vector-transfer stalls —
-without touching the live machine.  The batched runtime commits its outcome
-wholesale, or discards it untouched when the scan flags a hazard.
+:func:`replay_chunk` is the prefetch replay engine: an exact scan over
+one chunk's events (one cost row per slot, one line and home PE per
+event) that reproduces the reference machine's prefetch semantics —
+invalidate-before-prefetch, the DTB chain, queue occupancy/coalescing/
+reclaim, capacity-drop → bypass-fetch degradation (paper rule 2),
+extract-vs-late arrival stalls and vector-transfer stalls — and its
+stale-line semantics (a fresh word of a stale line hits; a stale word is
+a hazard) without touching the live machine.  The batched runtime
+commits its outcome wholesale, or discards it untouched when the scan
+flags a hazard.
 
 :func:`protocol_scan` is the same idea under a hardware protocol: one pass
 over a PE's events in program order, read hits and owner writes charged
@@ -29,17 +32,19 @@ profile`` uses it for a read trace's hit rate, its miss rate under other
 cache sizes, and its most-conflicted sets.
 
 :func:`commit_run` applies any of these priced runs to the live machine
-(stats, stalls, clock, tags, prefetch state, refill of the touched lines);
+(stats, stalls, clock, tags, prefetch state, refill of the touched lines
+or, after a scan, of the lines it installed plus the words it wrote);
 both the batched backend and trace replay end every bulk run in it.
 
 Also here: :func:`latency_table`, the one memoised per-home cost vector
 per ``(pe, kind, extra)`` that turns the machine's scalar cost model into
 O(1) indexing inside scan loops, and the bulk cache refill and stale-line
-helpers the commit and the chunk guards use.
+helpers the commit, the chunk guards and trace replay use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -124,10 +129,10 @@ def classify_events(line_addrs: np.ndarray, n_lines: int,
 
 # Replay event kinds (distinct from trace kinds above: replay events carry
 # per-event costs and are interleaved with queue/transfer state).
-RE_COST = 0   # fixed-cost event (uncached read, uncacheable write, OOB prefetch)
+RE_COST = 0   # fixed-cost event (uncached read, uncacheable write)
 RE_READ = 1   # cacheable read (hit / extract / miss / drop-bypass)
 RE_WRITE = 2  # cacheable write-through (ghost-dirty hazard detection)
-RE_PF = 3     # in-bounds line prefetch (invalidate + queue issue)
+RE_PF = 3     # line prefetch (invalidate + queue issue); line -1: bare issue
 
 # Stall codes in ReplayOutcome.stalls (the commit step must apply idle time
 # per stall, in order, exactly as the reference interpreter does).
@@ -147,233 +152,281 @@ REC_PF_ISSUE = 4       # pf_issue
 REC_PF_COALESCE = 5    # pf_coalesce
 REC_PF_DROP = 6        # pf_drop (queue capacity)
 REC_KILL_FLAG = 8      # OR'd onto pf codes: invalidate killed a resident line
+REC_DTB_FLAG = 16      # OR'd onto pf codes: the issue paid a DTB setup
 
 
 @dataclass
 class ReplayOutcome:
     """Result of one exact prefetch-replay scan over a chunk's events.
 
-    ``hazard`` means the scan detected a state it cannot commit exactly (a
-    write-through into a line invalidated earlier in the same chunk, whose
-    ghost contents would then diverge from final memory); the caller must
-    fall back to the reference path.  Nothing in the scan mutates live
-    machine state, so a hazard costs only the scan itself."""
+    ``hazard`` names a state the scan cannot commit exactly, and the
+    caller must fall back to the reference path: ``"replay_hazard"``, a
+    write-through into a line invalidated earlier in the same chunk
+    (whose ghost contents would then diverge from final memory), or
+    ``"stale_overlap"``, a read of a stale cached word.  Nothing in the
+    scan mutates live machine state, so a hazard costs only the scan."""
 
-    hazard: bool
+    hazard: Optional[str]
     clock: float = 0.0
     busy: float = 0.0
-    tags: Optional[List[int]] = None       #: final per-set resident lines
-    queue: Optional[List[tuple]] = None    #: (line, arrival, issued_at, home, array)
+    tags: Optional[tuple] = None           #: (sets, lines) that changed
+    queue: Optional[List[PrefetchEntry]] = None  #: final queue entries
     dropped: Optional[set] = None          #: final dropped-line set (rule 2)
     q_issued: int = 0                      #: PrefetchQueue.issued delta
     q_dropped: int = 0                     #: PrefetchQueue.dropped delta
     q_hw: int = 0                          #: queue high-water during the scan
+    last_pf: Optional[int] = None          #: home of the last issue (DTB)
     stalls: Optional[List[tuple]] = None   #: ordered (code, cycles)
-    ghosts: Optional[List[tuple]] = None   #: (set, line, array) needing refill
+    fills: Optional[list] = None           #: (set, (line, array)) installed
+    patches: Optional[list] = None         #: (set, (line, array, words))
     counters: Optional[dict] = None        #: PEStats deltas from the scan
 
 
-def replay_chunk(kinds: np.ndarray, pre: np.ndarray, cost: np.ndarray,
-                 lines: np.ndarray, misscost: np.ndarray, unccost: np.ndarray,
-                 localf: np.ndarray, sharedf: np.ndarray, fill: np.ndarray,
-                 home: np.ndarray, invalf: np.ndarray, slot_of: np.ndarray,
-                 slot_arrays: Sequence[Optional[str]],
-                 tags0: np.ndarray, n_lines: int, clock0: float, tail: float,
-                 queue0: Sequence[tuple], queue_cap: int,
-                 dropped0, transfers: Sequence[tuple],
+def replay_chunk(rows: Sequence[tuple], n_iter: int, lines: Sequence[int],
+                 homes: Sequence[int], pe: int, tags0: np.ndarray,
+                 n_lines: int, clock0: float, tail: float,
+                 queue0: Sequence[PrefetchEntry], queue_cap: int,
+                 dropped0, transfers: Sequence,
                  cache_hit: float, extract_cost: float,
-                 reclaim_lag: float,
+                 reclaim_lag: float, issue_cost: float = 0.0,
+                 dtb_cost: float = 0.0, last_pf: Optional[int] = None,
+                 addrs: Sequence[int] = (), stale: Optional[tuple] = None,
                  record: Optional[list] = None,
                  busy0: float = 0.0) -> ReplayOutcome:
     """Exact scan of one chunk's replay events against shadow PE state.
 
-    Mirrors ``Machine.read`` / ``Machine.prefetch_line`` event by event —
-    same costs, same queue coalesce/capacity/reclaim rules, same stall
-    resolution — but against *copies* of the PE's tags, prefetch queue and
-    dropped-line set.  ``pre[i]`` is the fixed (arith/overhead) cost charged
-    before event *i*; ``tail`` is charged once after the last event.
+    Mirrors ``Machine.read`` / ``write`` / ``prefetch_line`` event by
+    event — same costs, queue coalesce/capacity/reclaim rules, DTB chain
+    and stall resolution — against *copies* of the PE's tags, prefetch
+    queue and dropped-line set.  The events are ``n_iter`` repetitions
+    of ``rows``, one ``(kind, pre, table, utable, invalidate, array)``
+    per slot: ``pre`` is charged before the event, which costs
+    ``table[h]`` for its home PE ``h`` (a miss for RE_READ, the fill
+    latency for RE_PF); ``utable``, set on shared reads only, prices a
+    dropped-prefetch bypass.  ``lines``, ``homes`` and ``addrs`` (word
+    addresses, for RE_WRITE and the stale check) hold one entry per
+    event, iteration-major; home -1 is private data, which the tables
+    price at this PE's cost.  ``tail`` is charged after each iteration.
 
-    Invalidate-before-prefetch leaves *ghost sets*: the tag is cleared but
-    the reference cache keeps the line's data frozen at invalidation time.
-    The scan tracks ghosts so the commit step can refill them from final
-    memory — exact as long as no later write-through dirtied the ghost line,
-    which is precisely the hazard this function detects.
+    A set ends holding either a line the chunk installed (a miss or an
+    extract: ``fills``, refilled from final memory at commit) or the
+    line it held at the start, which gains only the chunk's
+    write-throughs (``patches``) and keeps any stale word.
+    Invalidate-before-prefetch freezes a line's data with the tag
+    cleared (a *ghost*); a later write-through into it would diverge
+    from that data: the ``replay_hazard``.  With ``stale`` — ``(cached
+    versions, memory versions, line words)`` where a remote write may
+    have left words stale — a read hit on a start line's stale word the
+    chunk did not write is the ``stale_overlap`` hazard.
 
-    When ``record`` (a mutable sequence of length ``n``, prefilled with
-    ``REC_NONE``) is supplied, the scan writes one ``REC_*`` code per
-    RE_READ / RE_PF event so the caller can synthesise the exact machine
-    events the reference path would have emitted.
-
-    Per-event inputs may be arrays or sequences.  ``busy0`` seeds the busy
-    sum, so a caller that passes the PE's live busy cycles gets them back
-    added in event order.
+    With ``record`` (one ``REC_NONE`` per event) the scan writes one
+    ``REC_*`` code per RE_READ / RE_PF event for event synthesis.
+    ``transfers`` are the PE's vector transfers; ``busy0`` seeds the
+    busy sum, so the PE's live busy cycles come back added in event
+    order.
     """
-    n = len(kinds)
-    kl, prel, costl, linel, missl, uncl, locl, shrl, filll, homel, invl, \
-        slotl = (a.tolist() if isinstance(a, np.ndarray) else a
-                 for a in (kinds, pre, cost, lines, misscost, unccost,
-                           localf, sharedf, fill, home, invalf, slot_of))
-
     tags = tags0.tolist()
     queue = list(queue0)
+    # The queue holds one entry per line; qlines mirrors its lines and
+    # qmin bounds its arrivals from below (reclaim is a no-op above it).
+    qlines = {e.line_addr for e in queue}
+    qmin = min([e.arrival for e in queue], default=math.inf)
     dropped = set(dropped0)
-    ghosts: dict = {}        # set index -> (line, array)
-    ghost_lines: set = set()
+    fills: dict = {}         # set -> (line, array) installed by the chunk
+    patches: dict = {}       # set -> (line, array, words) of a start line
+    ghosts: dict = {}        # set -> line the chunk invalidated there
+    if stale is not None:
+        vers, mem_vers, lw = stale
     stalls: List[tuple] = []
-    tlist = list(transfers)  # (line_lo, line_hi, completion)
+    # (line_lo, line_hi, completion) of the vector transfers, or none
+    # when all have completed: the clock never runs back to a stall.
+    tlist: Sequence[tuple] = ()
+    for t in transfers:
+        if t.completion > clock0:
+            tlist = [(t.line_lo, t.line_hi, t.completion) for t in transfers]
+            break
 
     hits = misses = local_fills = remote_fills = 0
-    drop_bypass = extracted = 0
+    drop_bypass = extracted = dtb_setups = 0
     pf_issued = pf_dropped = invalidations = 0
     q_issued = q_dropped = 0
     q_hw = len(queue)
     rec = record is not None
     clock = clock0
     busy = busy0
+    i = -1
 
-    for i in range(n):
-        p = prel[i]
-        if p:
-            clock += p
-            busy += p
-        k = kl[i]
-        if k == RE_COST:
-            c = costl[i]
-            clock += c
-            busy += c
-            continue
-        line = linel[i]
-        if k == RE_READ:
-            if shrl[i] and line in dropped:
-                # Paper rule 2: a dropped prefetch degrades this use to a
-                # one-shot bypass fetch (no install, no hit/miss counters).
-                dropped.discard(line)
-                c = uncl[i]
+    for _ in range(n_iter):
+        for k, p, tab, utab, inval, array in rows:
+            i += 1
+            if p:
+                clock += p
+                busy += p
+            if k == RE_COST:
+                c = tab[homes[i]]
                 clock += c
                 busy += c
-                drop_bypass += 1
-                if rec:
-                    record[i] = REC_DROP_BYPASS
                 continue
-            s = line % n_lines
-            if tags[s] == line:
-                if tlist:
-                    best = 0.0
-                    found = False
-                    for (t_lo, t_hi, t_comp) in tlist:
-                        if t_lo <= line <= t_hi and (not found or t_comp < best):
-                            best = t_comp
-                            found = True
-                    if found and best > clock:
-                        stalls.append((STALL_VECTOR, best - clock))
-                        clock = best
-                clock += cache_hit
-                busy += cache_hit
-                hits += 1
-                if rec:
-                    record[i] = REC_HIT
-                continue
-            qi = -1
-            for j in range(len(queue)):
-                if queue[j][0] == line:
-                    qi = j
-                    break
-            if qi >= 0:
-                arrival = queue[qi][1]
-                if arrival > clock:
-                    stalls.append((STALL_LATE, arrival - clock))
-                    clock = arrival
-                clock += extract_cost
-                busy += extract_cost
-                del queue[qi]
-                extracted += 1
+            line = lines[i]
+            if k == RE_READ:
+                h = homes[i]
+                if utab is not None and line in dropped:
+                    # Paper rule 2: a dropped prefetch degrades this use
+                    # to a one-shot bypass fetch (no install, no hit/miss
+                    # counters).
+                    dropped.discard(line)
+                    c = utab[h]
+                    clock += c
+                    busy += c
+                    drop_bypass += 1
+                    if rec:
+                        record[i] = REC_DROP_BYPASS
+                    continue
+                s = line % n_lines
+                if tags[s] == line:
+                    if stale is not None and s not in fills:
+                        a = addrs[i]
+                        if vers[s, a % lw] < mem_vers[a] and (
+                                s not in patches or a not in patches[s][2]):
+                            return ReplayOutcome(hazard="stale_overlap")
+                    if tlist:
+                        best = 0.0
+                        found = False
+                        for (t_lo, t_hi, t_comp) in tlist:
+                            if t_lo <= line <= t_hi and (
+                                    not found or t_comp < best):
+                                best = t_comp
+                                found = True
+                        if found and best > clock:
+                            stalls.append((STALL_VECTOR, best - clock))
+                            clock = best
+                    clock += cache_hit
+                    busy += cache_hit
+                    hits += 1
+                    if rec:
+                        record[i] = REC_HIT
+                    continue
+                if line in qlines:
+                    qi = 0
+                    while queue[qi].line_addr != line:
+                        qi += 1
+                    arrival = queue[qi].arrival
+                    if arrival > clock:
+                        stalls.append((STALL_LATE, arrival - clock))
+                        clock = arrival
+                    clock += extract_cost
+                    busy += extract_cost
+                    del queue[qi]
+                    qlines.discard(line)
+                    extracted += 1
+                    if rec:
+                        record[i] = REC_EXTRACT
+                else:
+                    c = tab[h]
+                    clock += c
+                    busy += c
+                    misses += 1
+                    if rec:
+                        record[i] = REC_MISS
+                    if h == pe or h < 0:
+                        local_fills += 1
+                    else:
+                        remote_fills += 1
                 tags[s] = line
-                if s in ghosts:
-                    ghost_lines.discard(ghosts.pop(s)[0])
-                if rec:
-                    record[i] = REC_EXTRACT
+                fills[s] = (line, array)
+                if patches:
+                    patches.pop(s, None)
+                if ghosts:
+                    ghosts.pop(s, None)
                 continue
-            c = missl[i]
+            if k == RE_WRITE:
+                c = tab[homes[i]]
+                clock += c
+                busy += c
+                s = line % n_lines
+                if ghosts and ghosts.get(s) == line:
+                    # Write-through into a ghosted line: the reference
+                    # cache keeps pre-write contents, final memory would
+                    # not.
+                    return ReplayOutcome(hazard="replay_hazard")
+                if tags[s] == line and s not in fills:
+                    patch = patches.get(s)
+                    if patch is None:
+                        patch = patches[s] = (line, array, [])
+                    patch[2].append(addrs[i])
+                continue
+            # RE_PF: an out-of-bounds look-ahead is a bare issue; else
+            # invalidate-before-prefetch, DTB chain, then queue issue.
+            if line < 0:
+                clock += issue_cost
+                busy += issue_cost
+                continue
+            h = homes[i]
+            if h < 0:
+                h = pe
+            c = issue_cost
+            flags = 0
+            if h != last_pf:
+                c += dtb_cost
+                dtb_setups += 1
+                last_pf = h
+                flags = REC_DTB_FLAG
+            s = line % n_lines
+            if inval and tags[s] == line:
+                tags[s] = -1
+                invalidations += 1
+                ghosts[s] = line
+                flags |= REC_KILL_FLAG
             clock += c
             busy += c
-            misses += 1
-            if rec:
-                record[i] = REC_MISS
-            if locl[i]:
-                local_fills += 1
+            if qmin <= clock - reclaim_lag:
+                lim = clock - reclaim_lag
+                queue = [e for e in queue if e.arrival > lim]
+                qlines = {e.line_addr for e in queue}
+                qmin = min([e.arrival for e in queue], default=math.inf)
+            if line in qlines:
+                accepted = True          # coalesced: no new entry, no counters
+                code = REC_PF_COALESCE
+            elif len(queue) >= queue_cap:
+                q_dropped += 1
+                accepted = False
+                code = REC_PF_DROP
             else:
-                remote_fills += 1
-            tags[s] = line
-            if s in ghosts:
-                ghost_lines.discard(ghosts.pop(s)[0])
-            continue
-        if k == RE_WRITE:
-            c = costl[i]
-            clock += c
-            busy += c
-            if ghost_lines and line in ghost_lines:
-                # Write-through into a ghosted line: the reference cache
-                # keeps pre-write contents, final memory would not.
-                return ReplayOutcome(hazard=True)
-            continue
-        # RE_PF: invalidate-before-prefetch, then queue issue.
-        s = line % n_lines
-        kflag = 0
-        if invl[i] and tags[s] == line:
-            tags[s] = -1
-            invalidations += 1
-            ghosts[s] = (line, slot_arrays[slotl[i]])
-            ghost_lines.add(line)
-            kflag = REC_KILL_FLAG
-        c = costl[i]
-        clock += c
-        busy += c
-        if queue:
-            lim = clock - reclaim_lag
-            keep = [e for e in queue if e[1] > lim]
-            if len(keep) != len(queue):
-                queue = keep
-        found = False
-        for e in queue:
-            if e[0] == line:
-                found = True
-                break
-        if found:
-            accepted = True          # coalesced: no new entry, no counters
-            code = REC_PF_COALESCE
-        elif len(queue) >= queue_cap:
-            q_dropped += 1
-            accepted = False
-            code = REC_PF_DROP
-        else:
-            queue.append((line, clock + filll[i], clock, homel[i],
-                          slot_arrays[slotl[i]]))
-            q_issued += 1
-            accepted = True
-            code = REC_PF_ISSUE
-            if len(queue) > q_hw:
-                q_hw = len(queue)
-        if rec:
-            record[i] = code | kflag
-        if accepted:
-            pf_issued += 1
-            dropped.discard(line)
-        else:
-            pf_dropped += 1
-            dropped.add(line)
-    clock += tail
-    busy += tail
+                arrival = clock + tab[h]
+                queue.append(PrefetchEntry(line, array, arrival, clock, h))
+                qlines.add(line)
+                if arrival < qmin:
+                    qmin = arrival
+                q_issued += 1
+                accepted = True
+                code = REC_PF_ISSUE
+                if len(queue) > q_hw:
+                    q_hw = len(queue)
+            if rec:
+                record[i] = code | flags
+            if accepted:
+                pf_issued += 1
+                dropped.discard(line)
+            else:
+                pf_dropped += 1
+                dropped.add(line)
+        if tail:
+            clock += tail
+            busy += tail
 
+    changed = fills.keys() | ghosts.keys()
     return ReplayOutcome(
-        hazard=False, clock=clock, busy=busy, tags=tags, queue=queue,
+        hazard=None, clock=clock, busy=busy,
+        tags=(list(changed), [tags[s] for s in changed]), queue=queue,
         dropped=dropped, q_issued=q_issued, q_dropped=q_dropped, q_hw=q_hw,
-        stalls=stalls, ghosts=[(s, g[0], g[1]) for s, g in ghosts.items()],
+        last_pf=last_pf, stalls=stalls, fills=list(fills.items()),
+        patches=list(patches.items()),
         counters={
             "cache_hits": hits, "cache_misses": misses,
             "local_fills": local_fills, "remote_fills": remote_fills,
             "pf_drop_bypass": drop_bypass, "prefetch_extracted": extracted,
             "prefetch_issued": pf_issued, "pf_dropped": pf_dropped,
-            "invalidations": invalidations,
+            "invalidations": invalidations, "dtb_setups": dtb_setups,
         })
 
 
@@ -442,22 +495,20 @@ def protocol_scan(proto, pe: int, clock: float, busy: float,
 def commit_run(machine, pe: int, deltas: dict, busy: float, clock: float,
                stalls: Sequence[tuple] = (), tags=None, lines=(),
                private: Sequence[tuple] = (),
-               scan: Optional[ReplayOutcome] = None,
-               last_prefetch: Optional[int] = None) -> None:
+               scan: Optional[ReplayOutcome] = None) -> None:
     """Apply one bulk-priced run of PE ``pe``'s events to the live machine.
 
     ``deltas`` are the run's :class:`PEStats` counter deltas, ``busy``
     and ``clock`` the PE's final busy cycles and clock, ``stalls`` the
     pricer's ordered ``(code, cycles)`` waits (added one at a time, as
-    ``wait_until`` does) and ``tags`` the new tags as ``(sets, lines)``:
-    a diff, or ``slice(None)`` and a scan's full list (None: nothing
-    changed, or a protocol scan wrote them in place).  ``scan``
-    is a prefetch scan's outcome, whose queue, dropped lines and ghost
-    sets go live, with ``last_prefetch`` the home of its last issue.
-    ``lines`` (sorted, distinct, shared) and ``private`` (``(array,
-    lines)`` pairs) are the lines the run touched: those still resident
-    are refilled from final memory, so the caller applies the run's
-    writes first."""
+    ``wait_until`` does) and ``tags`` the changed tags as ``(sets,
+    lines)`` (None: nothing changed, or a protocol scan wrote them in
+    place).  ``lines`` (sorted, distinct, shared) and ``private``
+    (``(array, lines)`` pairs) are the lines the run touched: those
+    still resident are refilled from final memory, so the caller applies
+    the run's writes first.  ``scan`` is a prefetch scan's outcome
+    instead: its queue, dropped lines and DTB home go live, its fills
+    are refilled and its patches written."""
     pe_obj = machine.pes[pe]
     st = pe_obj.stats
     st.add_bulk(**deltas)
@@ -472,20 +523,11 @@ def commit_run(machine, pe: int, deltas: dict, busy: float, clock: float,
     pe_obj.clock = clock
     cache = pe_obj.cache
     if tags is not None:
-        cache.tags[tags[0]] = tags[1]
-    if scan is not None:
-        queue = pe_obj.queue
-        queue.replace_entries(
-            PrefetchEntry(line_addr=ln, array=ar, arrival=arr,
-                          issued_at=isd, home_pe=hm)
-            for (ln, arr, isd, hm, ar) in scan.queue)
-        queue.issued += scan.q_issued
-        queue.dropped += scan.q_dropped
-        if scan.q_hw > queue.high_water:
-            queue.high_water = scan.q_hw
-        pe_obj.dropped_lines = scan.dropped
-        if last_prefetch is not None:
-            pe_obj.last_prefetch_pe = last_prefetch
+        if type(tags[0]) is list:  # a scan's diff: a few sets
+            for s, line in zip(*tags):
+                cache.tags[s] = line
+        else:
+            cache.tags[tags[0]] = tags[1]
     memory = machine.memory
     if len(lines):
         bulk_fill_lines(cache, lines, memory.values_flat,
@@ -496,12 +538,44 @@ def commit_run(machine, pe: int, deltas: dict, busy: float, clock: float,
             s = line % cache.n_lines
             if cache.tags[s] == line:
                 cache.data[s], cache.vers[s] = contents(array, line, pe)
-    if scan is not None:
-        # Ghost sets (invalidated, tag already -1) keep data frozen at
-        # invalidation time; hazard-free means no later write dirtied
-        # the line, so refilling from final memory reproduces it.
-        for (s, line, array) in scan.ghosts:
-            cache.data[s], cache.vers[s] = contents(array, line, pe)
+    if scan is None:
+        return
+    queue = pe_obj.queue
+    queue.replace_entries(scan.queue)
+    queue.issued += scan.q_issued
+    queue.dropped += scan.q_dropped
+    if scan.q_hw > queue.high_water:
+        queue.high_water = scan.q_hw
+    pe_obj.dropped_lines = scan.dropped
+    pe_obj.last_prefetch_pe = scan.last_pf
+    # A shared line is a slice of the line-aligned flat backing; a
+    # private line is always fresh, so a patch refills it whole.
+    values, versions = memory.values_flat, memory.versions_flat
+    lw = cache.line_words
+    decls = memory.decls
+    data, vers = cache.data, cache.vers
+    sets, lines = [], []
+    for s, (line, array) in scan.fills:
+        if decls[array].is_shared:
+            sets.append(s)
+            lines.append(line)
+        else:
+            data[s], vers[s] = contents(array, line, pe)
+    if len(sets) > 4:  # the gathers' fixed cost pays off above 4 lines
+        data[sets] = values.reshape(-1, lw)[lines]
+        vers[sets] = versions.reshape(-1, lw)[lines]
+    else:
+        for s, w in zip(sets, lines):
+            w *= lw
+            data[s] = values[w:w + lw]
+            vers[s] = versions[w:w + lw]
+    for s, (line, array, words) in scan.patches:
+        if decls[array].is_shared:
+            for w in words:
+                data[s, w - line * lw] = values[w]
+                vers[s, w - line * lw] = versions[w]
+        else:
+            data[s], vers[s] = contents(array, line, pe)
 
 
 # -- latency tables ----------------------------------------------------------
@@ -562,11 +636,8 @@ _EMPTY_LINES = np.empty(0, dtype=np.int64)
 
 def stale_lines(cache, versions_flat: np.ndarray) -> np.ndarray:
     """Resident line addresses holding any word whose cached version lags
-    memory.  The batched backend falls back only when one of these lines
-    intersects a line the chunk itself touches; disjoint stale residue is
-    harmless (chunk reads hit fresh lines, the commit refills only chunk
-    lines, so the stale data survives untouched — exactly as the scalar
-    interpreter would leave it)."""
+    memory, over the whole cache.  Trace replay routes a segment op that
+    touches one of these to the reference path."""
     valid = np.flatnonzero(cache.tags >= 0)
     if not valid.size:
         return _EMPTY_LINES
@@ -589,6 +660,20 @@ def live_stale_lines(machine, pe: int) -> np.ndarray:
     return stale_lines(machine.pes[pe].cache, machine.memory.versions_flat)
 
 
+def touches_stale(cache, versions_flat: np.ndarray, lines) -> bool:
+    """True when any of the distinct ``lines`` is resident with a word
+    whose cached version lags memory: O(len(lines)), whatever the cache
+    size."""
+    ln = np.asarray(lines, dtype=np.int64)
+    ix = ln % cache.n_lines
+    res = cache.tags[ix] == ln
+    if not res.any():
+        return False
+    lw = cache.line_words
+    addrs = ln[res, None] * lw + np.arange(lw, dtype=np.int64)
+    return bool((cache.vers[ix[res]] < versions_flat[addrs]).any())
+
+
 __all__ = [
     "READ", "WRITE", "INSTALL",
     "OUT_HIT", "OUT_MISS",
@@ -596,7 +681,9 @@ __all__ = [
     "STALL_VECTOR", "STALL_LATE",
     "REC_NONE", "REC_HIT", "REC_EXTRACT", "REC_MISS", "REC_DROP_BYPASS",
     "REC_PF_ISSUE", "REC_PF_COALESCE", "REC_PF_DROP", "REC_KILL_FLAG",
+    "REC_DTB_FLAG",
     "EventClassification", "classify_events",
     "ReplayOutcome", "replay_chunk", "protocol_scan", "commit_run",
     "latency_table", "bulk_fill_lines", "stale_lines", "live_stale_lines",
+    "touches_stale",
 ]

@@ -156,10 +156,25 @@ class Machine:
         (always true for a contiguous run shorter than the cache)."""
         decl = self.memory.decls[name]
         n = len(lines)
-        if decl.is_shared and n > 1:
+        if decl.is_shared and n <= 4:
+            # A few lines: per-line slices (~2 us a line) cost less than
+            # the bulk path's NumPy set-up (6-15 us).  In order, so a
+            # later line wins a shared set.
             cache = pe.cache
             lw = self._lw
-            ln = np.asarray(lines, dtype=np.int64)
+            for line in lines:
+                ix = line % cache.n_lines
+                w = line * lw
+                cache.tags[ix] = line
+                cache.data[ix] = self.memory.values_flat[w:w + lw]
+                cache.vers[ix] = self.memory.versions_flat[w:w + lw]
+            return
+        if decl.is_shared:
+            cache = pe.cache
+            lw = self._lw
+            ln = np.arange(lines.start, lines.stop, dtype=np.int64) \
+                if isinstance(lines, range) else np.asarray(lines,
+                                                            dtype=np.int64)
             contiguous = n == int(ln[-1] - ln[0] + 1)
             i0 = int(ln[0]) % cache.n_lines
             if contiguous and i0 + n <= cache.n_lines:
@@ -201,10 +216,20 @@ class Machine:
             if writer is not None and writer != pe_id:
                 self._race_event(pe_id, writer, name, flat, "read-after-write")
 
-        if bypass or not cacheable:
-            # Direct memory access: BASE-mode shared refs and CCDP
-            # bypass-cache fetches.  Always fresh.  Uncached *local* word
-            # reads stream from DRAM page mode, cheaper than a line fill.
+        direct = bypass or not cacheable
+        drop = False
+        if not direct:
+            addr = self.addr_map.addr(name, flat)
+            line_addr = addr // self._lw
+            if shared and pe.dropped_lines and line_addr in pe.dropped_lines:
+                direct = drop = True
+        if direct:
+            # Direct memory access: BASE-mode shared refs, CCDP
+            # bypass-cache fetches, and (paper rule 2) the use of a line
+            # whose prefetch was dropped, which stays invalid from the
+            # pre-issue invalidation and is never installed.  Always
+            # fresh.  Uncached *local* word reads stream from DRAM page
+            # mode, cheaper than a line fill.
             owner = self._owner(name, flat, pe_id)
             if owner == pe_id:
                 latency: float = self.params.uncached_local_read
@@ -214,16 +239,21 @@ class Machine:
             if craft:
                 latency += self.params.craft_shared_ref_overhead
             pe.advance(latency)
-            if bypass:
+            if drop:
+                pe.dropped_lines.discard(line_addr)
                 pe.stats.bypass_reads += 1
+                pe.stats.pf_drop_bypass += 1
+                kind = "pf_drop"
+            elif bypass:
+                pe.stats.bypass_reads += 1
+                kind = "bypass"
             elif owner == pe_id:
                 pe.stats.uncached_local_reads += 1
+                kind = "uncached_local"
             else:
                 pe.stats.uncached_remote_reads += 1
+                kind = "uncached_remote"
             if tr is not None:
-                kind = ("bypass" if bypass else
-                        "uncached_local" if owner == pe_id
-                        else "uncached_remote")
                 tr.emit(("bypass_fetch", pe_id, name, flat, kind))
             if shared:
                 value = self.memory.read(name, flat)
@@ -232,31 +262,6 @@ class Machine:
                 return value
             return self.memory.read_private(name, pe_id, flat)
 
-        addr = self.addr_map.addr(name, flat)
-        line_addr = addr // self._lw
-        if shared and pe.dropped_lines and line_addr in pe.dropped_lines:
-            # Paper rule 2: this line's prefetch was dropped, so its use
-            # degrades to a bypass-cache fetch — always fresh, never
-            # installed (the line stays invalid from the pre-issue
-            # invalidation).  Observable as pf_drop_bypass.
-            pe.dropped_lines.discard(line_addr)
-            owner = self._owner(name, flat, pe_id)
-            if owner == pe_id:
-                latency = self.params.uncached_local_read
-            else:
-                latency = self.memory.remote_latency(
-                    pe_id, self.read_latency(pe_id, owner))
-            if craft:
-                latency += self.params.craft_shared_ref_overhead
-            pe.advance(latency)
-            pe.stats.bypass_reads += 1
-            pe.stats.pf_drop_bypass += 1
-            if tr is not None:
-                tr.emit(("bypass_fetch", pe_id, name, flat, "pf_drop"))
-            value = self.memory.read(name, flat)
-            if self.oracle is not None:
-                self.oracle.observe_read(pe_id, name, flat, value, False)
-            return value
         if self.trace_enabled:
             self.read_trace[pe_id].append(addr)
         cached = pe.cache.read(addr)
@@ -472,7 +477,7 @@ class Machine:
         line_lo = addr_lo // self._lw
         line_hi = addr_hi // self._lw
         if stride == 1:
-            install_lines = np.arange(line_lo, line_hi + 1, dtype=np.int64)
+            install_lines = range(line_lo, line_hi + 1)
         else:
             install_lines = sorted({
                 self.addr_map.addr(name, flat_start + k * stride) // self._lw

@@ -69,12 +69,14 @@ class PEStats:
         the dataclass fields explicitly: ``getattr`` alone would let a
         typo silently shadow a class-level attribute (``hit_rate``, a
         method name) instead of raising."""
+        counters = self.__dict__
         for name, delta in deltas.items():
             if name not in _PE_COUNTER_FIELDS:
                 raise ValueError(
                     f"unknown PEStats counter {name!r}; valid counters: "
                     f"{', '.join(sorted(_PE_COUNTER_FIELDS))}")
-            setattr(self, name, getattr(self, name) + delta)
+            if delta:
+                counters[name] += delta
 
     @property
     def hit_rate(self) -> float:

@@ -18,25 +18,30 @@ assignments — and services each whole chunk in two passes:
    (below the crossover its cost per iteration beats the NumPy pass's
    fixed cost);
 2. a **timing pass** that prices the chunk's events and commits them.
-   Plain reads and writes take the NumPy classify pass: one warm
-   :func:`~repro.machine.batchops.classify_events` call replays the read
-   trace against the direct-mapped cache, and latency tables turn
-   hit/miss outcomes and owner vectors into cycle sums.  Chunks whose
-   events can interact with prefetch state (``PrefetchLine`` statements,
-   or leftover queue entries / dropped-line marks aliasing a cacheable
-   read) take :func:`~repro.machine.batchops.replay_chunk` instead: an
+   A chunk of at least ``MIN_VECTOR_ITERS`` iterations (or a fused one)
+   whose reads and writes are plain takes the NumPy classify pass: one
+   warm :func:`~repro.machine.batchops.classify_events` call replays
+   the read trace against the direct-mapped cache, and latency tables
+   turn hit/miss outcomes and owner vectors into cycle sums.  Every
+   other chunk — a shorter one, one with ``PrefetchLine`` statements,
+   one touching a resident line with a stale word, or one whose
+   leftover queue entries / dropped-line marks alias a cacheable read
+   — takes :func:`~repro.machine.batchops.replay_chunk` instead: an
    exact scan against *shadow* copies of the PE's tags, queue and
-   dropped set (invalidate-before-prefetch, queue coalesce/capacity/
-   reclaim, capacity-drop → bypass-fetch degradation, extract and
-   vector-transfer stalls), which flags the one inexpressible case — a
-   write-through into a line ghosted by an in-chunk invalidation — as a
-   hazard before anything is mutated.  Both pricers read one bound
-   matrix per chunk (:class:`_Chunk`: the iterations x slots flat
-   matrix, with the line, owner, locality and latency matrices derived
-   from it one NumPy op each) and hand their counters, clock, stalls,
+   dropped set (invalidate-before-prefetch, the DTB chain, queue
+   coalesce/capacity/reclaim, capacity-drop → bypass-fetch
+   degradation, extract and vector-transfer stalls, stale-word reads),
+   which flags the two inexpressible cases — a write-through into a
+   line ghosted by an in-chunk invalidation, and a read of a stale
+   word — as hazards before anything is mutated.  Both pricers read
+   one bound chunk (:class:`_Chunk`): a short chunk binds as Python
+   lists, each slot a base plus its stride per iteration, and a long
+   one as an iterations x slots address matrix, each form derived from
+   the other on first use.  They hand their counters, clock, stalls,
    tag diff and per-event outcome codes to one commit
    (:func:`~repro.machine.batchops.commit_run`, which trace replay
-   shares), which refills the touched lines; the tracer is fed
+   shares), which refills the lines the chunk installed and patches
+   the words it wrote into lines it found resident; the tracer is fed
    through one event synthesizer.
 
 Exactness contract: a committed chunk leaves the machine in *bit-identical*
@@ -53,13 +58,16 @@ exact too:
   stays in bounds across the whole chunk (else the reference path raises
   the exact ``IndexError`` mid-chunk; prefetch subscripts are exempt —
   beyond-edge look-ahead is legal and replayed as an issue-cost no-op);
-* no *stale* resident cache line intersects a line the chunk touches (so
-  chunk reads return memory values and no stale events can occur — one
-  PE's chunk runs with no interleaved remote writes, and its own
-  write-through stores keep cache and memory in step; stale residue on
-  lines the chunk never touches is left exactly as-is by the commit).
-  A one-PE machine or a hardware protocol skips the test: only another
-  PE's write leaves a copy stale, and a protocol kills remote copies;
+* a *stale* cached word (one a remote write left behind memory) is
+  never read: the scan replays lines holding stale words word by word
+  (a fresh word hits, a write-through refreshes its word, an
+  invalidation freezes the line's data) and falls back on a stale-word
+  read, so NAIVE's stale reads are counted by the reference path, and
+  the commit patches only the words the chunk wrote into such a line.
+  The classify pass refills whole lines, so a chunk it would price
+  that touches a stale line scans instead.  A one-PE machine or a
+  hardware protocol skips the stale test: only another PE's write
+  leaves a copy stale, and a protocol kills remote copies;
 * all event costs are integral, which makes bulk cycle summation exact
   (adding integers to a float clock is associative below 2**53);
 * race checking and read tracing are off (those need per-event order).
@@ -98,16 +106,18 @@ from ..ir.expr import (ArrayRef, BinOp, Expr, FloatConst, IntConst,
 from ..ir.stmt import (Assign, Loop, LoopKind, PrefetchLine,
                        PrefetchVector, Stmt)
 from ..machine.batchops import (INSTALL, OUT_HIT, RE_COST, RE_PF, RE_READ,
-                                RE_WRITE, READ, REC_EXTRACT, REC_HIT,
-                                REC_KILL_FLAG, REC_MISS, REC_NONE,
-                                REC_PF_COALESCE, REC_PF_ISSUE, STALL_VECTOR,
-                                WRITE, classify_events, commit_run,
-                                latency_table, live_stale_lines,
-                                protocol_scan, replay_chunk)
+                                RE_WRITE, READ, REC_DTB_FLAG, REC_EXTRACT,
+                                REC_HIT, REC_KILL_FLAG, REC_MISS, REC_NONE,
+                                REC_PF_COALESCE, REC_PF_ISSUE,
+                                STALL_VECTOR, WRITE, classify_events,
+                                commit_run, latency_table, protocol_scan,
+                                replay_chunk, touches_stale)
 from .interp import Interpreter, RunResult
 
-#: Minimum chunk size (iterations x memory events) worth the bind overhead.
-MIN_BATCH_EVENTS = 16
+#: Minimum chunk size (iterations x memory events) worth the bind
+#: overhead: the measured crossover with the per-reference path (DESIGN
+#: §5b, "Bulk path by size").
+MIN_BATCH_EVENTS = 8
 
 #: Fewest iterations at which a non-fused chunk tries the NumPy value pass;
 #: shorter chunks run the plan's generated scalar pass (``seq_fn``).
@@ -171,8 +181,8 @@ class _Slot:
         charges the bare issue cost and drops), so out-of-bounds
         iterations are masked rather than rejecting the chunk.  ``None``
         when the chunk's box is in bounds (the corner argument of
-        :meth:`in_box`), i.e. every iteration is."""
-        if self.in_box(env, box):
+        :func:`_in_box`), i.e. every iteration is."""
+        if _in_box(_box_checks([self]), env, box):
             return None
         mask = np.ones(len(values), dtype=bool)
         for dconst, denv, dcoeff, extent in self.dim_checks:
@@ -183,31 +193,47 @@ class _Slot:
             mask &= (1 <= dval) & (dval <= extent)
         return mask
 
-    def in_box(self, env: dict, box: tuple) -> bool:
-        """True when every subscript stays inside its array bounds over
-        the chunk's loop box ``(vmin, vmax, outer, omin, omax)``: the inner
-        variable's range, plus the outer variable's for a fused chunk
-        (``outer`` is None otherwise).  The per-dimension forms are affine
-        in the loop variables, so the sign-aware box corners — actual
-        chunk members — decide exactly what a per-iteration check would."""
-        vmin, vmax, outer, omin, omax = box
-        for dconst, denv, dcoeff, extent in self.dim_checks:
-            d0 = dconst
-            ocoeff = 0
-            for name, c in denv:
-                if name == outer:
-                    ocoeff = c
-                else:
-                    d0 += c * env[name]
-            lo = d0 \
-                + (dcoeff * vmin if dcoeff >= 0 else dcoeff * vmax) \
-                + (ocoeff * omin if ocoeff >= 0 else ocoeff * omax)
-            hi = d0 \
-                + (dcoeff * vmax if dcoeff >= 0 else dcoeff * vmin) \
-                + (ocoeff * omax if ocoeff >= 0 else ocoeff * omin)
-            if not (1 <= lo and hi <= extent):
-                return False
-        return True
+
+def _box_checks(slots) -> tuple:
+    """The bounds forms of ``slots`` merged for :func:`_in_box`: one
+    ``(lowest const, highest const, env coeffs, var coeff, extent)`` per
+    distinct form up to its constant.  Forms that differ only by a
+    constant shift one interval, so its two ends decide for all."""
+    merged: dict = {}
+    for slot in slots:
+        for dconst, denv, dcoeff, extent in slot.dim_checks:
+            key = (denv, dcoeff, extent)
+            lo, hi = merged.get(key, (dconst, dconst))
+            merged[key] = (min(lo, dconst), max(hi, dconst))
+    return tuple((lo, hi) + key for key, (lo, hi) in merged.items())
+
+
+def _in_box(checks: tuple, env: dict, box: tuple) -> bool:
+    """True when every subscript of ``checks`` (:func:`_box_checks`)
+    stays inside its array bounds over the chunk's loop box ``(vmin,
+    vmax, outer, omin, omax)``: the inner variable's range, plus the
+    outer variable's for a fused chunk (``outer`` is None otherwise).
+    The per-dimension forms are affine in the loop variables, so the
+    sign-aware box corners — actual chunk members — decide exactly what
+    a per-iteration check would."""
+    vmin, vmax, outer, omin, omax = box
+    for clo, chi, denv, dcoeff, extent in checks:
+        d0 = 0
+        ocoeff = 0
+        for name, c in denv:
+            if name == outer:
+                ocoeff = c
+            else:
+                d0 += c * env[name]
+        lo = d0 + clo \
+            + (dcoeff * vmin if dcoeff >= 0 else dcoeff * vmax) \
+            + (ocoeff * omin if ocoeff >= 0 else ocoeff * omax)
+        hi = d0 + chi \
+            + (dcoeff * vmax if dcoeff >= 0 else dcoeff * vmin) \
+            + (ocoeff * omax if ocoeff >= 0 else ocoeff * omin)
+        if not (1 <= lo and hi <= extent):
+            return False
+    return True
 
 
 class _Plan:
@@ -219,11 +245,11 @@ class _Plan:
                  "touches_shared_cache", "const_before", "tail_const",
                  "assigned", "vec_stmts", "reg_ops", "alias_pairs",
                  "addr_vars", "var_coef", "const0", "env_coef", "base_row",
-                 "box_slots", "extra", "c_cr", "c_crsh", "k_crpv", "c_ur",
+                 "box", "pf_box", "extra", "c_cr", "c_crsh", "k_crpv", "c_ur",
                  "c_urnb", "n_bypass", "c_wsh", "c_wpv", "c_pfsh", "c_pfpv",
-                 "c_fill", "fill_private", "c_stale", "slot_row",
-                 "event_kinds", "seq_fn", "protocol_bulk", "protocol_rows",
-                 "scan_rows")
+                 "c_fill", "fill_private", "c_stale", "addr0", "env_cols",
+                 "var_coefs", "event_kinds", "seq_fn", "protocol_bulk",
+                 "protocol_rows", "scan_rows")
 
     def __init__(self, var: str, registers: dict, final_clear: bool,
                  slots: List[_Slot],
@@ -264,13 +290,17 @@ class _Plan:
              for n in self.addr_vars], dtype=np.int64).reshape(
                  len(self.addr_vars), len(slots))
         self.base_row = np.array([s.base for s in slots], dtype=np.int64)
-        # in_box reads only a slot's bounds forms: check each distinct one
-        # once.  Prefetch slots are masked, not checked (see pf_mask).
-        reps: dict = {}
-        for i, s in enumerate(slots):
-            if s.role != "pf":
-                reps.setdefault(s.dim_checks, i)
-        self.box_slots = tuple(reps.values())
+        # The same forms as Python lists, for chunks bound as lists: a
+        # slot's global address is its base plus var_coeff * v, the base
+        # addr0 plus each address variable times its env_cols entry.
+        self.addr0 = (self.const0 + self.base_row).tolist()
+        self.env_cols = self.env_coef.tolist()
+        self.var_coefs = self.var_coef.tolist()
+        # Bounds forms of the box check, merged.  Prefetch slots are
+        # masked, not refused (see pf_mask): they pass pf_box as a group
+        # or are masked one by one.
+        self.box = _box_checks(s for s in slots if s.role != "pf")
+        self.pf_box = _box_checks(s for s in slots if s.role == "pf")
         # Every shared read/write slot carries the same CRAFT extra.
         self.extra = next((s.extra for s in slots if s.shared
                            and s.role != "pf"), 0.0)
@@ -298,8 +328,7 @@ class _Plan:
                              and not s.shared]
         self.c_stale = cols(lambda s: s.role != "ur" and s.shared
                             and s.cacheable)
-        self.slot_row = np.arange(len(slots), dtype=np.int64)[None, :]
-        self.scan_rows = None  # per-slot scan constants, built on first use
+        self.scan_rows: dict = {}  # pe -> per-slot scan rows (_scan_rows)
         self.cached_idx = self.c_cr.tolist()
         self.uncached_idx = self.c_ur.tolist()
         self.write_idx = [i for i, s in enumerate(slots) if s.role == "w"]
@@ -336,29 +365,82 @@ class _Plan:
 
 
 class _Chunk:
-    """One bound chunk: the ``(T, S)`` flat-element matrix ``F`` of every
-    slot (column) over every iteration (row), row-major in the
-    reference's event order, and what the pricers, the guards, the
-    commit, the refill and the synthesizer derive from it.  The line
-    matrix ``L`` is built at bind time; the owner matrix, its
-    ``owner == pe`` mask and each latency matrix are built whole on
-    first use, one gather each.  Private columns read owner -1 (the
-    owner plane's mark outside shared arrays): their consumers price
-    them from fixed costs instead."""
+    """One bound chunk: ``T`` iterations (rows) of the plan's ``S`` slots
+    (columns) in the reference's event order.  A chunk of fewer than
+    ``MIN_VECTOR_ITERS`` iterations is bound as lists (``listed``):
+    every event's global word address, iteration-major, with its line
+    and owner (``homes``); any other as the ``(T, S)`` address matrix
+    ``A``.  Each form, and the flat, line, owner (-1 outside shared
+    arrays), ``owner == pe`` and latency matrices, is derived on first
+    use.  An out-of-bounds prefetch look-ahead (event index in ``oob``)
+    addresses its array's first word and has line -1 in ``lines``."""
 
-    __slots__ = ("F", "L", "A", "pe", "pf_masks", "interp", "_own", "_eq",
+    __slots__ = ("plan", "interp", "pe", "T", "listed", "V", "oob", "_A",
+                 "_F", "_L", "_addrs", "_lines", "_homes", "_own", "_eq",
                  "_lat")
 
-    def __init__(self, interp, plan: _Plan, F: np.ndarray, pf_masks,
-                 pe: int) -> None:
-        self.F = F
-        self.A = F + plan.base_row  # global word addresses
-        self.L = self.A // interp.params.line_words
-        self.pe = pe
-        self.pf_masks = pf_masks
+    def __init__(self, interp, plan: _Plan, pe: int, T: int, A=None, V=None,
+                 addrs=None, oob=()) -> None:
         self.interp = interp
+        self.plan = plan
+        self.pe = pe
+        self.T = T
+        self.listed = A is None
+        self.V = V
+        self.oob = oob
+        self._A = A
+        self._addrs = addrs
+        self._F = self._L = self._lines = self._homes = None
         self._own = self._eq = None
         self._lat: dict = {}
+
+    @property
+    def A(self) -> np.ndarray:
+        if self._A is None:
+            self._A = np.array(self._addrs, dtype=np.int64).reshape(
+                self.T, self.plan.n_events)
+        return self._A
+
+    @property
+    def F(self) -> np.ndarray:
+        if self._F is None:
+            self._F = self.A - self.plan.base_row
+        return self._F
+
+    @property
+    def L(self) -> np.ndarray:
+        if self._L is None:
+            self._L = self.A // self.interp.params.line_words
+        return self._L
+
+    @property
+    def addrs(self) -> list:
+        if self._addrs is None:
+            self._addrs = self._A.ravel().tolist()
+        return self._addrs
+
+    @property
+    def lines(self) -> list:
+        if self._lines is None:
+            lw = self.interp.params.line_words
+            lines = self._lines = [a // lw for a in self.addrs]
+            for i in self.oob:
+                lines[i] = -1
+        return self._lines
+
+    @property
+    def homes(self) -> list:
+        if self._homes is None:
+            if self.listed:
+                interp = self.interp
+                own = interp.owner_list
+                if own is None:  # the owner plane as a list, once a run
+                    own = interp.owner_list = \
+                        interp.machine.addr_map.owner_plane().tolist()
+                self._homes = [own[a] for a in self._addrs]
+            else:
+                self._homes = self.owners().ravel().tolist()
+        return self._homes
 
     def owners(self) -> np.ndarray:
         if self._own is None:
@@ -376,6 +458,28 @@ class _Chunk:
             table = latency_table(self.interp.machine, self.pe, kind, extra)
             lat = self._lat[(kind, extra)] = table[self.owners()]
         return lat
+
+    def n_local(self, cols) -> int:
+        """Events of columns ``cols`` whose home is this PE."""
+        if self.listed:
+            homes, S = self.homes, self.plan.n_events
+            return sum(homes[k::S].count(self.pe) for k in cols.tolist())
+        return int(np.count_nonzero(self.local()[:, cols]))
+
+    def distinct_lines(self, cols) -> list:
+        """Sorted distinct lines of columns ``cols`` (a listed chunk's
+        out-of-bounds prefetch look-aheads, line -1, left out)."""
+        if self.listed:
+            lines, S = self.lines, self.plan.n_events
+            out = set()
+            for k in cols:
+                out.update(lines[k::S])
+            out.discard(-1)
+            return sorted(out)
+        lines = self.L[:, cols]
+        lo = lines.min()
+        return (np.flatnonzero(np.bincount((lines - lo).ravel())) + lo
+                ).tolist()
 
 
 class _Ineligible(Exception):
@@ -395,16 +499,6 @@ def _to_float(x):
 
 def _integral(*costs: float) -> bool:
     return all(float(c).is_integer() for c in costs)
-
-
-def _stale_hit(stale: np.ndarray, lines: np.ndarray, n_lines: int) -> bool:
-    """True when any of ``lines`` is one of the ``stale`` resident lines of
-    an ``n_lines``-set direct-mapped cache.  A set holds at most one
-    resident line, so a per-set table and one compare do what a sorted
-    membership test would."""
-    by_set = np.full(n_lines, -1, dtype=np.int64)
-    by_set[stale % n_lines] = stale
-    return bool((by_set[lines % n_lines] == lines).any())
 
 
 def _pending_hit(pend: np.ndarray, lines: np.ndarray) -> bool:
@@ -447,6 +541,10 @@ class BatchedInterpreter(Interpreter):
         #: bulk busy-cycle summation (the clock itself is scanned exactly)
         self._replay_costs_ok = _integral(p.prefetch_issue, p.dtb_setup,
                                           p.prefetch_extract)
+        #: the scan's fixed costs: hit, extract, reclaim lag, issue, DTB
+        self._scan_costs = (float(p.cache_hit), float(p.prefetch_extract),
+                            4 * float(p.remote_base), float(p.prefetch_issue),
+                            float(p.dtb_setup))
         #: protocol chunks set each transaction's start clock from integral
         #: partial sums, so bus and directory costs must be integral too
         self._protocol_costs_ok = _integral(p.bus_cycle, p.dir_msg_base,
@@ -454,6 +552,14 @@ class BatchedInterpreter(Interpreter):
         #: reason code when every chunk of the run must take the reference
         #: path (set by :meth:`run`); then no plan is ever compiled
         self._forced: Optional[str] = None
+        self.owner_list: Optional[list] = None
+        #: (pe, kind, extra, shared) -> a scan row's cost table
+        self._scan_tables: dict = {}
+        #: False where no resident copy can be stale: only another PE's
+        #: write leaves a copy behind memory, so never on one PE, and a
+        #: hardware protocol kills remote copies
+        self._stale_possible = (self.machine.protocol is None
+                                and len(self.machine.pes) > 1)
 
     def run(self) -> RunResult:
         # Decided once, before any statement compiles, so a race check
@@ -636,10 +742,9 @@ class BatchedInterpreter(Interpreter):
         if g is None:
             return False  # out of bounds: reference raises exactly
         if ((pe_obj.queue.entries or pe_obj.dropped_lines)
-                and not self._prefetch_disjoint(plan, pe_obj, g)):
+                and not self._prefetch_disjoint(plan, pe_obj, g)
+                or self._stale(plan, pe_obj, g)):
             return False  # per-iteration path: inner chunks replay exactly
-        if self._stale_overlap(plan, pe_obj, g):
-            return self._fall("stale_overlap")
         if not self._vector_safe(plan, g.F):
             return False  # per-row chunks may still vectorise alone
         overhead = float(self.params.loop_overhead)
@@ -1047,13 +1152,22 @@ class BatchedInterpreter(Interpreter):
         src.extend(f"    _env[{name!r}] = {local_of(name)}"
                    for name in plan.assigned)
         src.extend("    " + p for p in outer_pop_lines)
+        # The register residue (see _register_residue), from the locals
+        # holding the last iteration's surviving promotions.
+        ns["_R"] = plan.registers
+        src.append("    _R.clear()")
+        if not plan.final_clear:
+            for k, (key, r) in enumerate(reg.items()):
+                ns[f"_r{k}"] = key
+                src.append(f"    _R[_r{k}] = {r}")
         exec(compile("\n".join(src), "<batched-seq-fn>", "exec"), ns)
         return ns["_chunk"]
 
-    def _register_residue(self, plan: _Plan, pe: int, F: np.ndarray) -> None:
+    def _register_residue(self, plan: _Plan, pe: int, last: list) -> None:
         """Leave ``plan.registers`` exactly as the reference per-iteration
         path would have: cleared, then — unless the plan ends with a clear —
-        the last iteration's surviving promotions rebuilt.  A surviving
+        the last iteration's surviving promotions rebuilt from ``last``,
+        each slot's flat index in that iteration.  A surviving
         key was never aliased by a chunk write after its load
         (``drop_keys_for_write`` is conservative), so re-gathering from
         final memory reproduces the value the reference cached at read
@@ -1067,12 +1181,11 @@ class BatchedInterpreter(Interpreter):
             if rop[0] == "set":
                 _, key, k = rop
                 slot = plan.slots[k]
-                last = F[-1, k]
                 if slot.shared:
-                    registers[key] = float(memory.values[slot.array][last])
+                    registers[key] = float(memory.values[slot.array][last[k]])
                 else:
                     registers[key] = float(
-                        memory.private_values[slot.array][pe, last])
+                        memory.private_values[slot.array][pe, last[k]])
             else:
                 for key in rop[1]:
                     registers.pop(key, None)
@@ -1312,34 +1425,64 @@ class BatchedInterpreter(Interpreter):
                 return "env_nonint"
         return None
 
-    def _bind_slots(self, plan: _Plan, env: dict, box: tuple, V: np.ndarray,
+    def _bind_slots(self, plan: _Plan, env: dict, box: tuple, values,
                     O: Optional[np.ndarray], pe: int) -> Optional[_Chunk]:
-        """The chunk bound over the loop ``box`` (:meth:`_Slot.in_box`):
-        every slot's flat vector over the loop vectors as one ``(T, S)``
-        matrix (``O`` is the outer variable's, fused chunks only), with
-        each prefetch slot's out-of-bounds iterations masked to flat 0.
-        None when a non-prefetch slot leaves its array bounds."""
+        """The chunk bound over the loop ``box`` (:func:`_in_box`)
+        for the inner variable's ``values`` (``O``: the outer variable's
+        vector, fused chunks only), with each prefetch slot's
+        out-of-bounds iterations addressing flat 0.  A chunk of fewer
+        than ``MIN_VECTOR_ITERS`` iterations binds as lists, each slot a
+        base plus ``var_coeff`` per iteration; any other as one ``(T,
+        S)`` matrix op.  None when a non-prefetch slot leaves its array
+        bounds."""
         slots = plan.slots
-        for i in plan.box_slots:
-            if not slots[i].in_box(env, box):
-                return None
+        if not _in_box(plan.box, env, box):
+            return None
+        pf_masked = plan.pf_idx if not _in_box(plan.pf_box, env, box) \
+            else ()
         outer = box[2]
-        const = plan.const0
+        T = len(values)
+        oob = []
+        if O is None and T < MIN_VECTOR_ITERS:
+            bases = plan.addr0
+            for name, col in zip(plan.addr_vars, plan.env_cols):
+                e = env[name]
+                bases = [b + c * e for b, c in zip(bases, col)]
+            rows = list(zip(bases, plan.var_coefs))
+            addrs = [b + c * v for v in values for b, c in rows]
+            S = plan.n_events
+            for i in pf_masked:
+                m = slots[i].pf_mask(env, box, np.asarray(values))
+                if m is not None:
+                    for t in np.flatnonzero(~m).tolist():
+                        addrs[t * S + i] = slots[i].base
+                        oob.append(t * S + i)
+            return _Chunk(self, plan, pe, T, addrs=addrs, oob=oob)
+        if isinstance(values, np.ndarray):
+            V = values
+        elif isinstance(values, range):
+            V = np.arange(values.start, values.stop, values.step,
+                          dtype=np.int64)
+        else:
+            V = np.asarray(values, dtype=np.int64)
+        const = plan.const0 + plan.base_row
         if plan.addr_vars:
             const = const + np.dot(
                 [0 if n == outer else env[n] for n in plan.addr_vars],
                 plan.env_coef)
-        F = np.multiply.outer(V, plan.var_coef)
-        F += const
+        A = np.multiply.outer(V, plan.var_coef)
+        A += const
         if outer in plan.addr_vars:
-            F += np.multiply.outer(
+            A += np.multiply.outer(
                 O, plan.env_coef[plan.addr_vars.index(outer)])
-        masks: Dict[int, Optional[np.ndarray]] = {}
-        for i in plan.pf_idx:
-            m = masks[i] = slots[i].pf_mask(env, box, V)
+        S = plan.n_events
+        for i in pf_masked:
+            m = slots[i].pf_mask(env, box, V)
             if m is not None:
-                F[~m, i] = 0
-        return _Chunk(self, plan, F, masks, pe)
+                rows = np.flatnonzero(~m)
+                A[rows, i] = slots[i].base
+                oob.extend((rows * S + i).tolist())
+        return _Chunk(self, plan, pe, T, A=A, V=V, oob=oob)
 
     def _inflight(self, pe_obj) -> list:
         clock = pe_obj.clock
@@ -1359,73 +1502,56 @@ class BatchedInterpreter(Interpreter):
         if reason is not None:
             return self._fall(reason)
         if isinstance(values, range):
-            V = np.arange(values.start, values.stop, values.step,
-                          dtype=np.int64)
             first, last = values[0], values[-1]
             box = (min(first, last), max(first, last), None, 0, 0)
         else:
-            V = np.asarray(values, dtype=np.int64)
-            box = (int(V.min()), int(V.max()), None, 0, 0)
-        g = self._bind_slots(plan, env, box, V, None, pe)
+            box = (min(values), max(values), None, 0, 0)
+        g = self._bind_slots(plan, env, box, values, None, pe)
         if g is None:
             return self._fall("oob_bind")
-        # Prefetch slots, or leftover prefetch state aliasing a cached
-        # read, route the chunk's timing through the exact scan.
-        scan = bool(plan.pf_idx) or (
-            bool(pe_obj.queue.entries or pe_obj.dropped_lines)
-            and not self._prefetch_disjoint(plan, pe_obj, g))
-        if self._stale_overlap(plan, pe_obj, g):
-            # A stale line the chunk touches: stale read hits / partial
-            # write-through refreshes need per-event order.
-            return self._fall("stale_overlap")
+        # Listed chunks, prefetch slots, stale lines the chunk touches and
+        # leftover prefetch state aliasing a cached read route the
+        # chunk's timing through the exact scan.
+        scan = self.machine.protocol is None and (
+            g.listed and self._replay_costs_ok or bool(plan.pf_idx)
+            or self._stale(plan, pe_obj, g)
+            or (bool(pe_obj.queue.entries or pe_obj.dropped_lines)
+                and not self._prefetch_disjoint(plan, pe_obj, g)))
         if scan:
             if not self._replay_costs_ok:
                 return self._fall("replay_costs")
             if pe_obj.queue.squeeze is not None:
                 return self._fall("queue_squeeze")
-            outcome, new_last, record, dtbF = self._replay_scan(
-                plan, pe_obj, g, T)
+            outcome, record = self._replay_scan(plan, pe_obj, g, T)
             if outcome.hazard:
-                return self._fall("replay_hazard")
+                return self._fall(outcome.hazard)
         self.batch_chunks += 1
 
         # -- value pass ----------------------------------------------------
-        if (T >= MIN_VECTOR_ITERS and plan.vec_stmts is not None
+        if (not g.listed and plan.vec_stmts is not None
                 and self._vector_safe(plan, g.F)):
-            self._vector_value_pass(plan, env, pe, g.F, {plan.var: V})
-            env[plan.var] = int(V[-1])
+            self._vector_value_pass(plan, env, pe, g.F, {plan.var: g.V})
+            env[plan.var] = int(g.V[-1])
         else:
             plan.seq_fn(values, env, pe)
-            self._register_residue(plan, pe, g.F)
 
         if not scan:
             self._timing_pass(plan, pe_obj, g, T, plan.const_per_iter * T,
                               None, self._inflight(pe_obj))
             return True
-        self._commit(plan, pe_obj, g, T, outcome.counters,
-                     pe_obj.stats.busy_cycles + outcome.busy, outcome.clock,
-                     outcome.stalls, (slice(None), outcome.tags), record,
-                     dtbF, outcome, new_last)
+        self._commit(plan, pe_obj, g, T, outcome.counters, outcome.busy,
+                     outcome.clock, outcome.stalls, outcome.tags, record,
+                     outcome)
         return True
 
-    def _stale_overlap(self, plan: _Plan, pe_obj, g: _Chunk) -> bool:
-        """True when a stale resident line intersects a line the chunk
-        touches — a cached shared read (would return the stale cached value),
-        a cacheable shared write (write-through refreshes only the written
-        word; the bulk commit would refresh the whole line), or a prefetch
-        target (invalidate/ghost-refill assumes cache and memory agree).
-        Disjoint stale residue is exact: chunk reads classify against fresh
-        lines and the commit refills only chunk lines, leaving the stale
-        data bit-identical to what the reference would leave."""
-        if not plan.touches_shared_cache:
-            return False
-        stale = live_stale_lines(self.machine, pe_obj.pe_id)
-        if not stale.size:
-            return False
-        cache = pe_obj.cache
-        # A prefetch slot's out-of-bounds look-aheads map to its base
-        # line; a spurious match costs only an exact fallback.
-        return _stale_hit(stale, g.L[:, plan.c_stale], cache.n_lines)
+    def _stale(self, plan: _Plan, pe_obj, g: _Chunk) -> bool:
+        """True when a shared line the chunk's cached reads, cacheable
+        writes or prefetches touch is resident with a stale word (only
+        the scan replays those exactly); O(lines touched)."""
+        return (plan.touches_shared_cache and self._stale_possible
+                and touches_stale(pe_obj.cache,
+                                  self.machine.memory.versions_flat,
+                                  g.distinct_lines(plan.c_stale)))
 
     def _prefetch_disjoint(self, plan: _Plan, pe_obj, g: _Chunk) -> bool:
         """True when leftover prefetch state (queued entries, dropped-line
@@ -1441,126 +1567,69 @@ class BatchedInterpreter(Interpreter):
         return not _pending_hit(np.sort(pend), g.L[:, plan.c_cr])
 
     def _replay_scan(self, plan: _Plan, pe_obj, g: _Chunk, Tt: int):
-        """Prepare the chunk's replay-event matrices and run the exact
-        :func:`replay_chunk` scan against shadow PE state.  Returns
-        ``(outcome, new_last_prefetch_pe, record, dtbF)``, where
-        ``record``/``dtbF`` are the per-event outcome codes and DTB-setup
-        flags for event synthesis (``None`` unless a tracer wants tuples)
-        and ``outcome.counters`` carries the chunk's DTB setups; nothing
-        live is mutated, so a hazard outcome costs only the scan."""
-        params = self.params
-        pe = g.pe
-        n_slots = plan.n_events
-        rows = plan.scan_rows
-        if rows is None:
-            rows = plan.scan_rows = self._scan_rows(plan)
-        kind_row, cost_row, miss_row, loc_row, shr_row, inval_row = rows
-        kind = kind_row.repeat(Tt, axis=0)
-        cost = cost_row.repeat(Tt, axis=0)
-        line = np.where(kind_row != RE_COST, g.L, -1)
-        miss = miss_row.repeat(Tt, axis=0)
-        unc = np.zeros((Tt, n_slots), dtype=np.float64)
-        loc = loc_row.repeat(Tt, axis=0)
-        fill = np.zeros((Tt, n_slots), dtype=np.float64)
-        home = np.zeros((Tt, n_slots), dtype=np.int64)
-        extra = plan.extra
-        c = plan.c_crsh
-        if c.size:
-            miss[:, c] = g.latency("r", extra)[:, c]
-            unc[:, c] = g.latency("u", extra)[:, c]
-            loc[:, c] = g.local()[:, c]
-        c = plan.c_ur
-        if c.size:
-            cost[:, c] = g.latency("u", extra)[:, c]
-        c = plan.c_wsh
-        if c.size:
-            cost[:, c] = g.latency("w", extra)[:, c]
-        c = plan.c_pfsh
-        if c.size:
-            home[:, c] = g.owners()[:, c]
-            fill[:, c] = g.latency("r", 0.0)[:, c]
-        c = plan.c_pfpv
-        if c.size:
-            home[:, c] = pe
-            fill[:, c] = latency_table(self.machine, pe, "r")[pe]
-        for i, m in g.pf_masks.items():
-            if m is not None:  # out-of-bounds look-aheads: bare issues
-                kind[~m, i] = RE_COST
-                line[~m, i] = -1
-        kindF = kind.ravel()
-        costF = cost.ravel()
-        homeF = home.ravel()
+        """Run the exact :func:`replay_chunk` scan of the chunk against
+        shadow PE state.  Returns ``(outcome, record)``, ``record`` the
+        per-event outcome codes for event synthesis (``None`` unless a
+        tracer wants tuples); nothing live is mutated, so a hazard
+        outcome costs only the scan."""
         tr = self.machine.tracer
         record = None
         if tr is not None and not tr.counts_only(plan.event_kinds):
-            record = [REC_NONE] * (Tt * n_slots)
-        dtb_count = 0
-        new_last = None
-        dtbF = None
-        pf_pos = np.flatnonzero(kindF == RE_PF)
-        if pf_pos.size:
-            # DTB setups chain over successive in-bounds prefetch issues:
-            # charged whenever the home PE changes from the previous issue.
-            homes = homeF[pf_pos]
-            prev = np.empty(pf_pos.size, dtype=np.int64)
-            lp = pe_obj.last_prefetch_pe
-            prev[0] = -1 if lp is None else lp
-            prev[1:] = homes[:-1]
-            dtb = homes != prev
-            costF[pf_pos[dtb]] += float(params.dtb_setup)
-            dtb_count = int(dtb.sum())
-            new_last = int(homes[-1])
-            if record is not None:
-                dtbF = np.zeros(kindF.shape[0], dtype=bool)
-                dtbF[pf_pos[dtb]] = True
-        pre, _ = self._pre_offsets(plan, Tt, None)
+            record = [REC_NONE] * (Tt * plan.n_events)
+        cache = pe_obj.cache
         outcome = replay_chunk(
-            kindF, pre.ravel(), costF, line.ravel(), miss.ravel(),
-            unc.ravel(), loc.ravel(), shr_row.repeat(Tt, axis=0).ravel(),
-            fill.ravel(), homeF, inval_row.repeat(Tt, axis=0).ravel(),
-            plan.slot_row.repeat(Tt, axis=0).ravel(),
-            [s.array for s in plan.slots],
-            pe_obj.cache.tags, pe_obj.cache.n_lines, pe_obj.clock,
-            plan.tail_const, pe_obj.queue.snapshot(), pe_obj.queue.capacity,
-            pe_obj.dropped_lines,
-            [(t.line_lo, t.line_hi, t.completion)
-             for t in pe_obj.vectors.transfers],
-            float(params.cache_hit), float(params.prefetch_extract),
-            4 * float(params.remote_base), record=record)
-        if not outcome.hazard:
-            outcome.counters["dtb_setups"] = dtb_count
-        return outcome, new_last, record, dtbF
+            self._scan_rows(plan, g.pe), Tt, g.lines, g.homes, g.pe,
+            cache.tags, cache.n_lines, pe_obj.clock, plan.tail_const,
+            pe_obj.queue.entries, pe_obj.queue.capacity,
+            pe_obj.dropped_lines, pe_obj.vectors.transfers,
+            *self._scan_costs,
+            pe_obj.last_prefetch_pe, g.addrs,
+            (cache.vers, self.machine.memory.versions_flat, cache.line_words)
+            if self._stale_possible else None, record,
+            pe_obj.stats.busy_cycles)
+        return outcome, record
 
-    def _scan_rows(self, plan: _Plan) -> tuple:
-        """Per-slot constants of :meth:`_replay_scan`, each a ``(1, S)``
-        row: event kind, fixed cost (a prefetch issue, a private write),
-        a private read's miss latency and home-locality, the shared-read
-        flag and the invalidate-first flag."""
-        p = self.params
-        kinds, costs, miss, loc, shr, inval = [], [], [], [], [], []
-        for s in plan.slots:
-            role = s.role
-            private_read = role == "cr" and not s.shared
-            kinds.append(RE_READ if role == "cr" else RE_PF if role == "pf"
-                         else RE_WRITE if role == "w" and s.cacheable
-                         else RE_COST)
-            costs.append(float(p.prefetch_issue) if role == "pf"
-                         else float(p.write_local)
-                         if role == "w" and not s.shared else 0.0)
-            miss.append(float(p.local_mem) if private_read else 0.0)
-            loc.append(private_read)
-            shr.append(role == "cr" and s.shared)
-            inval.append(role == "pf" and s.inval)
-        return (np.array([kinds], dtype=np.int8),
-                np.array([costs], dtype=np.float64),
-                np.array([miss], dtype=np.float64),
-                np.array([loc], dtype=bool), np.array([shr], dtype=bool),
-                np.array([inval], dtype=bool))
+    def _scan_rows(self, plan: _Plan, pe: int) -> list:
+        """PE ``pe``'s :func:`replay_chunk` rows of ``plan``, one per slot
+        (memoised): event kind, fixed cost before it, cost table by home
+        PE (a miss, a fill, a write or an uncached read; a private slot's
+        table holds this PE's cost everywhere), a shared read's bypass
+        table, the invalidate-first flag and the array."""
+        rows = plan.scan_rows.get(pe)
+        if rows is not None:
+            return rows
+        tables = self._scan_tables
+
+        def table(kind: str, shared: bool, extra: float) -> list:
+            # One list per (pe, kind, extra, shared), shared by every row.
+            key = (pe, kind, extra, shared)
+            t = tables.get(key)
+            if t is None:
+                t = latency_table(self.machine, pe, kind, extra).tolist()
+                if not shared:
+                    t = [t[pe]] * len(t)
+                tables[key] = t
+            return t
+
+        rows = plan.scan_rows[pe] = []
+        for s, pre in zip(plan.slots, plan.const_before.tolist()):
+            x = plan.extra if s.shared else 0.0
+            if s.role == "cr":
+                row = (RE_READ, pre, table("r", s.shared, x),
+                       table("u", True, x) if s.shared else None)
+            elif s.role == "pf":
+                row = (RE_PF, pre, table("r", True, 0.0), None)
+            elif s.role == "w":
+                row = (RE_WRITE if s.cacheable else RE_COST, pre,
+                       table("w", s.shared, x), None)
+            else:
+                row = (RE_COST, pre, table("u", s.shared, x), None)
+            rows.append(row + (s.inval, s.array))
+        return rows
 
     def _commit(self, plan: _Plan, pe_obj, g: _Chunk, Tt: int,
                 counters: dict, busy: float, clock: float, stalls=(),
-                tags=None, record=None, dtbF=None, outcome=None,
-                new_last=None) -> None:
+                tags=None, record=None, outcome=None) -> None:
         """Count one priced chunk's static events, apply it through
         :func:`~repro.machine.batchops.commit_run` and feed the tracer.
 
@@ -1568,35 +1637,35 @@ class BatchedInterpreter(Interpreter):
         fills; the scan adds its prefetch counts), ``busy``, ``clock``,
         ``stalls`` and ``tags`` as ``commit_run`` takes them and
         ``record`` the per-event outcome codes (``None`` when the tracer
-        is absent or counts-only).  ``outcome``,
-        ``new_last`` and ``dtbF`` come from the scan only: its
-        :class:`~repro.machine.batchops.ReplayOutcome`, last prefetch home
-        PE and per-event DTB-setup flags."""
+        is absent or counts-only).  ``outcome`` is the scan's
+        :class:`~repro.machine.batchops.ReplayOutcome`, if it ran."""
         n_reads = len(plan.cached_idx) + len(plan.uncached_idx)
         n_writes = len(plan.write_idx)
         byp = Tt * plan.n_bypass
         ulr = urr = rw = 0
         c = plan.c_urnb
         if c.size:
-            ulr = int(np.count_nonzero(g.local()[:, c]))
+            ulr = g.n_local(c)
             urr = Tt * c.size - ulr
         c = plan.c_wsh
         if c.size and self.machine.protocol is None:
-            rw = Tt * c.size - int(np.count_nonzero(g.local()[:, c]))
+            rw = Tt * c.size - g.n_local(c)
         drop_byp = counters.get("pf_drop_bypass", 0)
-        commit_run(self.machine, g.pe,
-                   dict(counters, reads=Tt * n_reads, writes=Tt * n_writes,
+        counters.update(reads=Tt * n_reads, writes=Tt * n_writes,
                         bypass_reads=byp + drop_byp,
                         uncached_local_reads=ulr, uncached_remote_reads=urr,
-                        remote_writes=rw),
-                   busy, clock, stalls, tags, *self._touched(plan, g),
-                   scan=outcome,
-                   last_prefetch=new_last)
+                        remote_writes=rw)
+        refill = () if outcome is not None else (
+            g.distinct_lines(plan.c_fill) if plan.c_fill.size else (),
+            [(plan.slots[i].array, g.distinct_lines([i]))
+             for i in plan.fill_private])
+        commit_run(self.machine, g.pe, counters, busy, clock, stalls, tags,
+                   *refill, scan=outcome)
         self.batch_refs += Tt * (n_reads + n_writes)
 
         tr = self.machine.tracer
         if record is not None:
-            self._synth_events(plan, g, Tt, record, dtbF, tr)
+            self._synth_events(plan, g, Tt, record, tr)
         elif tr is not None:
             # Counts-only: every kind this chunk can emit is sampled out,
             # so tally the exact per-kind counts without tuples.
@@ -1614,7 +1683,7 @@ class BatchedInterpreter(Interpreter):
                 tr.add_counts("invalidate", c["invalidations"])
 
     def _synth_events(self, plan: _Plan, g: _Chunk, Tt: int, record,
-                      dtbF, tr) -> None:
+                      tr) -> None:
         """Emit a committed chunk's machine events, row-major (iteration,
         slot) — exactly the order the reference interpreter would have
         emitted them.  Static read/write events come from the slot roles;
@@ -1624,7 +1693,6 @@ class BatchedInterpreter(Interpreter):
         emit = tr.emit
         pe = g.pe
         n = plan.n_events
-        dtb_l = dtbF.tolist() if dtbF is not None else None
         cols = []
         for i, slot in enumerate(plan.slots):
             role = slot.role
@@ -1632,8 +1700,7 @@ class BatchedInterpreter(Interpreter):
                 # Out-of-bounds look-aheads keep REC_NONE, so their bogus
                 # line is never read.
                 cols.append(("pf", slot.array, g.L[:, i].tolist(),
-                             record[i::n],
-                             dtb_l[i::n] if dtb_l is not None else None))
+                             record[i::n], None))
                 continue
             flat_l = g.F[:, i].tolist()
             eq_l = g.local()[:, i].tolist() if slot.shared else None
@@ -1666,7 +1733,8 @@ class BatchedInterpreter(Interpreter):
                             emit(("invalidate", pe, array, 1, "prefetch",
                                   -1, -1))
                             rc &= ~REC_KILL_FLAG
-                        dtb = 1 if aux[t] else 0
+                        dtb = 1 if rc & REC_DTB_FLAG else 0
+                        rc &= ~REC_DTB_FLAG
                         line = data_l[t]
                         if rc == REC_PF_ISSUE:
                             emit(("pf_issue", pe, array, line, dtb))
@@ -1735,7 +1803,7 @@ class BatchedInterpreter(Interpreter):
             v = vecs[name]
             env[name] = (float(v[-1])
                          if isinstance(v, np.ndarray) and v.ndim else float(v))
-        self._register_residue(plan, pe, F)
+        self._register_residue(plan, pe, F[-1].tolist())
 
     def _timing_pass(self, plan: _Plan, pe_obj, g: _Chunk, Tt: int,
                      const_total: float, row_extra, transfers: list) -> None:
@@ -1802,19 +1870,6 @@ class BatchedInterpreter(Interpreter):
                      pe_obj.stats.busy_cycles + busy, clock, stalls, tags,
                      None if rec is None else rec.ravel().tolist())
 
-    def _touched(self, plan: _Plan, g: _Chunk) -> tuple:
-        """The lines the chunk's cacheable reads and writes touched, as
-        :func:`~repro.machine.batchops.commit_run` refills them: distinct
-        shared lines, then ``(array, lines)`` per private slot."""
-        lines = ()
-        c = plan.c_fill
-        if c.size:
-            lines = g.L[:, c]
-            lo = lines.min()
-            lines = np.flatnonzero(np.bincount((lines - lo).ravel())) + lo
-        return lines, [(plan.slots[i].array, np.unique(g.L[:, i]).tolist())
-                       for i in plan.fill_private]
-
     def _pre_offsets(self, plan: _Plan, Tt: int, row_extra):
         """``(pre, tail)``: the constant cycles charged just before each
         event of a ``(Tt, n_slots)`` chunk (loop overhead and arithmetic;
@@ -1842,8 +1897,7 @@ class BatchedInterpreter(Interpreter):
         clock, busy, hits, lf = protocol_scan(
             self.machine.protocol, g.pe, pe_obj.clock,
             pe_obj.stats.busy_cycles,
-            pre.ravel().tolist(), kinds * Tt, g.L.ravel().tolist(),
-            g.owners().ravel().tolist(), costs * Tt)
+            pre.ravel().tolist(), kinds * Tt, g.lines, g.homes, costs * Tt)
         misses = Tt * len(plan.cached_idx) - hits
         self._commit(plan, pe_obj, g, Tt,
                      {"cache_hits": hits, "cache_misses": misses,

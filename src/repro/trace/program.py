@@ -360,11 +360,15 @@ class _BulkReplay:
             k_read, k_write, k_cost = READ, INSTALL, WRITE
         else:
             k_read, k_write, k_cost = RE_READ, RE_COST, RE_COST
-        noop = {"p": (k_cost, -1, -1, float(machine.params.prefetch_issue),
-                      _S_NOOP),
-                "v": (k_cost, -1, -1, float(machine.params.vector_startup),
-                      _S_NOOP)}
-        # One (scan kind, line or -1, home, cost, stat code) per op.
+        # One replay_chunk row per kind of op: the op costs table[home].
+        r_read, r_write, r_wcost, r_ucost = (
+            (k, 0, t, None, False, None) for k, t in (
+                (k_read, rcost), (k_write, wcost), (k_cost, wcost),
+                (k_cost, ucost)))
+        noop = {k: ((k_cost, 0, (c,), None, False, None), -1, -1, c, _S_NOOP)
+                for k, c in (("p", float(machine.params.prefetch_issue)),
+                             ("v", float(machine.params.vector_startup)))}
+        # One (scan row, line or -1, home, cost, stat code) per op.
         events: list = []
         add = events.append
         writes: list = []
@@ -387,13 +391,14 @@ class _BulkReplay:
                     if line in stale:
                         reason = "stale"
                     else:
-                        add((k_write if cacheable else k_cost, line, h,
-                             wcost[h], _S_WLOCAL if h == pe else _S_WREMOTE))
+                        add((r_write if cacheable else r_wcost, line, h,
+                             wcost[h],
+                             _S_WLOCAL if h == pe else _S_WREMOTE))
                         writes.append((op[1], flat, next(state)))
                 elif op[3] == "bypass":
-                    add((k_cost, -1, h, ucost[h], _S_BYPASS))
+                    add((r_ucost, -1, h, ucost[h], _S_BYPASS))
                 elif not cacheable:
-                    add((k_cost, -1, h, ucost[h],
+                    add((r_ucost, -1, h, ucost[h],
                          _S_ULOCAL if h == pe else _S_UREMOTE))
                 elif pf_live and (op[3] == "extract" or op[3] == "drop"):
                     reason = "queue_hint"
@@ -401,7 +406,7 @@ class _BulkReplay:
                     line = addr // lw
                     reason = hazard.get(line)
                     if reason is None:
-                        add((k_read, line, h, rcost[h], _S_READ))
+                        add((r_read, line, h, rcost[h], _S_READ))
             elif k == "p" or k == "v":
                 if p[3]:
                     reason = "prefetch" if k == "p" else "vector"
@@ -431,7 +436,7 @@ class _BulkReplay:
         machine = self.machine
         st = pe_obj.stats
         n = len(events)
-        kinds, lines, homes, costs, codes = zip(*events)
+        rows, lines, homes, costs, codes = zip(*events)
         n_reads = codes.count(_S_READ)
         tr = machine.tracer
         record = tags = None
@@ -439,22 +444,18 @@ class _BulkReplay:
         if self.proto is not None:
             clock, busy, hits, lf = protocol_scan(
                 self.proto, pe, pe_obj.clock, st.busy_cycles, [0] * n,
-                kinds, lines, homes, costs)
+                [r[0] for r in rows], lines, homes, costs)
         else:
-            zeros = [0] * n
             if tr is not None:
                 record = [REC_NONE] * n
+            # One scan row per op, as one iteration of n slots.
             out = replay_chunk(
-                kinds, zeros, costs, lines, costs, zeros,
-                [h == pe for h in homes], zeros, zeros, zeros, zeros,
-                zeros, (), pe_obj.cache.tags, pe_obj.cache.n_lines,
-                pe_obj.clock, 0.0, (), 0, (),
-                [(t.line_lo, t.line_hi, t.completion)
-                 for t in pe_obj.vectors.transfers],
-                machine.params.cache_hit, 0.0, 0.0, record=record,
-                busy0=st.busy_cycles)
-            clock, busy, stalls = out.clock, out.busy, out.stalls
-            tags = (slice(None), out.tags)
+                rows, 1, lines, homes, pe, pe_obj.cache.tags,
+                pe_obj.cache.n_lines, pe_obj.clock, 0.0, (), 0, (),
+                pe_obj.vectors.transfers, machine.params.cache_hit, 0.0,
+                0.0, record=record, busy0=st.busy_cycles)
+            clock, busy, stalls, tags = out.clock, out.busy, out.stalls, \
+                out.tags
             hits, lf = out.counters["cache_hits"], out.counters["local_fills"]
         n_byp = codes.count(_S_BYPASS)
         n_ul = codes.count(_S_ULOCAL)

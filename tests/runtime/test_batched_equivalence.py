@@ -212,15 +212,20 @@ def test_recurrence_chunk_compiles_scalar_pass(monkeypatch, var, scalar):
     params = t3d(1, cache_bytes=1024)
     report = compare_backends(program, params, Version.SEQ, trace=True)
     assert report.exact, report.summary()
-    # The register-residue epilogue follows every scalar-pass chunk.
+    # Record every run of a plan's compiled scalar pass.
     scalar_chunks = []
-    residue = BatchedInterpreter._register_residue
+    compile_seq = BatchedInterpreter._compile_seq_fn
 
-    def counting(self, plan, *args):
-        scalar_chunks.append(plan.var)
-        return residue(self, plan, *args)
+    def compiling(self, plan, *args):
+        fn = compile_seq(self, plan, *args)
 
-    monkeypatch.setattr(BatchedInterpreter, "_register_residue", counting)
+        def seq_fn(values, env, pe):
+            scalar_chunks.append(plan.var)
+            return fn(values, env, pe)
+
+        return seq_fn
+
+    monkeypatch.setattr(BatchedInterpreter, "_compile_seq_fn", compiling)
     interp = make_interpreter(
         program, params,
         ExecutionConfig.for_version(Version.SEQ, backend="batched"))
@@ -656,30 +661,155 @@ def test_value_pass_crossover_bit_exact(monkeypatch, side):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n_lines=st.integers(min_value=1, max_value=64))
 def test_chunk_guards_agree_with_isin(data, n_lines):
-    """The per-set stale test and the sorted pending-line test answer
-    exactly what ``np.isin`` would, for random resident tags (at most one
-    line per set), stale subsets, chunk line matrices and queues."""
-    from repro.runtime.batched import _pending_hit, _stale_hit
+    """The stale-line guard and the sorted pending-line test answer
+    exactly what a per-word search and ``np.isin`` would, for random
+    resident tags (at most one line per set), cached and memory
+    versions, chunk lines and queues."""
+    from types import SimpleNamespace
 
+    from repro.machine.batchops import touches_stale
+    from repro.runtime.batched import _pending_hit
+
+    lw = 4
     line_st = st.integers(min_value=0, max_value=4 * n_lines)
-    tags = data.draw(st.lists(st.integers(min_value=-1, max_value=3),
-                              min_size=n_lines, max_size=n_lines))
-    resident = [k * n_lines + s for s, k in enumerate(tags) if k >= 0]
-    stale = np.array(data.draw(st.lists(st.sampled_from(resident),
-                                        unique=True))
-                     if resident else [], dtype=np.int64)
+    tags = np.array(
+        [k * n_lines + s if k >= 0 else -1 for s, k in enumerate(
+            data.draw(st.lists(st.integers(min_value=-1, max_value=3),
+                               min_size=n_lines, max_size=n_lines)))],
+        dtype=np.int64)
+    vers = np.array(data.draw(st.lists(
+        st.integers(min_value=0, max_value=2), min_size=n_lines * lw,
+        max_size=n_lines * lw)), dtype=np.int64).reshape(n_lines, lw)
+    memory = np.array(data.draw(st.lists(
+        st.integers(min_value=0, max_value=2), min_size=5 * n_lines * lw,
+        max_size=5 * n_lines * lw)), dtype=np.int64)
+    cache = SimpleNamespace(tags=tags, vers=vers, n_lines=n_lines,
+                            line_words=lw)
+    lines = sorted(set(data.draw(st.lists(line_st, min_size=1,
+                                          max_size=12))))
+    expect = any(tags[line % n_lines] == line
+                 and vers[line % n_lines, o] < memory[line * lw + o]
+                 for line in lines for o in range(lw))
+    assert touches_stale(cache, memory, lines) == expect
     rows = data.draw(st.integers(min_value=1, max_value=6))
     cols = data.draw(st.integers(min_value=1, max_value=4))
-    lines = np.array(data.draw(st.lists(line_st, min_size=rows * cols,
+    chunk = np.array(data.draw(st.lists(line_st, min_size=rows * cols,
                                         max_size=rows * cols)),
                      dtype=np.int64).reshape(rows, cols)
     pend = np.array(data.draw(st.lists(line_st, min_size=1, max_size=10)),
                     dtype=np.int64)
-    if stale.size:
-        assert _stale_hit(stale, lines, n_lines) == \
-            bool(np.isin(lines, stale).any())
-    assert _pending_hit(np.sort(pend), lines) == \
-        bool(np.isin(lines, pend).any())
+    assert _pending_hit(np.sort(pend), chunk) == \
+        bool(np.isin(chunk, pend).any())
+
+
+def _stale_line_program(stale_read: bool):
+    """Two PEs, each caching one 4-word line of ``a`` (PE 0 a(1:4), PE 1
+    a(5:8)); then each writes one word of the other's line (PE 1 a(3),
+    PE 0 a(7)), which leaves that word stale in the other's copy.  In
+    the third epoch each PE's chunk reads a word of its own line, writes
+    a(2) or a(6) through it, and in its last iteration prefetches the
+    line (invalidate first), which freezes it as a ghost with the stale
+    word inside.  PE 1 reads a fresh word, a(5); PE 0 reads a fresh a(1)
+    or, with ``stale_read``, the stale a(3)."""
+    from repro.ir.stmt import PrefetchLine
+
+    b = ir.ProgramBuilder("stale_line")
+    b.shared("a", (16,))
+    b.shared("c", (16,))
+    e = ir.parse_expr
+    with b.proc("main"):
+        with b.doall("p", 1, 2, label="cache"):
+            with b.do("i", 1, 4):
+                b.assign(b.ref("c", e("4*p + i - 4")),
+                         b.ref("a", e("4*p + i - 4")) + 1.0)
+        with b.doall("p", 1, 2, label="cross"):
+            with b.do("i", 1, 1):
+                b.assign(b.ref("a", e("11 - 4*p")), ir.E("i") * 9.0)
+        with b.doall("p", 1, 2, label="reuse"):
+            with b.do("i", 1, 4):
+                b.assign(b.ref("c", e("4*p + i - 4")),
+                         b.ref("a", e("2*p + 1" if stale_read
+                                      else "4*p - 3")) * 2.0)
+                b.assign(b.ref("a", e("4*p - 2")),
+                         b.ref("c", e("4*p + i - 4")) + 1.0)
+                b.emit(PrefetchLine(ir.ArrayRef("a", [e("4*p + 4*i - 19")])))
+    return b.finish()
+
+
+def _committed_chunks(monkeypatch) -> list:
+    """``(pe, has prefetch slots)`` of every chunk the batched backend
+    commits from now on."""
+    committed = []
+    real = BatchedInterpreter._commit
+
+    def spy(self, plan, pe_obj, *args, **kwargs):
+        committed.append((pe_obj.pe_id, bool(plan.pf_idx)))
+        return real(self, plan, pe_obj, *args, **kwargs)
+
+    monkeypatch.setattr(BatchedInterpreter, "_commit", spy)
+    return committed
+
+
+def test_chunk_touching_a_stale_line_commits_exactly(monkeypatch):
+    """A chunk that reads a fresh word of a line whose cached copy holds
+    a stale word, writes into the line and then ghosts it is committed
+    (the scan replays the stale line), and leaves every PE's cache data
+    and versions — the frozen stale word included — as the reference
+    does."""
+    committed = _committed_chunks(monkeypatch)
+    report = compare_backends(_stale_line_program(False),
+                              t3d(2, cache_bytes=1024), Version.CCDP,
+                              trace=True)
+    assert report.exact, report.summary()
+    assert (0, True) in committed and (1, True) in committed
+    assert report.batch_fallbacks == 0
+    # The reference run really ends with PE 0's a(1:4) ghosted around a
+    # stale a(3) and the a(2) it wrote through.
+    machine = report.result_ref.machine
+    assert machine.stats.stale_reads == 0
+    cache = machine.pes[0].cache
+    s = machine.addr_map.addr("a", 0) // cache.line_words % cache.n_lines
+    assert cache.tags[s] == -1
+    assert cache.vers[s, 2] < machine.memory.version("a", 2)
+    assert cache.vers[s, 1] == machine.memory.version("a", 1) > 0
+
+
+def test_chunk_reading_a_stale_word_falls_back(monkeypatch):
+    """Under naive caching, PE 0's chunk reads the stale a(3): it falls
+    back (``stale_overlap``), so the reference counts the stale read
+    exactly; PE 1's chunk, reading a fresh word of its own stale line,
+    is still committed."""
+    committed = _committed_chunks(monkeypatch)
+    program = _stale_line_program(True)
+    params = t3d(2, cache_bytes=1024)
+    report = compare_backends(program, params, Version.NAIVE, trace=True)
+    assert report.exact, report.summary()
+    assert report.result_ref.stats.stale_reads > 0
+    assert (1, True) in committed and (0, True) not in committed
+    result = run_program(program, params, Version.NAIVE, backend="batched")
+    assert result.fallback_reasons.get("stale_overlap") == 1
+    assert result.batch_fallbacks == 1
+
+
+def test_tomcatv_stale_lines_stay_on_the_bulk_path(monkeypatch):
+    """TOMCATV ccdp on 16 PEs at n=9, the smallest size where chunks of
+    loops 100/120 touch lines a neighbour PE left partly stale: none of
+    them falls back, and every statistic, clock and cache word matches
+    the reference."""
+    reasons = []
+    real = BatchedInterpreter._fall
+
+    def spy(self, reason):
+        reasons.append(reason)
+        return real(self, reason)
+
+    monkeypatch.setattr(BatchedInterpreter, "_fall", spy)
+    report = check_workload("tomcatv", t3d(16, cache_bytes=2048),
+                            Version.CCDP, n=9, trace=True)
+    assert report.exact, report.summary()
+    assert "stale_overlap" not in reasons
+    assert report.batch_chunks > 0
+    assert report.result_ref.stats.stale_reads == 0
 
 
 def test_write_only_chunk_with_vector_transfer_in_flight():
